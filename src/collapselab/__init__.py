@@ -7,77 +7,4 @@ to a simplex equiangular tight frame. Ships its own reverse-mode gradient
 engine with an explicit stop-gradient, collapse diagnostics, and a CLI.
 """
 
-from .autodiff import Node, backward, constant, grad_check, param, stop_gradient
-from .config import TrainConfig, parse_config_file, parse_config_text, resolved_text
-from .data import (
-    Dataset,
-    LongTailSpec,
-    SyntheticSpec,
-    ViewAugmenter,
-    balanced_counts,
-    batches,
-    gen_gaussian_mixture,
-    load_csv,
-    long_tail_counts,
-    save_csv,
-    two_views,
-)
-from .errors import (
-    CollapseLabError,
-    ConfigError,
-    ContractError,
-    DegenerateInputError,
-    DomainError,
-    EvaluationError,
-    ParseError,
-    ShapeError,
-    TrainingDivergedError,
-)
-from .etf import EtfFrame, etf_deviation, icpa_degrees_target, make_etf, rho, rho_matrix
-from .harness import (
-    EpochLog,
-    GroupAccuracy,
-    RunResult,
-    class_groups,
-    emit_outputs,
-    evaluate,
-    run_train,
-    sweep,
-)
-from .losses import (
-    branch_loss,
-    cross_entropy,
-    eta,
-    hycon,
-    hycon_batch,
-    inverse_frequency_weights,
-    p2p,
-    reweighted_ce,
-    total_loss,
-)
-from .model import (
-    ArchSpec,
-    ForwardOut,
-    NetworkParams,
-    SgdConfig,
-    SgdState,
-    forward,
-    init_params,
-    load_params,
-    save_params,
-    sgd_step,
-)
-from .ncmetrics import (
-    ClassStats,
-    NCReport,
-    centered_pairwise_cosines,
-    class_stats,
-    icpa_degrees,
-    nc1_within_class,
-    nc_report,
-    ncc_agreement,
-    self_duality_delta,
-    std_of_pairwise_cosines,
-)
-
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ matrix. Everything else requires exact shape agreement.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -58,11 +58,9 @@ class Node:
         requires_grad: True when some parameter is reachable upstream.
         stop_grad:     True for stop_gradient markers; backward never
                        descends through such a node.
-        grad:          set by backward() on visited nodes; diagnostic only,
-                       the authoritative result is backward's return value.
     """
 
-    __slots__ = ("data", "parents", "grad_fns", "requires_grad", "stop_grad", "grad", "name")
+    __slots__ = ("data", "parents", "grad_fns", "requires_grad", "stop_grad", "name")
 
     def __init__(
         self,
@@ -78,7 +76,6 @@ class Node:
         self.grad_fns = tuple(grad_fns)
         self.requires_grad = requires_grad
         self.stop_grad = stop_grad
-        self.grad: Array | None = None
         self.name = name
 
     @property
@@ -93,25 +90,6 @@ class Node:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Node(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
-
-    # Sugar used by the loss code. Node * float scales, Node * Node is
-    # elementwise, and +/- follow the add/sub ops below.
-    def __add__(self, other: "Node") -> "Node":
-        return add(self, other)
-
-    def __sub__(self, other: "Node") -> "Node":
-        return sub(self, other)
-
-    def __neg__(self) -> "Node":
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, Node):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
 
 
 def constant(values, name: str | None = None) -> Node:
@@ -181,13 +159,6 @@ def relu(x: Node) -> Node:
     # Strict inequality: the subgradient at exactly 0 is 0.
     mask = x.data > 0.0
     return _op(np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,))
-
-
-def reshape(x: Node, shape: tuple[int, ...]) -> Node:
-    if int(np.prod(shape)) != x.data.size:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    old = x.shape
-    return _op(x.data.reshape(shape).copy(), (x,), (lambda g: g.reshape(old),))
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +231,6 @@ def mean_rows(x: Node) -> Node:
 
 # ---------------------------------------------------------------------------
 # norms and normalization
-
-
-def frobenius_norm(x: Node) -> Node:
-    n = float(np.sqrt(np.sum(x.data * x.data)))
-    if n == 0.0:
-        raise DegenerateInputError("frobenius_norm: zero operand has no normalized direction")
-    return _op(np.asarray(n), (x,), (lambda g: (float(g) / n) * x.data,))
 
 
 def l2_normalize(v: Node) -> Node:
@@ -354,9 +318,9 @@ def _topo_order(root: Node) -> list[Node]:
 def backward(root: Node) -> dict[Node, Array]:
     """Accumulate gradients of a scalar root; return {leaf parameter: grad}.
 
-    Visited nodes also get their gradient stored on ``.grad``. Parameters that
-    the loss cannot reach (for example, only through stop_gradient) are absent
-    from the returned map; callers treat absence as an exact zero.
+    Parameters that the loss cannot reach (for example, only through
+    stop_gradient) are absent from the returned map; callers treat absence as
+    an exact zero.
     """
     if root.data.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
@@ -367,10 +331,8 @@ def backward(root: Node) -> dict[Node, Array]:
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g
-            if not node.parents:
-                leaves[node] = g
+        if node.requires_grad and not node.parents:
+            leaves[node] = g
         for parent, fn in zip(node.parents, node.grad_fns):
             if not parent.requires_grad:
                 continue
@@ -393,7 +355,10 @@ def grad_check(
     """Compare backward() against central finite differences.
 
     ``f`` rebuilds the scalar loss from the current parameter arrays, so each
-    perturbed evaluation reruns the full forward pass. Returns the max over
+    perturbed evaluation reruns the full forward pass. Each perturbation
+    gives the parameter a fresh array, as the optimizer does, and the
+    original array is put back afterwards even if ``f`` raises; arrays that
+    ``f`` captured from the parameter are never written. Returns the max over
     all coordinates of |analytic - numeric| / max(1, |numeric|); if ``tol``
     is given, exceeding it raises ContractError naming the worst coordinate.
     """
@@ -411,13 +376,17 @@ def grad_check(
         analytic = grads.get(p)
         if analytic is None:
             analytic = np.zeros_like(p.data)
-        for idx in np.ndindex(p.data.shape):
-            orig = p.data[idx]
-            p.data[idx] = orig + step
-            f_plus = f().item()
-            p.data[idx] = orig - step
-            f_minus = f().item()
-            p.data[idx] = orig
+        base = p.data
+        for idx in np.ndindex(base.shape):
+            try:
+                p.data = base.copy()
+                p.data[idx] = base[idx] + step
+                f_plus = f().item()
+                p.data = base.copy()
+                p.data[idx] = base[idx] - step
+                f_minus = f().item()
+            finally:
+                p.data = base
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise EvaluationError(f"grad_check: non-finite value near param {k} index {idx}")
             numeric = (f_plus - f_minus) / (2.0 * step)
@@ -429,7 +398,3 @@ def grad_check(
         raise ContractError(f"grad_check: max relative error {worst:.3e} at {worst_at} exceeds {tol:.1e}")
     return worst
 
-
-def collect_grads(params: Sequence[Node], grads: Mapping[Node, Array]) -> list[Array]:
-    """Gradient per parameter, with exact zeros for unreached parameters."""
-    return [grads.get(p, np.zeros_like(p.data)) for p in params]

@@ -17,20 +17,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import parse_config_file, with_overrides
-from .data import read_numeric_csv
+from .data import integer_labels, read_numeric_csv
 from .errors import CollapseLabError, ParseError
 from .etf import etf_deviation, make_etf
-from .harness import (
-    _fmt,
-    emit_outputs,
-    run_train,
-    sweep,
-    write_sweep_csv,
-    _write_matrix_csv,
-)
+from .harness import _fmt, _write_matrix_csv, run_train, sweep, write_sweep_csv
 from .ncmetrics import nc_report
 
 
@@ -79,9 +70,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         overrides["out_dir"] = args.out
     if overrides:
         cfg = with_overrides(cfg, **overrides)
-    result = run_train(cfg, emit=False)
-    if cfg.out_dir:
-        emit_outputs(result, cfg.out_dir)
+    result = run_train(cfg)
     if not result.logs:
         print("diverged before completing the first epoch", file=sys.stderr)
         return 2
@@ -126,7 +115,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if mat.shape[1] < 2:
         raise ParseError(f"{args.features}: need feature columns plus a label column")
     features = mat[:, :-1]
-    labels = mat[:, -1].astype(np.int64)
+    labels = integer_labels(args.features, mat[:, -1])
     if labels.min() < 0:
         raise ParseError(f"{args.features}: negative label")
     weights, bias = _load_weights(args.weights, args.bias, features.shape[1])

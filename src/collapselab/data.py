@@ -207,11 +207,6 @@ class ViewAugmenter:
         return self.apply(x), self.apply(x)
 
 
-def two_views(x: np.ndarray, augmenter: ViewAugmenter) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent augmented views of one sample or batch."""
-    return augmenter.pair(x)
-
-
 # ---------------------------------------------------------------------------
 # batching
 
@@ -285,6 +280,14 @@ def _is_float(cell: str) -> bool:
         return False
 
 
+def integer_labels(path: str | Path, raw: np.ndarray) -> np.ndarray:
+    """A parsed label column as int64; ParseError names the first non-integer row."""
+    fractional = np.flatnonzero(raw != np.round(raw))
+    if fractional.size:
+        raise ParseError(f"{path}: non-integer label in data row {int(fractional[0]) + 1}")
+    return raw.astype(np.int64)
+
+
 def load_csv(path: str | Path) -> Dataset:
     """Load a dataset CSV: d feature columns then one integer label column.
 
@@ -295,11 +298,7 @@ def load_csv(path: str | Path) -> Dataset:
     if mat.shape[1] < 2:
         raise ParseError(f"{path}: need at least one feature column and one label column")
     x = mat[:, :-1]
-    raw_labels = mat[:, -1]
-    if np.any(raw_labels != np.round(raw_labels)):
-        bad = int(np.flatnonzero(raw_labels != np.round(raw_labels))[0])
-        raise ParseError(f"{path}: non-integer label in data row {bad + 1}")
-    y = raw_labels.astype(np.int64)
+    y = integer_labels(path, mat[:, -1])
     uniq = np.unique(y)
     lo = int(uniq[0])
     if lo not in (0, 1):

@@ -17,20 +17,6 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, ShapeError
 
 
-def rho(i: int, j: int, num_classes: int) -> float:
-    """Target inner product between frame vectors i and j (0-based indices).
-
-    Equals 1 on the diagonal and -1/(C-1) off it; equivalently
-    C/(C-1) * delta_ij - 1/(C-1).
-    """
-    c = int(num_classes)
-    if c < 2:
-        raise DomainError(f"rho: need at least 2 classes, got {c}")
-    if not (0 <= i < c and 0 <= j < c):
-        raise DomainError(f"rho: indices ({i}, {j}) out of range for {c} classes")
-    return 1.0 if i == j else -1.0 / (c - 1.0)
-
-
 def rho_matrix(num_classes: int) -> np.ndarray:
     """The full C x C target Gram matrix (ones diagonal, -1/(C-1) off)."""
     c = int(num_classes)
@@ -47,11 +33,9 @@ class EtfFrame:
     """A realized simplex ETF.
 
     vectors: (dim, C) matrix whose columns are the frame vectors.
-    basis:   (dim, C) orthonormal columns the frame was rotated into.
     """
 
     vectors: np.ndarray
-    basis: np.ndarray
     num_classes: int
     dim: int
 
@@ -85,7 +69,7 @@ def make_etf(dim: int, num_classes: int, seed: int = 0) -> EtfFrame:
     basis = basis * signs
     projector = np.eye(c) - np.full((c, c), 1.0 / c)
     vectors = np.sqrt(c / (c - 1.0)) * basis @ projector
-    return EtfFrame(vectors=vectors, basis=basis, num_classes=c, dim=q)
+    return EtfFrame(vectors=vectors, num_classes=c, dim=q)
 
 
 def etf_deviation(vectors: np.ndarray) -> float:

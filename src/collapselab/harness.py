@@ -2,14 +2,10 @@
 
 ``run_train`` executes one experiment from a TrainConfig. In allnc mode each
 step takes two augmented views of a batch through the shared network and
-minimizes
-
-    branch1 + branch2 + alpha * (hycon + p2p over feature class means)
-
-where each branch is eta*CE + (1-eta)*(reweighted CE + p2p over classifier
-rows) on its own view, and eta = 1 - (t/t_max)^gamma decays over epochs
-(frozen to a constant when the schedule is disabled). In ce mode a step is a
-plain cross-entropy update on the raw batch; the other loss columns log zero.
+minimizes ``losses.allnc_loss``, whose blend eta = 1 - (t/t_max)^gamma
+decays over epochs (frozen to a constant when the schedule is disabled). In
+ce mode a step is a plain cross-entropy update on the raw batch; the other
+loss columns log zero.
 
 After every epoch the full training set is pushed through the encoder in
 evaluation form (no augmentation) for a collapse report, and a balanced test
@@ -17,14 +13,15 @@ split is scored overall and per class-size group. Groups follow the head
 count n_max: Many > 0.2*n_max, Few <= 0.04*n_max, Medium between.
 
 A non-finite loss or gradient ends the run early with the completed epochs
-preserved and the result marked diverged. Sweeps run one value per row and
-keep going past failures, marking the row instead of raising.
+preserved and the result marked diverged; the parameters are left as they
+were at the failing step. Sweeps run one value per row and keep going past
+failures, marking the row instead of raising.
 
 Run artifacts (fixed layout, deterministic bytes for a fixed config):
     config.resolved   the full effective config, reparseable
     epochs.csv        one row per epoch: losses, diagnostics, accuracies
-    report.json       final collapse report
-    features.csv      final training features + labels (full precision)
+    report.json       final training-set collapse report + test accuracies
+    features.csv      final training-set features + labels (full precision)
     weights.csv       classifier rows + bias column (full precision)
     icpa_mu.csv       final pairwise angles between centered class means
     icpa_w.csv        final pairwise angles between centered classifier rows
@@ -52,6 +49,7 @@ from .data import (
     gen_gaussian_mixture,
     load_csv,
     long_tail_counts,
+    save_csv,
 )
 from .errors import CollapseLabError, ConfigError, ContractError
 from .model import (
@@ -219,26 +217,18 @@ def _arch_from_config(cfg: TrainConfig) -> ArchSpec:
     )
 
 
-def evaluate(
-    params: NetworkParams, test: Dataset, train_counts: np.ndarray
-) -> tuple[GroupAccuracy, NCReport]:
-    """Score a balanced split: overall and per-group accuracy plus a report."""
-    out = forward(params, test.x)
-    logits = out.logits.data
-    predicted = np.argmax(logits, axis=1)
+def evaluate(params: NetworkParams, test: Dataset, train_counts: np.ndarray) -> GroupAccuracy:
+    """Score a balanced split: overall and per-group accuracy."""
+    predicted = np.argmax(forward(params, test.x).logits.data, axis=1)
     correct = predicted == test.y
     groups = class_groups(train_counts)
     per_group = []
     for g in (0, 1, 2):
         members = np.isin(test.y, np.flatnonzero(groups == g))
         per_group.append(float(np.mean(correct[members])) if members.any() else float("nan"))
-    acc = GroupAccuracy(
+    return GroupAccuracy(
         overall=float(np.mean(correct)), many=per_group[0], medium=per_group[1], few=per_group[2]
     )
-    report = nc_report(
-        out.features.data, test.y, params.classifier_w.data, params.classifier_b.data, len(train_counts)
-    )
-    return acc, report
 
 
 @dataclass
@@ -265,65 +255,31 @@ def _allnc_step(
     augmenter: ViewAugmenter,
 ) -> tuple[ad.Node, _StepStats]:
     x1, x2 = augmenter.pair(x)
-    view1 = forward(params, x1)
-    view2 = forward(params, x2)
-
-    ce1 = L.mean_cross_entropy(view1.logits, y)
-    ce2 = L.mean_cross_entropy(view2.logits, y)
-    re1 = L.mean_reweighted_ce(view1.logits, y, class_weights)
-    re2 = L.mean_reweighted_ce(view2.logits, y, class_weights)
-
-    zero = ad.constant(0.0)
-    if cfg.disable_p2p_w:
-        p2p_w = zero
-    else:
-        p2p_w = L.p2p(params.classifier_w, center_and_normalize=False)
-
-    # One p2p_w node feeds both branches; gradient accumulation doubles it,
-    # matching two independent copies.
-    branch1 = ad.add(ad.scale(ce1, eta_value), ad.scale(ad.add(re1, p2p_w), 1.0 - eta_value))
-    branch2 = ad.add(ad.scale(ce2, eta_value), ad.scale(ad.add(re2, p2p_w), 1.0 - eta_value))
-
-    if cfg.disable_hycon:
-        hycon_term = zero
-    else:
-        hycon_term = L.hycon_batch(view1.h, view2.h, view1.z, view2.z, y)
-
-    if cfg.disable_p2p_mu:
-        p2p_mu_term = zero
-    else:
-        # Class means centered by the batch's global feature mean, the same
-        # center the diagnostics subtract; an unweighted mean of class means
-        # drifts off it in imbalanced batches.
-        mu1, present1 = L.class_mean_matrix(view1.features, y)
-        mu2, present2 = L.class_mean_matrix(view2.features, y)
-        terms = []
-        if present1.shape[0] >= 2:
-            terms.append(
-                L.p2p(mu1, True, num_classes=cfg.num_classes, center=ad.mean_rows(view1.features))
-            )
-        if present2.shape[0] >= 2:
-            terms.append(
-                L.p2p(mu2, True, num_classes=cfg.num_classes, center=ad.mean_rows(view2.features))
-            )
-        if terms:
-            summed = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
-            p2p_mu_term = ad.scale(summed, 1.0 / len(terms))
-        else:
-            p2p_mu_term = zero
-
-    total = L.total_loss(branch1, branch2, hycon_term, p2p_mu_term, cfg.alpha)
-    stats = _StepStats(
-        ce=0.5 * (ce1.item() + ce2.item()),
-        re=0.5 * (re1.item() + re2.item()),
-        hycon=hycon_term.item(),
-        p2p_mu=p2p_mu_term.item(),
-        p2p_w=p2p_w.item(),
-        branch1=branch1.item(),
-        branch2=branch2.item(),
-        total=total.item(),
+    terms = L.allnc_loss(
+        forward(params, x1),
+        forward(params, x2),
+        y,
+        eta_value,
+        class_weights,
+        params.classifier_w,
+        cfg.num_classes,
+        cfg.alpha,
+        disable_hycon=cfg.disable_hycon,
+        disable_p2p_mu=cfg.disable_p2p_mu,
+        disable_p2p_w=cfg.disable_p2p_w,
     )
-    return total, stats
+    v = {name: node.item() for name, node in terms.items()}
+    stats = _StepStats(
+        ce=0.5 * (v["ce1"] + v["ce2"]),
+        re=0.5 * (v["re1"] + v["re2"]),
+        hycon=v["hycon"],
+        p2p_mu=v["p2p_mu"],
+        p2p_w=v["p2p_w"],
+        branch1=v["branch1"],
+        branch2=v["branch2"],
+        total=v["total"],
+    )
+    return terms["total"], stats
 
 
 def _ce_step(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> tuple[ad.Node, _StepStats]:
@@ -384,7 +340,7 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
 
         feats = forward(params, train.x).features.data
         report = nc_report(feats, train.y, params.classifier_w.data, params.classifier_b.data, cfg.num_classes)
-        accuracy, _ = evaluate(params, test, counts)
+        accuracy = evaluate(params, test, counts)
         logs.append(
             EpochLog(
                 epoch=epoch,
@@ -432,15 +388,6 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray, prefix: str) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_features_csv(path: Path, features: np.ndarray, labels: np.ndarray) -> None:
-    """Feature rows plus a label column, full precision for exact round trips."""
-    header = ",".join([f"f{i}" for i in range(features.shape[1])] + ["label"])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row, label in zip(features, labels):
-            fh.write(",".join(f"{v:.17g}" for v in row) + f",{int(label)}\n")
-
-
 def write_weights_csv(path: Path, weights: np.ndarray, bias: np.ndarray | None) -> None:
     """Classifier rows, one class per row, bias as a trailing column if given."""
     cols = [f"w{i}" for i in range(weights.shape[1])]
@@ -480,7 +427,7 @@ def emit_outputs(result: RunResult, out_dir: str | Path) -> Path:
     (out / "report.json").write_text(json.dumps(payload, indent=2, allow_nan=True) + "\n", encoding="utf-8")
 
     feats = forward(result.params, result.train.x).features.data
-    write_features_csv(out / "features.csv", feats, result.train.y)
+    save_csv(Dataset(feats, result.train.y), out / "features.csv")
     write_weights_csv(
         out / "weights.csv", result.params.classifier_w.data, result.params.classifier_b.data
     )

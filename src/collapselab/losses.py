@@ -6,7 +6,7 @@ samples, which keeps the components comparable when they are added.
 
 The pieces:
 
-* ``cross_entropy`` / ``reweighted_ce``: standard CE and its
+* ``mean_cross_entropy`` / ``mean_reweighted_ce``: standard CE and its
   inverse-frequency-weighted variant (weights normalized to mean 1, so
   balanced data reduces it to plain CE).
 * ``hycon``: a two-view alignment loss. For each sample, the predictor
@@ -21,6 +21,8 @@ The pieces:
 * ``branch_loss`` / ``total_loss``: the scheduled combination. eta decays
   from 1 to 0 over training, handing each classification branch from plain
   CE to re-weighted CE plus classifier Gram matching.
+* ``allnc_loss``: the whole two-view objective of one training step, built
+  from the pieces above, with every term returned by name.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from . import autodiff as ad
 from .autodiff import Node
 from .errors import ContractError, DomainError, ShapeError
 from .etf import rho_matrix
+from .model import ForwardOut
 
 # ---------------------------------------------------------------------------
 # cross-entropy family
@@ -56,22 +59,6 @@ def cross_entropy_rows(logits: Node, labels: np.ndarray) -> Node:
         raise ShapeError("cross_entropy_rows: labels and logits disagree on N")
     logp = ad.log_softmax_rows(logits)
     return ad.neg(ad.rowwise_dot(logp, ad.constant(hot)))
-
-
-def cross_entropy(logits: Node, label: int) -> Node:
-    """Cross-entropy of a single (C,) logits vector against one label."""
-    if logits.data.ndim != 1:
-        raise ShapeError(f"cross_entropy: logits must be (C,), got {logits.shape}")
-    rows = ad.reshape(logits, (1, logits.shape[0]))
-    return ad.mean_all(cross_entropy_rows(rows, np.asarray([label])))
-
-
-def reweighted_ce(logits: Node, label: int, class_weights: np.ndarray) -> Node:
-    """class_weights[label] * cross_entropy(logits, label)."""
-    w = np.asarray(class_weights, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != logits.shape[-1]:
-        raise ShapeError(f"reweighted_ce: weights shape {w.shape} vs {logits.shape[-1]} classes")
-    return ad.scale(cross_entropy(logits, label), float(w[label]))
 
 
 def mean_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
@@ -264,6 +251,17 @@ def eta(t: int, t_max: int, gamma: float) -> float:
     return 1.0 - (t / t_max) ** float(gamma)
 
 
+def _branch(
+    logits: Node, labels: np.ndarray, eta_value: float, class_weights: np.ndarray, p2p_w: Node
+) -> tuple[Node, Node, Node]:
+    """(CE, reweighted CE, eta*CE + (1-eta)*(reweighted CE + p2p_w))."""
+    if not 0.0 <= eta_value <= 1.0:
+        raise ContractError(f"branch loss: eta {eta_value} outside [0, 1]")
+    ce = mean_cross_entropy(logits, labels)
+    re = mean_reweighted_ce(logits, labels, class_weights)
+    return ce, re, ad.add(ad.scale(ce, eta_value), ad.scale(ad.add(re, p2p_w), 1.0 - eta_value))
+
+
 def branch_loss(
     logits: Node,
     labels: np.ndarray,
@@ -278,13 +276,9 @@ def branch_loss(
     so two branches can share one node; by default it is built here from the
     raw classifier rows.
     """
-    if not 0.0 <= eta_value <= 1.0:
-        raise ContractError(f"branch_loss: eta {eta_value} outside [0, 1]")
-    ce = mean_cross_entropy(logits, labels)
-    re = mean_reweighted_ce(logits, labels, class_weights)
     if p2p_w is None:
         p2p_w = p2p(classifier, center_and_normalize=False)
-    return ad.add(ad.scale(ce, eta_value), ad.scale(ad.add(re, p2p_w), 1.0 - eta_value))
+    return _branch(logits, labels, eta_value, class_weights, p2p_w)[2]
 
 
 def total_loss(branch1: Node, branch2: Node, hycon_value: Node, p2p_mu: Node, alpha: float) -> Node:
@@ -292,3 +286,57 @@ def total_loss(branch1: Node, branch2: Node, hycon_value: Node, p2p_mu: Node, al
     if alpha < 0:
         raise DomainError(f"total_loss: alpha must be >= 0, got {alpha}")
     return ad.add(ad.add(branch1, branch2), ad.scale(ad.add(hycon_value, p2p_mu), float(alpha)))
+
+
+def allnc_loss(
+    view1: ForwardOut,
+    view2: ForwardOut,
+    labels: np.ndarray,
+    eta_value: float,
+    class_weights: np.ndarray,
+    classifier: Node,
+    num_classes: int,
+    alpha: float,
+    disable_hycon: bool = False,
+    disable_p2p_mu: bool = False,
+    disable_p2p_w: bool = False,
+) -> dict[str, Node]:
+    """The two-view objective branch1 + branch2 + alpha * (hycon + p2p_mu).
+
+    Each branch is ``branch_loss`` on its view's logits, and one p2p_w node
+    over the raw classifier rows feeds both (gradient accumulation doubles
+    it, matching two independent copies). p2p_mu averages ``p2p`` over the
+    two views' in-batch class means, centered by the batch's global feature
+    mean: that is the center the diagnostics subtract, and an unweighted
+    mean of class means drifts off it in imbalanced batches. Both views
+    share ``labels``, so with fewer than two present classes neither has a
+    Gram target and p2p_mu is zero. A disabled term is the constant zero.
+
+    Returns the nodes ce1, ce2, re1, re2, p2p_w, branch1, branch2, hycon,
+    p2p_mu and total.
+    """
+    zero = ad.constant(0.0)
+    p2p_w = zero if disable_p2p_w else p2p(classifier, center_and_normalize=False)
+    ce1, re1, branch1 = _branch(view1.logits, labels, eta_value, class_weights, p2p_w)
+    ce2, re2, branch2 = _branch(view2.logits, labels, eta_value, class_weights, p2p_w)
+    hycon_term = zero if disable_hycon else hycon_batch(view1.h, view2.h, view1.z, view2.z, labels)
+    p2p_mu = zero
+    if not disable_p2p_mu:
+        mu1, present = class_mean_matrix(view1.features, labels)
+        mu2, _ = class_mean_matrix(view2.features, labels)
+        if present.shape[0] >= 2:
+            p2p1 = p2p(mu1, True, num_classes=num_classes, center=ad.mean_rows(view1.features))
+            p2p2 = p2p(mu2, True, num_classes=num_classes, center=ad.mean_rows(view2.features))
+            p2p_mu = ad.scale(ad.add(p2p1, p2p2), 0.5)
+    return {
+        "ce1": ce1,
+        "ce2": ce2,
+        "re1": re1,
+        "re2": re2,
+        "p2p_w": p2p_w,
+        "branch1": branch1,
+        "branch2": branch2,
+        "hycon": hycon_term,
+        "p2p_mu": p2p_mu,
+        "total": total_loss(branch1, branch2, hycon_term, p2p_mu, alpha),
+    }

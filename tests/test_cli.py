@@ -144,6 +144,23 @@ class TestMetrics:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_integer_label_exit_two(self, trained_artifacts, tmp_path, capsys):
+        lines = (trained_artifacts / "features.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        lines[2] = ",".join(cells[:-1] + ["2.5"])
+        bad = tmp_path / "fractional.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "metrics",
+                "--features", str(bad),
+                "--weights", str(trained_artifacts / "weights.csv"),
+                "--out", str(tmp_path / "m"),
+            ]
+        )
+        assert code == 2
+        assert "non-integer label in data row 2" in capsys.readouterr().err
+
     def test_width_mismatch_exit_two(self, trained_artifacts, tmp_path, capsys):
         bad = tmp_path / "w.csv"
         bad.write_text("1.0,2.0\n3.0,4.0\n")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from collapselab.errors import DegenerateInputError, DomainError, ShapeError
-from collapselab.etf import EtfFrame, etf_deviation, icpa_degrees_target, make_etf, rho, rho_matrix
+from collapselab.errors import DegenerateInputError, ShapeError
+from collapselab.etf import EtfFrame, etf_deviation, icpa_degrees_target, make_etf, rho_matrix
 
 
 @pytest.mark.parametrize("c", [2, 4, 10, 16])
@@ -24,20 +24,6 @@ def test_vertices_unit_norm_and_centered():
 def test_gram_matches_rho_matrix():
     frame = make_etf(12, 6, seed=1)
     np.testing.assert_allclose(frame.gram(), rho_matrix(6), atol=1e-12)
-
-
-def test_rho_values():
-    assert rho(0, 0, 10) == pytest.approx(1.0)
-    assert rho(0, 1, 10) == pytest.approx(-1.0 / 9.0)
-    assert rho(3, 3, 4) == pytest.approx(1.0)
-    assert rho(1, 2, 4) == pytest.approx(-1.0 / 3.0)
-
-
-def test_rho_rejects_bad_indices():
-    with pytest.raises(DomainError):
-        rho(0, 0, 1)
-    with pytest.raises(DomainError):
-        rho(5, 0, 4)
 
 
 def test_make_etf_needs_room():

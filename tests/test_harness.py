@@ -184,22 +184,21 @@ class TestRunTrain:
 
 class TestEvaluate:
     def test_trained_params_score_by_group(self, tiny_run):
-        acc, report = evaluate(tiny_run.params, tiny_run.test, tiny_run.train_counts)
+        acc = evaluate(tiny_run.params, tiny_run.test, tiny_run.train_counts)
         assert acc.overall > 0.9
         # counts [30, 17, 10] against a Many threshold of 0.2*30 = 6: all Many
         np.testing.assert_array_equal(class_groups(tiny_run.train_counts), 0)
         assert not np.isnan(acc.many)
         assert np.isnan(acc.medium) and np.isnan(acc.few)
-        assert report.complete
 
     def test_imbalanced_counts_fill_every_group(self, tiny_run):
         # same predictions, steeper profile: every group gets classes
-        acc, _ = evaluate(tiny_run.params, tiny_run.test, np.array([100, 10, 4]))
+        acc = evaluate(tiny_run.params, tiny_run.test, np.array([100, 10, 4]))
         for v in (acc.many, acc.medium, acc.few):
             assert not np.isnan(v)
 
     def test_balanced_training_gives_nan_medium_and_few(self, tiny_run):
-        acc, _ = evaluate(tiny_run.params, tiny_run.test, np.full(3, 30))
+        acc = evaluate(tiny_run.params, tiny_run.test, np.full(3, 30))
         assert np.isnan(acc.medium) and np.isnan(acc.few)
         assert acc.overall == pytest.approx(acc.many)
 

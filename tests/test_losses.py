@@ -8,9 +8,9 @@ import collapselab.autodiff as ad
 from collapselab.errors import ContractError, DegenerateInputError, DomainError, ShapeError
 from collapselab.etf import make_etf
 from collapselab.losses import (
+    allnc_loss,
     branch_loss,
     class_mean_matrix,
-    cross_entropy,
     eta,
     hycon,
     hycon_batch,
@@ -18,35 +18,39 @@ from collapselab.losses import (
     mean_cross_entropy,
     mean_reweighted_ce,
     p2p,
-    reweighted_ce,
     total_loss,
 )
+from collapselab.model import ArchSpec, forward, init_params
+
+
+def _one_row(logits: np.ndarray) -> ad.Node:
+    return ad.constant(np.asarray(logits)[None, :])
 
 
 class TestCrossEntropy:
     def test_closed_form(self):
         logits = np.array([2.0, 0.0, -1.0])
         want = np.log(np.exp(logits).sum()) - logits[0]
-        got = cross_entropy(ad.constant(logits), 0).item()
+        got = mean_cross_entropy(_one_row(logits), np.array([0])).item()
         assert abs(got - want) < 1e-8
 
     def test_uniform_logits_give_log_c(self):
         for c in (2, 5, 10):
-            got = cross_entropy(ad.constant(np.zeros(c)), c - 1).item()
+            got = mean_cross_entropy(_one_row(np.zeros(c)), np.array([c - 1])).item()
             assert got == pytest.approx(np.log(c), abs=1e-12)
 
     def test_mean_matches_singles(self, rng):
         logits = rng.standard_normal((6, 4))
         y = rng.integers(0, 4, size=6)
-        singles = [cross_entropy(ad.constant(row), int(k)).item() for row, k in zip(logits, y)]
+        singles = [mean_cross_entropy(_one_row(row), np.array([k])).item() for row, k in zip(logits, y)]
         batch = mean_cross_entropy(ad.constant(logits), y).item()
         assert batch == pytest.approx(np.mean(singles), abs=1e-12)
 
     def test_reweighted_factor(self, rng):
         logits = rng.standard_normal(5)
         w = np.array([0.5, 2.0, 1.0, 3.0, 0.25])
-        base = cross_entropy(ad.constant(logits), 3).item()
-        got = reweighted_ce(ad.constant(logits), 3, w).item()
+        base = mean_cross_entropy(_one_row(logits), np.array([3])).item()
+        got = mean_reweighted_ce(_one_row(logits), np.array([3]), w).item()
         assert got == pytest.approx(3.0 * base, rel=1e-12)
 
     def test_unit_weights_reduce_to_plain(self, rng):
@@ -60,7 +64,7 @@ class TestCrossEntropy:
         with pytest.raises(ContractError):
             mean_cross_entropy(ad.constant(np.zeros((2, 3))), np.array([0, 3]))
         with pytest.raises(ShapeError):
-            cross_entropy(ad.constant(np.zeros((2, 3))), 0)
+            mean_cross_entropy(ad.constant(np.zeros(3)), np.array([0]))
 
 
 class TestInverseFrequencyWeights:
@@ -328,3 +332,62 @@ class TestBranchAndTotal:
         grads = ad.backward(total_loss(branch, branch, align, align, 0.0))
         assert np.all(grads.get(b, np.zeros(3)) == 0.0)
         assert np.any(grads[a] != 0.0)
+
+
+class TestAllncLoss:
+    """The step objective against the same sum assembled from public pieces."""
+
+    C = 3
+    SWITCHES = ("disable_hycon", "disable_p2p_mu", "disable_p2p_w")
+
+    def _setup(self, rng, y):
+        arch = ArchSpec(
+            input_dim=5, num_classes=self.C, hidden_dims=(16,), feature_dim=8, proj_dim=8, predictor_hidden=16
+        )
+        params = init_params(arch, seed=3)
+        views = tuple(forward(params, np.abs(rng.standard_normal((y.shape[0], 5))) + 0.3) for _ in range(2))
+        w = inverse_frequency_weights(np.bincount(y, minlength=self.C) + 1)
+        return params, views, w
+
+    def _terms(self, params, views, y, w, **switches):
+        return allnc_loss(*views, y, 0.3, w, params.classifier_w, self.C, 0.7, **switches)
+
+    def test_total_matches_public_pieces(self, rng):
+        y = np.array([0, 1, 2, 0, 1, 0])
+        params, (v1, v2), w = self._setup(rng, y)
+        p2p_w = p2p(params.classifier_w, center_and_normalize=False)
+        b1 = branch_loss(v1.logits, y, 0.3, w, params.classifier_w, p2p_w=p2p_w)
+        b2 = branch_loss(v2.logits, y, 0.3, w, params.classifier_w, p2p_w=p2p_w)
+        hy = hycon_batch(v1.h, v2.h, v1.z, v2.z, y)
+        pm = [
+            p2p(class_mean_matrix(v.features, y)[0], True, num_classes=self.C, center=ad.mean_rows(v.features))
+            for v in (v1, v2)
+        ]
+        pm = ad.scale(ad.add(pm[0], pm[1]), 0.5)
+        want = total_loss(b1, b2, hy, pm, 0.7).item()
+        terms = self._terms(params, (v1, v2), y, w)
+        assert terms["total"].item() == want
+        assert terms["branch1"].item() == b1.item()
+        assert terms["hycon"].item() == hy.item()
+        assert terms["p2p_mu"].item() == pm.item()
+
+    @pytest.mark.parametrize("switch", SWITCHES)
+    def test_each_switch_zeroes_only_its_term(self, rng, switch):
+        y = np.array([0, 1, 2, 0, 1, 0])
+        params, views, w = self._setup(rng, y)
+        full = {k: v.item() for k, v in self._terms(params, views, y, w).items()}
+        off = {k: v.item() for k, v in self._terms(params, views, y, w, **{switch: True}).items()}
+        term = switch[len("disable_"):]
+        assert full[term] != 0.0 and off[term] == 0.0
+        # p2p_w enters both branches, and every term enters the total
+        dependent = {term, "total"} | ({"branch1", "branch2"} if term == "p2p_w" else set())
+        for k in full:
+            if k not in dependent:
+                assert off[k] == full[k], k
+
+    def test_one_present_class_gives_zero_p2p_mu(self, rng):
+        y = np.array([1, 1, 1, 1])
+        params, views, w = self._setup(rng, y)
+        terms = self._terms(params, views, y, w)
+        assert terms["p2p_mu"].item() == 0.0
+        assert np.isfinite(terms["total"].item())
