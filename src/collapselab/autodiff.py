@@ -12,8 +12,12 @@ Gradient semantics worth knowing before reading the ops:
   hard wall in the backward direction. Ancestors reachable only through it
   receive a bitwise-zero gradient because the traversal never visits them.
 * ``relu`` uses the subgradient 0 at exactly 0 (the mask is ``x > 0``).
-* ``log_softmax_rows`` subtracts the row maximum before exponentiating, so
-  large logits cannot overflow.
+* ``linear`` and ``softmax_cross_entropy_rows`` are fused ops: each is one
+  node that reproduces a chain of simpler ops (transpose, matmul and add;
+  log-softmax, dot with a one-hot row and negation) to the last bit, forward
+  and backward; ``linear`` documents the batch shapes where BLAS rounds its
+  backward differently. The cross-entropy subtracts the row maximum before
+  exponentiating, so large logits cannot overflow.
 * ``backward`` walks the graph once in reverse topological order and
   accumulates into each node; the schedule is deterministic given the graph.
 
@@ -103,8 +107,10 @@ def param(values, name: str | None = None) -> Node:
 
 
 def _op(data: Array, parents: Sequence[Node], grad_fns: Sequence[GradFn]) -> Node:
-    rg = any(p.requires_grad for p in parents)
-    return Node(data, parents, grad_fns, requires_grad=rg)
+    for p in parents:
+        if p.requires_grad:
+            return Node(data, parents, grad_fns, requires_grad=True)
+    return Node(data, parents, grad_fns)
 
 
 def stop_gradient(x: Node) -> Node:
@@ -172,6 +178,31 @@ def matmul(a: Node, b: Node) -> Node:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
     return _op(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+
+
+def linear(x: Node, w: Node, b: Node) -> Node:
+    """Affine map x @ w.T + b of (N, in) rows by an (out, in) weight and an
+    (out,) bias, as one node; the fused form of transpose, matmul and add.
+
+    The forward multiplies by a contiguous copy of w.T, as that chain does:
+    on the strided view numpy rounds some of the network's shapes
+    differently. The backward multiplies g by w and g.T by x directly, in
+    place of the chain's g @ (copy of w.T).T, which OpenBLAS multithreads on
+    the 128-wide layer and which then stalls for milliseconds whenever
+    another process holds a core. On every batch shape the shipped configs
+    train, this matches the chain bit for bit; BLAS rounds g @ w differently
+    for one-row batches and for batches of a few rows into a 64- or 128-wide
+    layer.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeError(f"linear: need 2-d x and w and 1-d b, got {x.shape}, {w.shape} and {b.shape}")
+    if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    return _op(
+        x.data @ np.ascontiguousarray(w.data.T) + b.data,
+        (x, w, b),
+        (lambda g: g @ w.data, lambda g: g.T @ x.data, lambda g: g.sum(axis=0)),
+    )
 
 
 def transpose(x: Node) -> Node:
@@ -269,18 +300,26 @@ def l2_normalize_rows(x: Node) -> Node:
 # softmax
 
 
-def log_softmax_rows(x: Node) -> Node:
-    """Row-wise log-softmax of an (N, C) matrix, stabilized by max subtraction."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"log_softmax_rows: need a 2-d operand, got {x.shape}")
+def softmax_cross_entropy_rows(x: Node, onehot: Array) -> Node:
+    """Per-row cross-entropy -sum_j onehot_ij * log_softmax(x)_ij of (N, C)
+    logits against a constant (N, C) one-hot matrix; returns an (N,) node.
+
+    The log-softmax is stabilized by max subtraction. The dot with the
+    one-hot rows is a full sum, not a gather, so a non-finite logit anywhere
+    in a row makes that row's loss non-finite. The backward is softmax minus
+    one-hot, scaled per row, with the rounding of the unfused chain.
+    """
+    if x.data.ndim != 2 or onehot.shape != x.shape:
+        raise ShapeError(f"softmax_cross_entropy_rows: need equal (N, C) shapes, got {x.shape}, {onehot.shape}")
     shifted = x.data - x.data.max(axis=1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    soft = np.exp(out)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    soft = np.exp(logp)
 
     def back(g: Array) -> Array:
-        return g - soft * g.sum(axis=1, keepdims=True)
+        g_logp = (-g)[:, None] * onehot
+        return g_logp - soft * g_logp.sum(axis=1, keepdims=True)
 
-    return _op(out, (x,), (back,))
+    return _op(-np.einsum("ij,ij->i", logp, onehot), (x,), (back,))
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +336,20 @@ def _topo_order(root: Node) -> list[Node]:
     read the node's gradient before that consumer deposits its share.
     """
     order: list[Node] = []
-    discovered: set[int] = set()
+    discovered: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in discovered:
+        if node in discovered:
             continue
-        discovered.add(id(node))
+        discovered.add(node)
         stack.append((node, True))
         for parent in node.parents:
             # Constants and stop_gradient markers prune the walk here.
-            if parent.requires_grad and id(parent) not in discovered:
+            if parent.requires_grad and parent not in discovered:
                 stack.append((parent, False))
     return order
 
@@ -325,10 +364,10 @@ def backward(root: Node) -> dict[Node, Array]:
     if root.data.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")
     order = _topo_order(root)
-    pending: dict[int, Array] = {id(root): np.ones_like(root.data)}
+    pending: dict[Node, Array] = {root: np.ones_like(root.data)}
     leaves: dict[Node, Array] = {}
     for node in reversed(order):
-        g = pending.pop(id(node), None)
+        g = pending.pop(node, None)
         if g is None:
             continue
         if node.requires_grad and not node.parents:
@@ -337,8 +376,8 @@ def backward(root: Node) -> dict[Node, Array]:
             if not parent.requires_grad:
                 continue
             contrib = fn(g)
-            held = pending.get(id(parent))
-            pending[id(parent)] = contrib if held is None else held + contrib
+            held = pending.get(parent)
+            pending[parent] = contrib if held is None else held + contrib
     return leaves
 
 

@@ -14,8 +14,11 @@ count n_max: Many > 0.2*n_max, Few <= 0.04*n_max, Medium between.
 
 A non-finite loss or gradient ends the run early with the completed epochs
 preserved and the result marked diverged; the parameters are left as they
-were at the failing step. Sweeps run one value per row and keep going past
-failures, marking the row instead of raising.
+were at the failing step, and a run with no completed epoch writes no
+artifacts. A degenerate input inside a step (a zero vector to normalize)
+also ends the run as diverged; every other package error raised by a step
+is a broken contract and propagates. Sweeps run one value per row and keep
+going past failures, marking the row instead of raising.
 
 Run artifacts (fixed layout, deterministic bytes for a fixed config):
     config.resolved   the full effective config, reparseable
@@ -51,7 +54,13 @@ from .data import (
     long_tail_counts,
     save_csv,
 )
-from .errors import CollapseLabError, ConfigError, ContractError
+from .errors import (
+    CollapseLabError,
+    ConfigError,
+    ContractError,
+    DegenerateInputError,
+    TrainingDivergedError,
+)
 from .model import (
     ArchSpec,
     NetworkParams,
@@ -292,9 +301,11 @@ def _ce_step(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> tuple[ad.No
 def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
     """Execute one experiment; optionally emit artifacts to cfg.out_dir.
 
-    ``emit`` defaults to whether cfg.out_dir is set. Returns the result with
-    one EpochLog per completed epoch; a non-finite loss or gradient stops
-    training early and marks the result diverged instead of raising.
+    ``emit`` defaults to whether cfg.out_dir is set; a run without a completed
+    epoch has nothing to report and emits nothing. Returns the result with
+    one EpochLog per completed epoch; a non-finite loss or gradient, or a
+    degenerate input, stops training early and marks the result diverged
+    instead of raising.
     """
     train, test, counts = build_datasets(cfg)
     seeds = _derive_seeds(cfg.seed)
@@ -329,7 +340,7 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
                     break
                 grads = ad.backward(total)
                 sgd_step(trainable, grads, opt_state, opt_cfg)
-            except CollapseLabError:
+            except (TrainingDivergedError, DegenerateInputError):
                 diverged = True
                 break
             for name in vars(stats):
@@ -372,7 +383,8 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
     if emit:
         if not cfg.out_dir:
             raise ConfigError("run_train: emission requested but out_dir is empty")
-        emit_outputs(result, cfg.out_dir)
+        if logs:
+            emit_outputs(result, cfg.out_dir)
     return result
 
 

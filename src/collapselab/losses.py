@@ -57,8 +57,7 @@ def cross_entropy_rows(logits: Node, labels: np.ndarray) -> Node:
     hot = _onehot(labels, logits.shape[1])
     if hot.shape[0] != logits.shape[0]:
         raise ShapeError("cross_entropy_rows: labels and logits disagree on N")
-    logp = ad.log_softmax_rows(logits)
-    return ad.neg(ad.rowwise_dot(logp, ad.constant(hot)))
+    return ad.softmax_cross_entropy_rows(logits, hot)
 
 
 def mean_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
@@ -151,6 +150,7 @@ def hycon_batch(
     labels: np.ndarray,
     target_z1: Node | None = None,
     target_z2: Node | None = None,
+    selectors: tuple[Node, Node] | None = None,
 ) -> Node:
     """Batch-mean two-view alignment loss over (N, p) stacks.
 
@@ -159,6 +159,9 @@ def hycon_batch(
     gradient. Targets default to the gradient-stopped projections; passing
     explicit constant targets pins them, which is how the finite-difference
     checks freeze the target while leaving the live paths differentiable.
+    ``selectors`` may pass in the (pool, lookup) constants of
+    ``_class_selectors(labels)``, so that a caller who also needs class means
+    builds them once.
     """
     for name, node in (("h1", h1), ("h2", h2), ("z1", z1), ("z2", z2)):
         if node.data.ndim != 2:
@@ -169,8 +172,10 @@ def hycon_batch(
     if y.shape != (h1.shape[0],):
         raise ShapeError("hycon_batch: labels and rows disagree on N")
 
-    _, pool, lookup = _class_selectors(y)
-    pool_c, lookup_c = ad.constant(pool), ad.constant(lookup)
+    if selectors is None:
+        _, pool, lookup = _class_selectors(y)
+        selectors = ad.constant(pool), ad.constant(lookup)
+    pool_c, lookup_c = selectors
     u1 = ad.matmul(lookup_c, ad.matmul(pool_c, z1))
     u2 = ad.matmul(lookup_c, ad.matmul(pool_c, z2))
 
@@ -308,9 +313,11 @@ def allnc_loss(
     it, matching two independent copies). p2p_mu averages ``p2p`` over the
     two views' in-batch class means, centered by the batch's global feature
     mean: that is the center the diagnostics subtract, and an unweighted
-    mean of class means drifts off it in imbalanced batches. Both views
-    share ``labels``, so with fewer than two present classes neither has a
-    Gram target and p2p_mu is zero. A disabled term is the constant zero.
+    mean of class means drifts off it in imbalanced batches. The class
+    selectors of ``labels`` are built once, for hycon and both views' class
+    means. Both views share ``labels``, so with fewer than two present
+    classes neither has a Gram target and p2p_mu is zero. A disabled term is
+    the constant zero.
 
     Returns the nodes ce1, ce2, re1, re2, p2p_w, branch1, branch2, hycon,
     p2p_mu and total.
@@ -319,15 +326,19 @@ def allnc_loss(
     p2p_w = zero if disable_p2p_w else p2p(classifier, center_and_normalize=False)
     ce1, re1, branch1 = _branch(view1.logits, labels, eta_value, class_weights, p2p_w)
     ce2, re2, branch2 = _branch(view2.logits, labels, eta_value, class_weights, p2p_w)
-    hycon_term = zero if disable_hycon else hycon_batch(view1.h, view2.h, view1.z, view2.z, labels)
+    present, pool, lookup = _class_selectors(labels)
+    pool_c = ad.constant(pool)
+    hycon_term = zero
+    if not disable_hycon:
+        hycon_term = hycon_batch(
+            view1.h, view2.h, view1.z, view2.z, labels, selectors=(pool_c, ad.constant(lookup))
+        )
     p2p_mu = zero
-    if not disable_p2p_mu:
-        mu1, present = class_mean_matrix(view1.features, labels)
-        mu2, _ = class_mean_matrix(view2.features, labels)
-        if present.shape[0] >= 2:
-            p2p1 = p2p(mu1, True, num_classes=num_classes, center=ad.mean_rows(view1.features))
-            p2p2 = p2p(mu2, True, num_classes=num_classes, center=ad.mean_rows(view2.features))
-            p2p_mu = ad.scale(ad.add(p2p1, p2p2), 0.5)
+    if not disable_p2p_mu and present.shape[0] >= 2:
+        mu1, mu2 = ad.matmul(pool_c, view1.features), ad.matmul(pool_c, view2.features)
+        p2p1 = p2p(mu1, True, num_classes=num_classes, center=ad.mean_rows(view1.features))
+        p2p2 = p2p(mu2, True, num_classes=num_classes, center=ad.mean_rows(view2.features))
+        p2p_mu = ad.scale(ad.add(p2p1, p2p2), 0.5)
     return {
         "ce1": ce1,
         "ce2": ce2,

@@ -133,10 +133,6 @@ def init_params(arch: ArchSpec, seed: int) -> NetworkParams:
     return NetworkParams(encoder=encoder, proj1=proj1, proj2=proj2, classifier_w=cw, classifier_b=cb, arch=arch)
 
 
-def _affine(x: Node, w: Node, b: Node) -> Node:
-    return ad.add(ad.matmul(x, ad.transpose(w)), b)
-
-
 def forward(params: NetworkParams, x) -> ForwardOut:
     """One view through the shared stack. ``x`` is an (N, input_dim) array or
     node; returns features, projection, prediction, and logits nodes."""
@@ -146,18 +142,18 @@ def forward(params: NetworkParams, x) -> ForwardOut:
 
     feats = node
     for w, b in params.encoder:
-        feats = ad.relu(_affine(feats, w, b))
+        feats = ad.relu(ad.linear(feats, w, b))
 
     z = feats
     for i, (w, b) in enumerate(params.proj1):
-        z = _affine(z, w, b)
+        z = ad.linear(z, w, b)
         if i + 1 < len(params.proj1):
             z = ad.relu(z)
 
     (w0, b0), (w1, b1) = params.proj2
-    h = _affine(ad.relu(_affine(z, w0, b0)), w1, b1)
+    h = ad.linear(ad.relu(ad.linear(z, w0, b0)), w1, b1)
 
-    logits = _affine(feats, params.classifier_w, params.classifier_b)
+    logits = ad.linear(feats, params.classifier_w, params.classifier_b)
     return ForwardOut(features=feats, z=z, h=h, logits=logits)
 
 

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import collapselab.autodiff as ad
-from collapselab.errors import ContractError, EvaluationError
+from collapselab.errors import ContractError, EvaluationError, ShapeError
+
+# one label per row of the (4, 6) operands below
+ONEHOT_4x6 = np.eye(6)[[0, 3, 5, 3]]
 
 
 def test_constant_has_no_grad_path(rng):
@@ -45,11 +48,11 @@ def test_backward_rejects_vector_root(rng):
         lambda x: ad.mean_all(ad.square(x)),
         lambda x: ad.sum_all(ad.l2_normalize_rows(x)),
         lambda x: ad.sum_all(ad.square(ad.mean_rows(x))),
-        lambda x: ad.sum_all(ad.square(ad.log_softmax_rows(x))),
+        lambda x: ad.sum_all(ad.square(ad.softmax_cross_entropy_rows(x, ONEHOT_4x6))),
         lambda x: ad.sum_all(ad.matmul(x, ad.transpose(x))),
         lambda x: ad.sum_all(ad.square(ad.matmul(x, ad.transpose(x)))),
     ],
-    ids=["relu", "mean_sq", "l2rows", "meanrows", "logsoftmax", "gram", "gram_sq"],
+    ids=["relu", "mean_sq", "l2rows", "meanrows", "softmax_xent", "gram", "gram_sq"],
 )
 def test_matrix_ops_match_finite_differences(build, rng):
     # offset away from relu kinks; the other ops are smooth everywhere
@@ -114,14 +117,113 @@ def test_x_times_sg_x_gradient_is_x_bitwise():
     assert np.array_equal(g, x.data)
 
 
-def test_log_softmax_rows_values(rng):
+def test_softmax_cross_entropy_rows_values(rng):
     raw = rng.standard_normal((3, 5))
-    out = ad.log_softmax_rows(ad.constant(raw)).data
-    ref = raw - np.log(np.exp(raw).sum(axis=1, keepdims=True))
+    y = np.array([4, 0, 2])
+    hot = np.eye(5)[y]
+    out = ad.softmax_cross_entropy_rows(ad.constant(raw), hot).data
+    ref = np.log(np.exp(raw).sum(axis=1)) - raw[np.arange(3), y]
     np.testing.assert_allclose(out, ref, atol=1e-12)
     # stable under large offsets
-    out2 = ad.log_softmax_rows(ad.constant(raw + 500.0)).data
+    out2 = ad.softmax_cross_entropy_rows(ad.constant(raw + 500.0), hot).data
     np.testing.assert_allclose(out2, ref, atol=1e-9)
+
+
+def test_softmax_cross_entropy_rows_nonfinite_logit_poisons_row():
+    # the one-hot dot is a full sum, so -inf off the label still gives nan,
+    # and the training loop sees a non-finite loss
+    logits = np.array([[0.5, -np.inf, 1.0], [0.2, 0.1, 0.0]])
+    hot = np.eye(3)[[0, 1]]
+    with np.errstate(invalid="ignore"):
+        out = ad.softmax_cross_entropy_rows(ad.constant(logits), hot).data
+    assert np.isnan(out[0]) and np.isfinite(out[1])
+
+
+def test_softmax_cross_entropy_rows_shape_checks():
+    with pytest.raises(ShapeError):
+        ad.softmax_cross_entropy_rows(ad.constant(np.zeros(3)), np.eye(3)[0])
+    with pytest.raises(ShapeError):
+        ad.softmax_cross_entropy_rows(ad.constant(np.zeros((2, 3))), np.eye(3))
+
+
+def test_linear_shape_checks():
+    x, w, b = ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((4, 3))), ad.constant(np.zeros(4))
+    with pytest.raises(ShapeError):
+        ad.linear(x, ad.constant(np.zeros((3, 4))), b)
+    with pytest.raises(ShapeError):
+        ad.linear(x, w, ad.constant(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        ad.linear(ad.constant(np.zeros(3)), w, b)
+
+
+@pytest.mark.parametrize("offset", [0.0, 500.0], ids=["plain", "shifted"])
+def test_fused_ops_match_finite_differences(rng, offset):
+    x = ad.param(rng.standard_normal((5, 4)) + 0.3)
+    w = ad.param(rng.standard_normal((3, 4)))
+    b = ad.param(rng.standard_normal(3) + offset)
+    hot = np.eye(3)[[2, 0, 1, 1, 0]]
+    # the bias broadcasts across rows; an offset of 500 lands every logit near
+    # 500, where an unshifted softmax would overflow
+    assert ad.grad_check(lambda: ad.sum_all(ad.square(ad.linear(x, w, b))), [x, w, b]) < 1e-6
+    assert ad.grad_check(
+        lambda: ad.sum_all(ad.square(ad.softmax_cross_entropy_rows(ad.linear(x, w, b), hot))), [x, w, b]
+    ) < 1e-6
+
+
+def _grads_under(out: ad.Node, upstream: np.ndarray, params) -> list:
+    # sum(out * G) hands backward exactly G as out's gradient
+    grads = ad.backward(ad.sum_all(ad.mul(out, ad.constant(upstream))))
+    return [grads[p] for p in params]
+
+
+# Every linear layer the shipped configs train, as (rows, in, out, whether x
+# needs a gradient): configs/default.config at batch 64, its 26-row last
+# batch and the whole-split diagnostics, configs/tiny.config at batch 16, its
+# 9-row last batch and batch 3, and the small network of the gradient suite.
+# A first layer's input is data, so its x-gradient is never formed; for some
+# of those shapes (26 rows through the 32-to-128 layer) BLAS rounds g @ w
+# differently from the chain.
+_FULL = ((32, 128), (128, 64), (64, 16), (16, 16), (16, 10))
+_TINY = ((8, 16), (16, 6), (6, 6), (6, 3))
+_GRADIENT_SUITE = ((5, 6), (6, 4), (4, 4), (4, 3))
+LINEAR_CASES = [
+    (n, fi, fo, k > 0)
+    for rows, layers in (((64, 26, 1242), _FULL), ((16, 9, 3), _TINY), ((4,), _GRADIENT_SUITE))
+    for n in rows
+    for k, (fi, fo) in enumerate(layers)
+]
+
+
+def test_linear_is_bitwise_transpose_matmul_add(rng):
+    for n, fi, fo, x_grad in LINEAR_CASES:
+        x = ad.param(rng.standard_normal((n, fi))) if x_grad else ad.constant(rng.standard_normal((n, fi)))
+        w = ad.param(rng.standard_normal((fo, fi)))
+        b = ad.param(rng.standard_normal(fo))
+        g = rng.standard_normal((n, fo))
+        fused = ad.linear(x, w, b)
+        chain = ad.add(ad.matmul(x, ad.transpose(w)), b)
+        assert np.array_equal(fused.data, chain.data), (n, fi, fo)
+        wrt = (x, w, b) if x_grad else (w, b)
+        for a, c in zip(_grads_under(fused, g, wrt), _grads_under(chain, g, wrt)):
+            assert np.array_equal(a, c), (n, fi, fo)
+
+
+@pytest.mark.parametrize("offset", [0.0, 500.0], ids=["plain", "shifted"])
+def test_softmax_cross_entropy_rows_is_bitwise_log_softmax_arithmetic(rng, offset):
+    for n, c in ((64, 10), (26, 10), (16, 3), (3, 3), (1, 4)):
+        raw = rng.standard_normal((n, c)) * 3.0 + offset
+        hot = np.eye(c)[rng.integers(0, c, size=n)]
+        g = rng.standard_normal(n)
+        x = ad.param(raw)
+        rows = ad.softmax_cross_entropy_rows(x, hot)
+        # the log_softmax -> dot with one-hot -> negate chain, written out
+        shifted = raw - raw.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        g_logp = (-g)[:, None] * hot
+        assert np.array_equal(rows.data, -np.einsum("ij,ij->i", logp, hot))
+        assert np.array_equal(
+            _grads_under(rows, g, (x,))[0], g_logp - np.exp(logp) * g_logp.sum(axis=1, keepdims=True)
+        )
 
 
 def test_l2_normalize_unit_output(rng):

@@ -63,6 +63,17 @@ class TestTrain:
         assert "mode = ce" in resolved
         assert "seed = 5" in resolved
 
+    def test_divergence_before_first_epoch_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "blowup.cfg"
+        path.write_text(TINY_CONFIG + "lr = 1e12\n")
+        out_dir = tmp_path / "blowup"
+        code = main(["train", "--config", str(path), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "diverged before completing the first epoch" in err
+        assert "error:" not in err
+        assert not out_dir.exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2

@@ -5,9 +5,18 @@ import json
 import numpy as np
 import pytest
 
+import collapselab.losses as L
 from collapselab.config import TrainConfig, parse_config_text, with_overrides
 from collapselab.data import load_csv, save_csv
-from collapselab.errors import ConfigError, ContractError
+from collapselab.errors import (
+    ConfigError,
+    ContractError,
+    DegenerateInputError,
+    DomainError,
+    EvaluationError,
+    ShapeError,
+    TrainingDivergedError,
+)
 from collapselab.harness import (
     EPOCH_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -176,6 +185,30 @@ class TestRunTrain:
         result = run_train(with_overrides(TINY, mode="ce", lr=1e6, t_max=4), emit=False)
         assert result.diverged
         assert len(result.logs) < 4
+
+    @pytest.mark.parametrize("mode,loss", [("allnc", "allnc_loss"), ("ce", "mean_cross_entropy")])
+    @pytest.mark.parametrize("error", [TrainingDivergedError, DegenerateInputError])
+    def test_divergence_errors_end_run_as_diverged(self, monkeypatch, tmp_path, mode, loss, error):
+        def raise_error(*args, **kwargs):
+            raise error("raised inside the step")
+
+        monkeypatch.setattr(L, loss, raise_error)
+        out = tmp_path / "run"
+        result = run_train(with_overrides(TINY, mode=mode, t_max=2, out_dir=str(out)))
+        assert result.diverged
+        assert result.logs == []
+        # no completed epoch: nothing to report, so nothing is written
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode,loss", [("allnc", "allnc_loss"), ("ce", "mean_cross_entropy")])
+    @pytest.mark.parametrize("error", [ShapeError, ContractError, DomainError, EvaluationError])
+    def test_other_package_errors_propagate(self, monkeypatch, mode, loss, error):
+        def raise_error(*args, **kwargs):
+            raise error("raised inside the step")
+
+        monkeypatch.setattr(L, loss, raise_error)
+        with pytest.raises(error, match="inside the step"):
+            run_train(with_overrides(TINY, mode=mode, t_max=2), emit=False)
 
     def test_frozen_bias_stays_zero(self):
         result = run_train(with_overrides(TINY, t_max=2, freeze_classifier_bias=True), emit=False)

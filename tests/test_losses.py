@@ -370,6 +370,11 @@ class TestAllncLoss:
         assert terms["branch1"].item() == b1.item()
         assert terms["hycon"].item() == hy.item()
         assert terms["p2p_mu"].item() == pm.item()
+        # one set of class selectors feeds hycon and both class means; the
+        # gradients are those of the separately built pieces, to the bit
+        got, ref = ad.backward(terms["total"]), ad.backward(total_loss(b1, b2, hy, pm, 0.7))
+        for name, p in params.named_parameters():
+            assert np.array_equal(got[p], ref[p]), name
 
     @pytest.mark.parametrize("switch", SWITCHES)
     def test_each_switch_zeroes_only_its_term(self, rng, switch):
