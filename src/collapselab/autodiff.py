@@ -8,9 +8,10 @@ rather than mutating it in place.
 
 Gradient semantics worth knowing before reading the ops:
 
-* ``stop_gradient`` is an identity in the forward direction whose node is a
-  hard wall in the backward direction. Ancestors reachable only through it
-  receive a bitwise-zero gradient because the traversal never visits them.
+* The backward walk stops at every node with ``requires_grad=False``.
+  ``stop_gradient`` is an identity in the forward direction whose node has
+  ``requires_grad=False``, so ancestors reachable only through it receive a
+  bitwise-zero gradient because the traversal never visits them.
 * ``relu`` uses the subgradient 0 at exactly 0 (the mask is ``x > 0``).
 * ``linear`` and ``softmax_cross_entropy_rows`` are fused ops: each is one
   node that reproduces a chain of simpler ops (transpose, matmul and add;
@@ -59,12 +60,11 @@ class Node:
         data:          float64 ndarray holding the forward value.
         parents:       input nodes, in op order.
         grad_fns:      one gradient rule per parent.
-        requires_grad: True when some parameter is reachable upstream.
-        stop_grad:     True for stop_gradient markers; backward never
-                       descends through such a node.
+        requires_grad: True when some parameter is reachable upstream;
+                       backward never descends through a node without it.
     """
 
-    __slots__ = ("data", "parents", "grad_fns", "requires_grad", "stop_grad", "name")
+    __slots__ = ("data", "parents", "grad_fns", "requires_grad", "name")
 
     def __init__(
         self,
@@ -72,14 +72,12 @@ class Node:
         parents: Sequence["Node"] = (),
         grad_fns: Sequence[GradFn] = (),
         requires_grad: bool = False,
-        stop_grad: bool = False,
         name: str | None = None,
     ):
         self.data = as_tensor(data)
         self.parents = tuple(parents)
         self.grad_fns = tuple(grad_fns)
         self.requires_grad = requires_grad
-        self.stop_grad = stop_grad
         self.name = name
 
     @property
@@ -114,12 +112,13 @@ def _op(data: Array, parents: Sequence[Node], grad_fns: Sequence[GradFn]) -> Nod
 
 
 def stop_gradient(x: Node) -> Node:
-    """Identity forward, hard zero backward.
+    """Identity forward, hard zero backward: the node has requires_grad=False,
+    where the backward walk stops.
 
     The result is constant to the optimizer: every ancestor whose only route
     to the loss runs through this node keeps a gradient of exactly 0.0.
     """
-    return Node(x.data, parents=(x,), grad_fns=(), requires_grad=False, stop_grad=True)
+    return Node(x.data, parents=(x,))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +347,7 @@ def _topo_order(root: Node) -> list[Node]:
         discovered.add(node)
         stack.append((node, True))
         for parent in node.parents:
-            # Constants and stop_gradient markers prune the walk here.
+            # Nodes with requires_grad=False (constants, stop_gradient) end the walk.
             if parent.requires_grad and parent not in discovered:
                 stack.append((parent, False))
     return order

@@ -17,8 +17,11 @@ preserved and the result marked diverged; the parameters are left as they
 were at the failing step, and a run with no completed epoch writes no
 artifacts. A degenerate input inside a step (a zero vector to normalize)
 also ends the run as diverged; every other package error raised by a step
-is a broken contract and propagates. Sweeps run one value per row and keep
-going past failures, marking the row instead of raising.
+is a broken contract and propagates. numpy's floating-point warnings are
+silenced in the epoch loop: divergence is detected by the finiteness checks.
+Sweeps run one value per row and keep going past a diverged run or a value
+that validation or the data geometry rejects, marking the row failed; any
+other package error propagates as it does from ``run_train``.
 
 Run artifacts (fixed layout, deterministic bytes for a fixed config):
     config.resolved   the full effective config, reparseable
@@ -34,7 +37,7 @@ Run artifacts (fixed layout, deterministic bytes for a fixed config):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,29 +58,21 @@ from .data import (
     save_csv,
 )
 from .errors import (
-    CollapseLabError,
     ConfigError,
     ContractError,
     DegenerateInputError,
+    DomainError,
     TrainingDivergedError,
 )
 from .model import (
     ArchSpec,
     NetworkParams,
-    SgdConfig,
-    SgdState,
     forward,
     init_params,
     save_params,
     sgd_step,
 )
 from .ncmetrics import NCReport, nc_report
-
-EPOCH_CSV_HEADER = (
-    "epoch,eta,loss_ce,loss_re,loss_hycon,loss_p2p_mu,loss_p2p_w,"
-    "loss_branch1,loss_branch2,loss_total,nc1,std_cos_mu,std_cos_w,delta,"
-    "ncc_agreement,acc_overall,acc_many,acc_medium,acc_few"
-)
 
 MANY_FRACTION = 0.2
 FEW_FRACTION = 0.04
@@ -103,6 +98,10 @@ class GroupAccuracy:
 
 @dataclass
 class EpochLog:
+    """One row of epochs.csv: epoch means of the loss terms (the ``loss_*``
+    fields, in column order), then the collapse report's REPORT_COLUMNS and
+    the accuracies."""
+
     epoch: int
     eta: float
     loss_ce: float
@@ -118,27 +117,20 @@ class EpochLog:
 
     def csv_row(self) -> str:
         cells = [
-            str(self.epoch),
-            _fmt(self.eta),
-            _fmt(self.loss_ce),
-            _fmt(self.loss_re),
-            _fmt(self.loss_hycon),
-            _fmt(self.loss_p2p_mu),
-            _fmt(self.loss_p2p_w),
-            _fmt(self.loss_branch1),
-            _fmt(self.loss_branch2),
-            _fmt(self.loss_total),
-            _fmt(self.report.nc1),
-            _fmt(self.report.std_cos_mu),
-            _fmt(self.report.std_cos_w),
-            _fmt(self.report.delta),
-            _fmt(self.report.ncc_agreement),
-            _fmt(self.accuracy.overall),
-            _fmt(self.accuracy.many),
-            _fmt(self.accuracy.medium),
-            _fmt(self.accuracy.few),
+            self.eta,
+            *(getattr(self, c) for c in LOSS_COLUMNS),
+            *(getattr(self.report, c) for c in REPORT_COLUMNS),
+            *(getattr(self.accuracy, c) for c in ACCURACY_COLUMNS),
         ]
-        return ",".join(cells)
+        return ",".join([str(self.epoch), *map(_fmt, cells)])
+
+
+LOSS_COLUMNS = tuple(f.name for f in fields(EpochLog) if f.name.startswith("loss_"))
+REPORT_COLUMNS = ("nc1", "std_cos_mu", "std_cos_w", "delta", "ncc_agreement")
+ACCURACY_COLUMNS = tuple(f.name for f in fields(GroupAccuracy))
+EPOCH_CSV_HEADER = ",".join(
+    ["epoch", "eta", *LOSS_COLUMNS, *REPORT_COLUMNS, *(f"acc_{c}" for c in ACCURACY_COLUMNS)]
+)
 
 
 @dataclass
@@ -214,18 +206,6 @@ def build_datasets(cfg: TrainConfig) -> tuple[Dataset, Dataset, np.ndarray]:
     return train, test, counts
 
 
-def _arch_from_config(cfg: TrainConfig) -> ArchSpec:
-    return ArchSpec(
-        input_dim=cfg.input_dim,
-        num_classes=cfg.num_classes,
-        hidden_dims=cfg.hidden_dims,
-        feature_dim=cfg.feature_dim,
-        proj_dim=cfg.proj_dim,
-        proj1_hidden=cfg.proj1_hidden,
-        predictor_hidden=cfg.predictor_hidden,
-    )
-
-
 def evaluate(params: NetworkParams, test: Dataset, train_counts: np.ndarray) -> GroupAccuracy:
     """Score a balanced split: overall and per-group accuracy."""
     predicted = np.argmax(forward(params, test.x).logits.data, axis=1)
@@ -240,20 +220,6 @@ def evaluate(params: NetworkParams, test: Dataset, train_counts: np.ndarray) -> 
     )
 
 
-@dataclass
-class _StepStats:
-    """Per-batch loss components, as plain floats for the epoch means."""
-
-    ce: float = 0.0
-    re: float = 0.0
-    hycon: float = 0.0
-    p2p_mu: float = 0.0
-    p2p_w: float = 0.0
-    branch1: float = 0.0
-    branch2: float = 0.0
-    total: float = 0.0
-
-
 def _allnc_step(
     cfg: TrainConfig,
     params: NetworkParams,
@@ -262,7 +228,7 @@ def _allnc_step(
     eta_value: float,
     class_weights: np.ndarray,
     augmenter: ViewAugmenter,
-) -> tuple[ad.Node, _StepStats]:
+) -> tuple[ad.Node, dict[str, float]]:
     x1, x2 = augmenter.pair(x)
     terms = L.allnc_loss(
         forward(params, x1),
@@ -277,25 +243,19 @@ def _allnc_step(
         disable_p2p_mu=cfg.disable_p2p_mu,
         disable_p2p_w=cfg.disable_p2p_w,
     )
-    v = {name: node.item() for name, node in terms.items()}
-    stats = _StepStats(
-        ce=0.5 * (v["ce1"] + v["ce2"]),
-        re=0.5 * (v["re1"] + v["re2"]),
-        hycon=v["hycon"],
-        p2p_mu=v["p2p_mu"],
-        p2p_w=v["p2p_w"],
-        branch1=v["branch1"],
-        branch2=v["branch2"],
-        total=v["total"],
-    )
+    stats = {f"loss_{name}": node.item() for name, node in terms.items()}
+    stats["loss_ce"] = 0.5 * (stats.pop("loss_ce1") + stats.pop("loss_ce2"))
+    stats["loss_re"] = 0.5 * (stats.pop("loss_re1") + stats.pop("loss_re2"))
     return terms["total"], stats
 
 
-def _ce_step(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> tuple[ad.Node, _StepStats]:
+def _ce_step(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> tuple[ad.Node, dict[str, float]]:
     out = forward(params, x)
     ce = L.mean_cross_entropy(out.logits, y)
     value = ce.item()
-    return ce, _StepStats(ce=value, branch1=value, total=value)
+    stats = dict.fromkeys(LOSS_COLUMNS, 0.0)
+    stats.update(loss_ce=value, loss_branch1=value, loss_total=value)
+    return ce, stats
 
 
 def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
@@ -309,9 +269,8 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
     """
     train, test, counts = build_datasets(cfg)
     seeds = _derive_seeds(cfg.seed)
-    params = init_params(_arch_from_config(cfg), seeds["init"])
-    opt_state = SgdState()
-    opt_cfg = SgdConfig(lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    params = init_params(ArchSpec(**{f.name: getattr(cfg, f.name) for f in fields(ArchSpec)}), seeds["init"])
+    velocity: dict[ad.Node, np.ndarray] = {}
     trainable = params.trainable(cfg.freeze_classifier_bias)
     class_weights = L.inverse_frequency_weights(counts)
     augmenter = ViewAugmenter(
@@ -322,52 +281,41 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
 
     logs: list[EpochLog] = []
     diverged = False
-    for epoch in range(1, cfg.t_max + 1):
-        if cfg.disable_gbbn:
-            eta_value = cfg.fixed_eta
-        else:
-            eta_value = L.eta(epoch, cfg.t_max, cfg.gamma)
-        sums = _StepStats()
-        n_batches = 0
-        for x, y in batches(train, cfg.batch_size, cfg.seed, epoch):
-            try:
-                if cfg.mode == "ce":
-                    total, stats = _ce_step(params, x, y)
-                else:
-                    total, stats = _allnc_step(cfg, params, x, y, eta_value, class_weights, augmenter)
-                if not np.isfinite(stats.total):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, cfg.t_max + 1):
+            if cfg.disable_gbbn:
+                eta_value = cfg.fixed_eta
+            else:
+                eta_value = L.eta(epoch, cfg.t_max, cfg.gamma)
+            sums = dict.fromkeys(LOSS_COLUMNS, 0.0)
+            n_batches = 0
+            for x, y in batches(train, cfg.batch_size, cfg.seed, epoch):
+                try:
+                    if cfg.mode == "ce":
+                        total, stats = _ce_step(params, x, y)
+                    else:
+                        total, stats = _allnc_step(cfg, params, x, y, eta_value, class_weights, augmenter)
+                    if not np.isfinite(stats["loss_total"]):
+                        diverged = True
+                        break
+                    grads = ad.backward(total)
+                    sgd_step(trainable, grads, velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
+                except (TrainingDivergedError, DegenerateInputError):
                     diverged = True
                     break
-                grads = ad.backward(total)
-                sgd_step(trainable, grads, opt_state, opt_cfg)
-            except (TrainingDivergedError, DegenerateInputError):
-                diverged = True
+                for c in LOSS_COLUMNS:
+                    sums[c] += stats[c]
+                n_batches += 1
+            if diverged:
                 break
-            for name in vars(stats):
-                setattr(sums, name, getattr(sums, name) + getattr(stats, name))
-            n_batches += 1
-        if diverged:
-            break
 
-        feats = forward(params, train.x).features.data
-        report = nc_report(feats, train.y, params.classifier_w.data, params.classifier_b.data, cfg.num_classes)
-        accuracy = evaluate(params, test, counts)
-        logs.append(
-            EpochLog(
-                epoch=epoch,
-                eta=eta_value,
-                loss_ce=sums.ce / n_batches,
-                loss_re=sums.re / n_batches,
-                loss_hycon=sums.hycon / n_batches,
-                loss_p2p_mu=sums.p2p_mu / n_batches,
-                loss_p2p_w=sums.p2p_w / n_batches,
-                loss_branch1=sums.branch1 / n_batches,
-                loss_branch2=sums.branch2 / n_batches,
-                loss_total=sums.total / n_batches,
-                report=report,
-                accuracy=accuracy,
+            feats = forward(params, train.x).features.data
+            report = nc_report(
+                feats, train.y, params.classifier_w.data, params.classifier_b.data, cfg.num_classes
             )
-        )
+            accuracy = evaluate(params, test, counts)
+            means = {c: sums[c] / n_batches for c in LOSS_COLUMNS}
+            logs.append(EpochLog(epoch=epoch, eta=eta_value, **means, report=report, accuracy=accuracy))
 
     result = RunResult(
         config=cfg,
@@ -430,12 +378,7 @@ def emit_outputs(result: RunResult, out_dir: str | Path) -> Path:
     payload = report.to_dict()
     payload["diverged"] = result.diverged
     payload["epochs_completed"] = len(result.logs)
-    payload["final_accuracy"] = {
-        "overall": result.final_accuracy.overall,
-        "many": result.final_accuracy.many,
-        "medium": result.final_accuracy.medium,
-        "few": result.final_accuracy.few,
-    }
+    payload["final_accuracy"] = vars(result.final_accuracy)
     (out / "report.json").write_text(json.dumps(payload, indent=2, allow_nan=True) + "\n", encoding="utf-8")
 
     feats = forward(result.params, result.train.x).features.data
@@ -452,7 +395,8 @@ def emit_outputs(result: RunResult, out_dir: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 # sweeps
 
-SWEEP_CSV_HEADER = "param,value,status,acc_many,acc_medium,acc_few,acc_overall"
+_SWEEP_ACCURACY = ("many", "medium", "few", "overall")
+SWEEP_CSV_HEADER = ",".join(["param", "value", "status", *(f"acc_{c}" for c in _SWEEP_ACCURACY)])
 _SWEEPABLE = ("gamma", "alpha", "beta")
 
 
@@ -465,22 +409,19 @@ class SweepRow:
 
     def csv_row(self) -> str:
         if self.accuracy is None:
-            accs = ["nan"] * 4
+            accs = ["nan"] * len(_SWEEP_ACCURACY)
         else:
-            accs = [
-                _fmt(self.accuracy.many),
-                _fmt(self.accuracy.medium),
-                _fmt(self.accuracy.few),
-                _fmt(self.accuracy.overall),
-            ]
+            accs = [_fmt(getattr(self.accuracy, c)) for c in _SWEEP_ACCURACY]
         return ",".join([self.param, _fmt(self.value), self.status, *accs])
 
 
 def sweep(cfg: TrainConfig, param: str, values: list[float]) -> list[SweepRow]:
     """Run one training per value of gamma, alpha, or beta; shared seeds.
 
-    A failed run (divergence or any package error) produces a row marked
-    failed and the sweep continues.
+    A diverged run, or a value rejected by validation (ConfigError,
+    DomainError) or by degenerate geometry (DegenerateInputError), produces
+    a row marked failed and the sweep continues; every other package error
+    propagates.
     """
     if param not in _SWEEPABLE:
         raise ConfigError(f"sweep: param must be one of {_SWEEPABLE}, got {param!r}")
@@ -495,7 +436,7 @@ def sweep(cfg: TrainConfig, param: str, values: list[float]) -> list[SweepRow]:
                 rows.append(SweepRow(param, float(value), "failed", None))
             else:
                 rows.append(SweepRow(param, float(value), "ok", result.final_accuracy))
-        except CollapseLabError:
+        except (ConfigError, DomainError, DegenerateInputError):
             rows.append(SweepRow(param, float(value), "failed", None))
     return rows
 

@@ -11,14 +11,16 @@ sharing is literal. The forward pass exposes everything the losses need:
 
 The optimizer is SGD with momentum and L2 weight decay folded into the
 velocity: v <- m*v + g + wd*theta; theta <- theta - lr*v, applied uniformly
-to every trainable array. Parameter arrays are replaced, never mutated, so
+to every trainable array. The caller holds the optimizer state as a
+``velocity`` dict keyed by parameter node and passes lr, momentum and weight
+decay to every ``sgd_step``. Parameter arrays are replaced, never mutated, so
 graphs built before a step stay valid.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -161,39 +163,21 @@ def forward(params: NetworkParams, x) -> ForwardOut:
 # optimizer
 
 
-@dataclass
-class SgdConfig:
-    lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 5e-3
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"SgdConfig: lr must be > 0, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"SgdConfig: momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"SgdConfig: weight_decay must be >= 0, got {self.weight_decay}")
-
-
-@dataclass
-class SgdState:
-    """Velocity buffer per parameter node, keyed by identity."""
-
-    velocity: dict[int, Array] = field(default_factory=dict)
-
-
 def sgd_step(
     named_params: list[tuple[str, Node]],
     grads: dict[Node, Array],
-    state: SgdState,
-    cfg: SgdConfig,
+    velocity: dict[Node, Array],
+    lr: float,
+    momentum: float,
+    weight_decay: float,
 ) -> None:
     """v <- m*v + g + wd*theta; theta <- theta - lr*v, for every parameter.
 
-    Parameters absent from ``grads`` get an exact-zero gradient (still decay).
-    A non-finite gradient aborts with the parameter's name before anything is
-    modified, so the previous state stays intact.
+    ``velocity`` is the caller's optimizer state, one buffer per parameter
+    node, filled on first use. Parameters absent from ``grads`` get an
+    exact-zero gradient (still decay). A non-finite gradient aborts with the
+    parameter's name before anything is modified, so the previous state stays
+    intact.
     """
     updates: list[tuple[Node, Array]] = []
     for name, p in named_params:
@@ -204,12 +188,12 @@ def sgd_step(
             raise TrainingDivergedError(f"sgd_step: non-finite gradient for {name}")
         updates.append((p, g))
     for p, g in updates:
-        v = state.velocity.get(id(p))
+        v = velocity.get(p)
         if v is None:
             v = np.zeros_like(p.data)
-        v = cfg.momentum * v + g + cfg.weight_decay * p.data
-        state.velocity[id(p)] = v
-        p.data = p.data - cfg.lr * v
+        v = momentum * v + g + weight_decay * p.data
+        velocity[p] = v
+        p.data = p.data - lr * v
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +213,7 @@ def save_params(params: NetworkParams, out_dir: str | Path) -> Path:
         entries.append({"name": name, "shape": list(node.shape), "file": fname})
     manifest = {
         "format_version": SNAPSHOT_VERSION,
-        "arch": {
-            "input_dim": params.arch.input_dim,
-            "num_classes": params.arch.num_classes,
-            "hidden_dims": list(params.arch.hidden_dims),
-            "feature_dim": params.arch.feature_dim,
-            "proj_dim": params.arch.proj_dim,
-            "proj1_hidden": params.arch.proj1_hidden,
-            "predictor_hidden": params.arch.predictor_hidden,
-        },
+        "arch": asdict(params.arch),
         "params": entries,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -255,13 +231,8 @@ def load_params(snapshot_dir: str | Path) -> NetworkParams:
         raise ContractError(f"load_params: unsupported snapshot version {manifest.get('format_version')}")
     arch_raw = manifest["arch"]
     arch = ArchSpec(
-        input_dim=int(arch_raw["input_dim"]),
-        num_classes=int(arch_raw["num_classes"]),
+        **{f.name: int(arch_raw[f.name]) for f in fields(ArchSpec) if f.name != "hidden_dims"},
         hidden_dims=tuple(int(d) for d in arch_raw["hidden_dims"]),
-        feature_dim=int(arch_raw["feature_dim"]),
-        proj_dim=int(arch_raw["proj_dim"]),
-        proj1_hidden=int(arch_raw["proj1_hidden"]),
-        predictor_hidden=int(arch_raw["predictor_hidden"]),
     )
     params = init_params(arch, seed=0)
     by_name = dict(params.named_parameters())

@@ -1,10 +1,12 @@
 """Training loop, evaluation, artifact emission, sweeps. Tiny configs only."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import collapselab.harness as harness
 import collapselab.losses as L
 from collapselab.config import TrainConfig, parse_config_text, with_overrides
 from collapselab.data import load_csv, save_csv
@@ -186,6 +188,12 @@ class TestRunTrain:
         assert result.diverged
         assert len(result.logs) < 4
 
+    def test_divergence_raises_no_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_train(with_overrides(TINY, mode="ce", lr=1e6, t_max=4), emit=False)
+        assert result.diverged
+
     @pytest.mark.parametrize("mode,loss", [("allnc", "allnc_loss"), ("ce", "mean_cross_entropy")])
     @pytest.mark.parametrize("error", [TrainingDivergedError, DegenerateInputError])
     def test_divergence_errors_end_run_as_diverged(self, monkeypatch, tmp_path, mode, loss, error):
@@ -257,6 +265,13 @@ class TestEmission:
             "params",
         }
 
+    def test_epochs_csv_header_layout(self):
+        assert EPOCH_CSV_HEADER == (
+            "epoch,eta,loss_ce,loss_re,loss_hycon,loss_p2p_mu,loss_p2p_w,"
+            "loss_branch1,loss_branch2,loss_total,nc1,std_cos_mu,std_cos_w,delta,"
+            "ncc_agreement,acc_overall,acc_many,acc_medium,acc_few"
+        )
+
     def test_epochs_csv_shape(self, emitted):
         lines = (emitted / "epochs.csv").read_text().splitlines()
         assert lines[0] == EPOCH_CSV_HEADER
@@ -305,6 +320,24 @@ class TestSweep:
         assert [r.status for r in rows] == ["ok", "failed", "ok"]
         assert rows[1].accuracy is None
         assert rows[0].accuracy.overall > 0.3
+
+    @pytest.mark.parametrize("error", [ConfigError, DomainError, DegenerateInputError])
+    def test_rejected_value_marks_row_failed(self, monkeypatch, error):
+        def raise_error(*args, **kwargs):
+            raise error("rejected inside the run")
+
+        monkeypatch.setattr(harness, "run_train", raise_error)
+        rows = sweep(TINY, "gamma", [2.0])
+        assert [r.status for r in rows] == ["failed"]
+
+    @pytest.mark.parametrize("error", [ContractError, ShapeError, EvaluationError])
+    def test_other_package_errors_propagate(self, monkeypatch, error):
+        def raise_error(*args, **kwargs):
+            raise error("raised inside the run")
+
+        monkeypatch.setattr(harness, "run_train", raise_error)
+        with pytest.raises(error, match="inside the run"):
+            sweep(TINY, "gamma", [2.0])
 
     def test_rejects_unknown_param_and_empty_values(self):
         with pytest.raises(ConfigError):

@@ -11,8 +11,6 @@ from collapselab.losses import mean_cross_entropy
 from collapselab.model import (
     ArchSpec,
     NetworkParams,
-    SgdConfig,
-    SgdState,
     forward,
     init_params,
     load_params,
@@ -127,56 +125,47 @@ class TestForward:
 class TestSgd:
     def test_hand_computed_two_steps(self):
         p = ad.param(np.array([1.0]))
-        cfg = SgdConfig(lr=0.1, momentum=0.5, weight_decay=0.1)
-        state = SgdState()
-        sgd_step([("p", p)], {p: np.array([2.0])}, state, cfg)
+        velocity = {}
+        sgd_step([("p", p)], {p: np.array([2.0])}, velocity, lr=0.1, momentum=0.5, weight_decay=0.1)
         # v1 = 0.5*0 + 2 + 0.1*1 = 2.1 ; theta = 1 - 0.21 = 0.79
         np.testing.assert_allclose(p.data, [0.79])
-        sgd_step([("p", p)], {p: np.array([1.0])}, state, cfg)
+        np.testing.assert_allclose(velocity[p], [2.1])
+        sgd_step([("p", p)], {p: np.array([1.0])}, velocity, lr=0.1, momentum=0.5, weight_decay=0.1)
         # v2 = 0.5*2.1 + 1 + 0.079 = 2.129 ; theta = 0.79 - 0.2129
         np.testing.assert_allclose(p.data, [0.79 - 0.2129])
 
     def test_quadratic_bowl_converges(self, rng):
         target = rng.standard_normal(6)
         p = ad.param(np.zeros(6))
-        cfg = SgdConfig(lr=0.05, momentum=0.9, weight_decay=0.0)
-        state = SgdState()
+        velocity = {}
         for _ in range(500):
             loss = ad.mean_all(ad.square(ad.sub(p, ad.constant(target))))
-            sgd_step([("p", p)], ad.backward(loss), state, cfg)
+            sgd_step([("p", p)], ad.backward(loss), velocity, lr=0.05, momentum=0.9, weight_decay=0.0)
         final = float(np.mean((p.data - target) ** 2))
         assert final < 1e-8
 
     def test_missing_grad_still_decays(self):
         p = ad.param(np.array([2.0]))
-        sgd_step([("p", p)], {}, SgdState(), SgdConfig(lr=0.1, momentum=0.0, weight_decay=0.5))
+        sgd_step([("p", p)], {}, {}, lr=0.1, momentum=0.0, weight_decay=0.5)
         np.testing.assert_allclose(p.data, [2.0 - 0.1 * 1.0])
 
     def test_nonfinite_gradient_aborts_before_mutation(self):
         a = ad.param(np.array([1.0]))
         b = ad.param(np.array([2.0]))
-        state = SgdState()
+        velocity = {}
         grads = {a: np.array([0.5]), b: np.array([np.nan])}
         with pytest.raises(TrainingDivergedError, match="b"):
-            sgd_step([("a", a), ("b", b)], grads, state, SgdConfig())
+            sgd_step([("a", a), ("b", b)], grads, velocity, lr=0.01, momentum=0.9, weight_decay=5e-3)
         np.testing.assert_array_equal(a.data, [1.0])
         np.testing.assert_array_equal(b.data, [2.0])
-        assert state.velocity == {}
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            SgdConfig(lr=0.0)
-        with pytest.raises(ConfigError):
-            SgdConfig(momentum=1.0)
-        with pytest.raises(ConfigError):
-            SgdConfig(weight_decay=-0.1)
+        assert velocity == {}
 
     def test_step_leaves_old_graph_valid(self):
         # arrays are replaced, not mutated: a loss built pre-step keeps its value
         p = ad.param(np.array([3.0]))
         loss = ad.mean_all(ad.square(p))
         before = loss.item()
-        sgd_step([("p", p)], {p: np.array([1.0])}, SgdState(), SgdConfig(lr=0.5, momentum=0.0, weight_decay=0.0))
+        sgd_step([("p", p)], {p: np.array([1.0])}, {}, lr=0.5, momentum=0.0, weight_decay=0.0)
         assert loss.item() == before
         assert p.data[0] != 3.0
 
@@ -199,6 +188,19 @@ class TestSnapshots:
         manifest.write_text(json.dumps(raw))
         with pytest.raises(ContractError, match="version"):
             load_params(tmp_path / "snap")
+
+    def test_manifest_arch_block_follows_archspec(self, tmp_path):
+        save_params(init_params(SMALL, seed=0), tmp_path / "snap")
+        raw = json.loads((tmp_path / "snap" / "manifest.json").read_text())
+        assert list(raw["arch"].items()) == [
+            ("input_dim", 6),
+            ("num_classes", 3),
+            ("hidden_dims", [8]),
+            ("feature_dim", 5),
+            ("proj_dim", 4),
+            ("proj1_hidden", 0),
+            ("predictor_hidden", 4),
+        ]
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ContractError, match="manifest"):
