@@ -64,7 +64,7 @@ class Node:
                        backward never descends through a node without it.
     """
 
-    __slots__ = ("data", "parents", "grad_fns", "requires_grad", "name")
+    __slots__ = ("data", "parents", "grad_fns", "requires_grad")
 
     def __init__(
         self,
@@ -72,13 +72,11 @@ class Node:
         parents: Sequence["Node"] = (),
         grad_fns: Sequence[GradFn] = (),
         requires_grad: bool = False,
-        name: str | None = None,
     ):
         self.data = as_tensor(data)
         self.parents = tuple(parents)
         self.grad_fns = tuple(grad_fns)
         self.requires_grad = requires_grad
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -90,18 +88,17 @@ class Node:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Node(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Node(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def constant(values, name: str | None = None) -> Node:
+def constant(values) -> Node:
     """A graph leaf that never receives gradient."""
-    return Node(values, name=name)
+    return Node(values)
 
 
-def param(values, name: str | None = None) -> Node:
+def param(values) -> Node:
     """A trainable graph leaf; backward() reports its gradient."""
-    return Node(values, requires_grad=True, name=name)
+    return Node(values, requires_grad=True)
 
 
 def _op(data: Array, parents: Sequence[Node], grad_fns: Sequence[GradFn]) -> Node:
@@ -384,6 +381,7 @@ def backward(root: Node) -> dict[Node, Array]:
 # finite-difference verification
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def grad_check(
     f: Callable[[], Node],
     params: Iterable[Node],
@@ -399,6 +397,7 @@ def grad_check(
     ``f`` captured from the parameter are never written. Returns the max over
     all coordinates of |analytic - numeric| / max(1, |numeric|); if ``tol``
     is given, exceeding it raises ContractError naming the worst coordinate.
+    A non-finite evaluation raises EvaluationError, with numpy's warnings off.
     """
     params = list(params)
     loss = f()

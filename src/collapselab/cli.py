@@ -18,10 +18,10 @@ import sys
 from pathlib import Path
 
 from .config import parse_config_file, with_overrides
-from .data import integer_labels, read_numeric_csv
+from .data import integer_labels, read_numeric_csv, write_csv
 from .errors import CollapseLabError, ParseError
 from .etf import etf_deviation, make_etf
-from .harness import _fmt, _write_matrix_csv, run_train, sweep, write_sweep_csv
+from .harness import run_train, sweep, write_report, write_sweep_csv
 from .ncmetrics import nc_report
 
 
@@ -78,10 +78,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     status = "diverged" if result.diverged else "ok"
     print(
         f"{status}: {len(result.logs)} epochs, "
-        f"acc {_fmt(last.accuracy.overall)} "
-        f"(many {_fmt(last.accuracy.many)}, medium {_fmt(last.accuracy.medium)}, "
-        f"few {_fmt(last.accuracy.few)}), "
-        f"std_cos_mu {_fmt(last.report.std_cos_mu)}, delta {_fmt(last.report.delta)}"
+        f"acc {last.accuracy.overall:.9g} "
+        f"(many {last.accuracy.many:.9g}, medium {last.accuracy.medium:.9g}, "
+        f"few {last.accuracy.few:.9g}), "
+        f"std_cos_mu {last.report.std_cos_mu:.9g}, delta {last.report.delta:.9g}"
     )
     if cfg.out_dir:
         print(f"artifacts: {Path(cfg.out_dir).resolve()}")
@@ -127,9 +127,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     report = nc_report(features, labels, weights, bias, num_classes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    _write_matrix_csv(out / "icpa_mu.csv", report.icpa_mu, "c")
-    _write_matrix_csv(out / "icpa_w.csv", report.icpa_w, "c")
+    write_report(out, report)
     print(json.dumps({k: v for k, v in report.to_dict().items() if not isinstance(v, list)}, indent=2))
     print(f"artifacts: {out.resolve()}")
     return 0
@@ -145,8 +143,7 @@ def _cmd_etf(args: argparse.Namespace) -> int:
     print(f"deviation from target: {etf_deviation(frame.vectors):.3e}")
     if args.csv:
         path = Path(args.csv)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_matrix_csv(path, frame.vertices, "dim")
+        write_csv(path, [f"dim{i}" for i in range(frame.dim)], frame.vertices, "%.9g")
         print(f"frame written to {path.resolve()}")
     return 0
 

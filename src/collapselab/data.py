@@ -310,12 +310,16 @@ def load_csv(path: str | Path) -> Dataset:
     return Dataset(x=x, y=y - lo, label_mapping=mapping)
 
 
-def save_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write a dataset in the load_csv layout with full-precision floats."""
+def write_csv(path: str | Path, columns: list[str], matrix: np.ndarray, fmt: str | list[str]) -> None:
+    """Write a header row of ``columns`` then one line per matrix row, each
+    cell formatted with ``fmt`` (one format, or one per column)."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    header = ",".join([f"f{i}" for i in range(dataset.dim)] + ["label"])
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row, label in zip(dataset.x, dataset.y):
-            fh.write(",".join(f"{v:.17g}" for v in row) + f",{int(label)}\n")
+    np.savetxt(p, matrix, fmt=fmt, delimiter=",", header=",".join(columns), comments="")
+
+
+def save_csv(dataset: Dataset, path: str | Path) -> None:
+    """Write a dataset in the load_csv layout with full-precision floats."""
+    d = dataset.dim
+    columns = [f"f{i}" for i in range(d)] + ["label"]
+    write_csv(path, columns, np.column_stack([dataset.x, dataset.y]), ["%.17g"] * d + ["%d"])

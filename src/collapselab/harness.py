@@ -13,9 +13,9 @@ split is scored overall and per class-size group. Groups follow the head
 count n_max: Many > 0.2*n_max, Few <= 0.04*n_max, Medium between.
 
 A non-finite loss or gradient ends the run early with the completed epochs
-preserved and the result marked diverged; the parameters are left as they
-were at the failing step, and a run with no completed epoch writes no
-artifacts. A degenerate input inside a step (a zero vector to normalize)
+preserved and the result marked diverged. A diverged run's artifacts
+describe its last completed epoch; a run with no completed epoch writes
+none. A degenerate input inside a step (a zero vector to normalize)
 also ends the run as diverged; every other package error raised by a step
 is a broken contract and propagates. numpy's floating-point warnings are
 silenced in the epoch loop: divergence is detected by the finiteness checks.
@@ -26,7 +26,8 @@ other package error propagates as it does from ``run_train``.
 Run artifacts (fixed layout, deterministic bytes for a fixed config):
     config.resolved   the full effective config, reparseable
     epochs.csv        one row per epoch: losses, diagnostics, accuracies
-    report.json       final training-set collapse report + test accuracies
+    report.json       final NCReport fields, then diverged, epochs_completed
+                      and final_accuracy (written by ``write_report``)
     features.csv      final training-set features + labels (full precision)
     weights.csv       classifier rows + bias column (full precision)
     icpa_mu.csv       final pairwise angles between centered class means
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -56,6 +58,7 @@ from .data import (
     load_csv,
     long_tail_counts,
     save_csv,
+    write_csv,
 )
 from .errors import (
     ConfigError,
@@ -76,10 +79,6 @@ from .ncmetrics import NCReport, nc_report
 
 MANY_FRACTION = 0.2
 FEW_FRACTION = 0.04
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.9g}"
 
 
 @dataclass
@@ -122,11 +121,11 @@ class EpochLog:
             *(getattr(self.report, c) for c in REPORT_COLUMNS),
             *(getattr(self.accuracy, c) for c in ACCURACY_COLUMNS),
         ]
-        return ",".join([str(self.epoch), *map(_fmt, cells)])
+        return ",".join([str(self.epoch), *(f"{c:.9g}" for c in cells)])
 
 
 LOSS_COLUMNS = tuple(f.name for f in fields(EpochLog) if f.name.startswith("loss_"))
-REPORT_COLUMNS = ("nc1", "std_cos_mu", "std_cos_w", "delta", "ncc_agreement")
+REPORT_COLUMNS = tuple(name for name, kind in get_type_hints(NCReport).items() if kind is float)
 ACCURACY_COLUMNS = tuple(f.name for f in fields(GroupAccuracy))
 EPOCH_CSV_HEADER = ",".join(
     ["epoch", "eta", *LOSS_COLUMNS, *REPORT_COLUMNS, *(f"acc_{c}" for c in ACCURACY_COLUMNS)]
@@ -265,11 +264,16 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
     epoch has nothing to report and emits nothing. Returns the result with
     one EpochLog per completed epoch; a non-finite loss or gradient, or a
     degenerate input, stops training early and marks the result diverged
-    instead of raising.
+    instead of raising, with the parameters put back as they stood after the
+    last completed epoch.
     """
     train, test, counts = build_datasets(cfg)
     seeds = _derive_seeds(cfg.seed)
     params = init_params(ArchSpec(**{f.name: getattr(cfg, f.name) for f in fields(ArchSpec)}), seeds["init"])
+    nodes = [node for _, node in params.named_parameters()]
+    # sgd_step replaces parameter arrays and never writes into them, so the
+    # arrays themselves are the checkpoint of the last completed epoch.
+    completed = [node.data for node in nodes]
     velocity: dict[ad.Node, np.ndarray] = {}
     trainable = params.trainable(cfg.freeze_classifier_bias)
     class_weights = L.inverse_frequency_weights(counts)
@@ -307,6 +311,8 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
                     sums[c] += stats[c]
                 n_batches += 1
             if diverged:
+                for node, data in zip(nodes, completed):
+                    node.data = data
                 break
 
             feats = forward(params, train.x).features.data
@@ -316,6 +322,7 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
             accuracy = evaluate(params, test, counts)
             means = {c: sums[c] / n_batches for c in LOSS_COLUMNS}
             logs.append(EpochLog(epoch=epoch, eta=eta_value, **means, report=report, accuracy=accuracy))
+            completed = [node.data for node in nodes]
 
     result = RunResult(
         config=cfg,
@@ -340,26 +347,14 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
 # output emission
 
 
-def _write_matrix_csv(path: Path, matrix: np.ndarray, prefix: str) -> None:
-    header = ",".join(f"{prefix}{i}" for i in range(matrix.shape[1]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in matrix:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_weights_csv(path: Path, weights: np.ndarray, bias: np.ndarray | None) -> None:
-    """Classifier rows, one class per row, bias as a trailing column if given."""
-    cols = [f"w{i}" for i in range(weights.shape[1])]
-    if bias is not None:
-        cols.append("bias")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for c, row in enumerate(weights):
-            cells = [f"{v:.17g}" for v in row]
-            if bias is not None:
-                cells.append(f"{bias[c]:.17g}")
-            fh.write(",".join(cells) + "\n")
+def write_report(out: Path, report: NCReport, **extra) -> None:
+    """Write report.json (the report's fields, then ``extra`` in call order)
+    and its two angle matrices as icpa_mu.csv and icpa_w.csv."""
+    payload = {**report.to_dict(), **extra}
+    (out / "report.json").write_text(json.dumps(payload, indent=2, allow_nan=True) + "\n", encoding="utf-8")
+    columns = [f"c{i}" for i in range(report.num_classes)]
+    write_csv(out / "icpa_mu.csv", columns, report.icpa_mu, "%.9g")
+    write_csv(out / "icpa_w.csv", columns, report.icpa_w, "%.9g")
 
 
 def emit_outputs(result: RunResult, out_dir: str | Path) -> Path:
@@ -374,20 +369,18 @@ def emit_outputs(result: RunResult, out_dir: str | Path) -> Path:
         for log in result.logs:
             fh.write(log.csv_row() + "\n")
 
-    report = result.final_report
-    payload = report.to_dict()
-    payload["diverged"] = result.diverged
-    payload["epochs_completed"] = len(result.logs)
-    payload["final_accuracy"] = vars(result.final_accuracy)
-    (out / "report.json").write_text(json.dumps(payload, indent=2, allow_nan=True) + "\n", encoding="utf-8")
-
+    write_report(
+        out,
+        result.final_report,
+        diverged=result.diverged,
+        epochs_completed=len(result.logs),
+        final_accuracy=vars(result.final_accuracy),
+    )
     feats = forward(result.params, result.train.x).features.data
     save_csv(Dataset(feats, result.train.y), out / "features.csv")
-    write_weights_csv(
-        out / "weights.csv", result.params.classifier_w.data, result.params.classifier_b.data
-    )
-    _write_matrix_csv(out / "icpa_mu.csv", report.icpa_mu, "c")
-    _write_matrix_csv(out / "icpa_w.csv", report.icpa_w, "c")
+    w = result.params.classifier_w.data
+    columns = [f"w{i}" for i in range(w.shape[1])] + ["bias"]
+    write_csv(out / "weights.csv", columns, np.column_stack([w, result.params.classifier_b.data]), "%.17g")
     save_params(result.params, out / "params")
     return out
 
@@ -411,8 +404,8 @@ class SweepRow:
         if self.accuracy is None:
             accs = ["nan"] * len(_SWEEP_ACCURACY)
         else:
-            accs = [_fmt(getattr(self.accuracy, c)) for c in _SWEEP_ACCURACY]
-        return ",".join([self.param, _fmt(self.value), self.status, *accs])
+            accs = [f"{getattr(self.accuracy, c):.9g}" for c in _SWEEP_ACCURACY]
+        return ",".join([self.param, f"{self.value:.9g}", self.status, *accs])
 
 
 def sweep(cfg: TrainConfig, param: str, values: list[float]) -> list[SweepRow]:

@@ -107,31 +107,31 @@ def init_params(arch: ArchSpec, seed: int) -> NetworkParams:
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
 
-    def layer(fan_in: int, fan_out: int, gain: float, name: str) -> tuple[Node, Node]:
+    def layer(fan_in: int, fan_out: int, gain: float) -> tuple[Node, Node]:
         std = np.sqrt(gain / fan_in)
-        w = ad.param(rng.standard_normal((fan_out, fan_in)) * std, name=f"{name}.w")
-        b = ad.param(np.zeros(fan_out), name=f"{name}.b")
+        w = ad.param(rng.standard_normal((fan_out, fan_in)) * std)
+        b = ad.param(np.zeros(fan_out))
         return w, b
 
     encoder: list[tuple[Node, Node]] = []
     widths = (arch.input_dim, *arch.hidden_dims, arch.feature_dim)
-    for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
-        encoder.append(layer(fi, fo, 2.0, f"encoder.{i}"))
+    for fi, fo in zip(widths[:-1], widths[1:]):
+        encoder.append(layer(fi, fo, 2.0))
 
     proj1: list[tuple[Node, Node]] = []
     if arch.proj1_hidden > 0:
-        proj1.append(layer(arch.feature_dim, arch.proj1_hidden, 2.0, "proj1.0"))
-        proj1.append(layer(arch.proj1_hidden, arch.proj_dim, 1.0, "proj1.1"))
+        proj1.append(layer(arch.feature_dim, arch.proj1_hidden, 2.0))
+        proj1.append(layer(arch.proj1_hidden, arch.proj_dim, 1.0))
     else:
-        proj1.append(layer(arch.feature_dim, arch.proj_dim, 1.0, "proj1.0"))
+        proj1.append(layer(arch.feature_dim, arch.proj_dim, 1.0))
 
     proj2 = [
-        layer(arch.proj_dim, arch.predictor_hidden, 2.0, "proj2.0"),
-        layer(arch.predictor_hidden, arch.proj_dim, 1.0, "proj2.1"),
+        layer(arch.proj_dim, arch.predictor_hidden, 2.0),
+        layer(arch.predictor_hidden, arch.proj_dim, 1.0),
     ]
 
-    cw = ad.param(rng.standard_normal((arch.num_classes, arch.feature_dim)) * 1e-2, name="classifier.w")
-    cb = ad.param(np.zeros(arch.num_classes), name="classifier.b")
+    cw = ad.param(rng.standard_normal((arch.num_classes, arch.feature_dim)) * 1e-2)
+    cb = ad.param(np.zeros(arch.num_classes))
     return NetworkParams(encoder=encoder, proj1=proj1, proj2=proj2, classifier_w=cw, classifier_b=cb, arch=arch)
 
 

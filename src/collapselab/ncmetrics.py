@@ -18,12 +18,14 @@ Class means are centered by the global feature mean; classifier rows are
 centered by the mean classifier row. Classes missing from the input are
 flagged absent and excluded, and the report marks itself incomplete (the
 metrics that need every class then hold NaN).
+
+``nc_report`` gathers all four into an ``NCReport``, whose fields are the
+keys of a run's ``report.json``, in file order.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -194,7 +196,7 @@ def ncc_agreement(
 
 @dataclass
 class NCReport:
-    """One full diagnostic snapshot.
+    """One full diagnostic snapshot; its fields are report.json's keys, in order.
 
     Scalars plus the two (C, C) angle matrices. When some class is absent the
     report is incomplete: angle rows/cols of absent classes are NaN, and the
@@ -206,43 +208,16 @@ class NCReport:
     std_cos_w: float
     delta: float
     ncc_agreement: float
+    num_classes: int
+    present: list[int]
+    complete: bool
     icpa_mu: np.ndarray
     icpa_w: np.ndarray
-    num_classes: int
-    present: list[int] = field(default_factory=list)
-    complete: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "nc1": self.nc1,
-            "std_cos_mu": self.std_cos_mu,
-            "std_cos_w": self.std_cos_w,
-            "delta": self.delta,
-            "ncc_agreement": self.ncc_agreement,
-            "num_classes": self.num_classes,
-            "present": list(self.present),
-            "complete": self.complete,
-            "icpa_mu": self.icpa_mu.tolist(),
-            "icpa_w": self.icpa_w.tolist(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=True)
-
-    @staticmethod
-    def from_dict(raw: dict) -> "NCReport":
-        return NCReport(
-            nc1=float(raw["nc1"]),
-            std_cos_mu=float(raw["std_cos_mu"]),
-            std_cos_w=float(raw["std_cos_w"]),
-            delta=float(raw["delta"]),
-            ncc_agreement=float(raw["ncc_agreement"]),
-            icpa_mu=np.asarray(raw["icpa_mu"], dtype=np.float64),
-            icpa_w=np.asarray(raw["icpa_w"], dtype=np.float64),
-            num_classes=int(raw["num_classes"]),
-            present=list(raw["present"]),
-            complete=bool(raw["complete"]),
-        )
+        """Every field by name, in declaration order, arrays as nested lists."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values}
 
 
 def nc_report(
@@ -283,9 +258,9 @@ def nc_report(
         std_cos_w=std_w,
         delta=delta,
         ncc_agreement=agreement,
-        icpa_mu=icpa_mu,
-        icpa_w=icpa_w,
         num_classes=c,
         present=present,
         complete=stats.complete,
+        icpa_mu=icpa_mu,
+        icpa_w=icpa_w,
     )

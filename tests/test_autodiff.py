@@ -1,6 +1,8 @@
 """Engine-level checks: every backward rule against central differences,
 stop-gradient semantics, and graph bookkeeping corner cases."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -254,6 +256,14 @@ def test_grad_check_raises_on_nonfinite():
 
     with pytest.raises(EvaluationError):
         ad.grad_check(bad, [x])
+
+
+def test_grad_check_nonfinite_raises_no_numpy_warning():
+    x = ad.param(np.array([0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EvaluationError):
+            ad.grad_check(lambda: ad.sum_all(ad.mul(x, ad.constant(np.array([np.inf])))), [x])
 
 
 def test_grad_check_tol_enforcement(rng):

@@ -1,11 +1,14 @@
 """End-to-end command-line checks, run in-process through main()."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from collapselab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY_CONFIG = """
 num_classes = 3
@@ -87,23 +90,39 @@ class TestTrain:
         assert "definitely_not_a_key" in capsys.readouterr().err
 
 
+def _assert_metrics_reproduce_report(run_dir, out):
+    """`metrics` on a run's features.csv and weights.csv writes exactly the
+    run's report: every key it writes equal, both angle CSVs byte-equal."""
+    code = main(
+        [
+            "metrics",
+            "--features", str(run_dir / "features.csv"),
+            "--weights", str(run_dir / "weights.csv"),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    train_report = json.loads((run_dir / "report.json").read_text())
+    redone = json.loads((out / "report.json").read_text())
+    np.testing.assert_equal(redone, {key: train_report[key] for key in redone})
+    for name in ("icpa_mu.csv", "icpa_w.csv"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+
+
 class TestMetrics:
     def test_round_trip_matches_training_report(self, trained_artifacts, tmp_path, capsys):
-        out = tmp_path / "metrics"
-        code = main(
-            [
-                "metrics",
-                "--features", str(trained_artifacts / "features.csv"),
-                "--weights", str(trained_artifacts / "weights.csv"),
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        train_report = json.loads((trained_artifacts / "report.json").read_text())
-        redone = json.loads((out / "report.json").read_text())
-        for key in ("nc1", "std_cos_mu", "std_cos_w", "delta", "ncc_agreement"):
-            assert redone[key] == pytest.approx(train_report[key], abs=1e-9)
-        assert (out / "icpa_mu.csv").exists() and (out / "icpa_w.csv").exists()
+        _assert_metrics_reproduce_report(trained_artifacts, tmp_path / "metrics")
+
+    @pytest.mark.parametrize("lr", ["30", "3"])
+    def test_diverged_run_matches_its_report(self, tmp_path, capsys, lr):
+        # at either rate configs/tiny.config diverges during its second epoch
+        cfg = tmp_path / "diverging.cfg"
+        cfg.write_text((ROOT / "configs" / "tiny.config").read_text() + f"lr = {lr}\n")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 2
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["diverged"] and report["epochs_completed"] == 1
+        _assert_metrics_reproduce_report(run_dir, tmp_path / "metrics")
 
     def test_separate_bias_file(self, trained_artifacts, tmp_path):
         # split the combined weights.csv into weights-only plus a bias column

@@ -16,6 +16,7 @@ from collapselab.data import (
     long_tail_counts,
     read_numeric_csv,
     save_csv,
+    write_csv,
 )
 from collapselab.errors import ConfigError, ContractError, ParseError, ShapeError
 
@@ -224,6 +225,12 @@ class TestCsv:
         np.testing.assert_array_equal(back.x, ds.x)
         np.testing.assert_array_equal(back.y, ds.y)
         assert back.label_mapping is None
+
+    def test_write_csv_formats_special_values(self, tmp_path):
+        path = tmp_path / "m.csv"
+        matrix = np.array([[np.nan, -0.0, 5e-324], [np.inf, -np.inf, 1.797e308]])
+        write_csv(path, ["a", "b", "c"], matrix, "%.17g")
+        assert path.read_text() == "a,b,c\nnan,-0,4.9406564584124654e-324\ninf,-inf,1.797e+308\n"
 
     def test_one_based_labels_shift_and_record(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -32,7 +32,6 @@ from collapselab.harness import (
 )
 from collapselab.losses import eta
 from collapselab.model import load_params
-from collapselab.ncmetrics import NCReport
 
 TINY = TrainConfig(
     num_classes=3,
@@ -282,12 +281,32 @@ class TestEmission:
 
     def test_report_round_trip(self, emitted, tiny_run):
         raw = json.loads((emitted / "report.json").read_text())
-        back = NCReport.from_dict(raw)
-        final = tiny_run.final_report
-        assert back.nc1 == pytest.approx(final.nc1, abs=1e-9)
-        assert back.delta == pytest.approx(final.delta, abs=1e-9)
-        assert raw["epochs_completed"] == TINY.t_max
-        assert raw["final_accuracy"]["overall"] == tiny_run.final_accuracy.overall
+        expected = {
+            **tiny_run.final_report.to_dict(),
+            "diverged": False,
+            "epochs_completed": TINY.t_max,
+            "final_accuracy": vars(tiny_run.final_accuracy),
+        }
+        # exact, with NaN equal to NaN (the empty Medium and Few groups)
+        np.testing.assert_equal(raw, expected)
+
+    def test_report_json_key_order(self, emitted):
+        raw = json.loads((emitted / "report.json").read_text())
+        assert list(raw) == [
+            "nc1",
+            "std_cos_mu",
+            "std_cos_w",
+            "delta",
+            "ncc_agreement",
+            "num_classes",
+            "present",
+            "complete",
+            "icpa_mu",
+            "icpa_w",
+            "diverged",
+            "epochs_completed",
+            "final_accuracy",
+        ]
 
     def test_features_csv_round_trips_exactly(self, emitted, tiny_run):
         from collapselab.model import forward

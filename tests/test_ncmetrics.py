@@ -1,13 +1,15 @@
 """Collapse diagnostics: class stats, variability, angles, duality, agreement."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from collapselab.errors import ContractError, DegenerateInputError, ShapeError
 from collapselab.etf import icpa_degrees_target, make_etf
+from collapselab.harness import write_report
 from collapselab.ncmetrics import (
-    NCReport,
     centered_pairwise_cosines,
     class_stats,
     icpa_degrees,
@@ -222,15 +224,21 @@ class TestNccAgreement:
 
 
 class TestReport:
-    def test_full_report_round_trip(self, rng):
+    def test_full_report_round_trip(self, rng, tmp_path):
         x, y = _cloud(rng, [25, 10, 5, 3])
         w = rng.standard_normal((4, x.shape[1]))
         rep = nc_report(x, y, w, None, 4)
         assert rep.complete and rep.present == [0, 1, 2, 3]
-        back = NCReport.from_dict(rep.to_dict())
-        assert back.nc1 == pytest.approx(rep.nc1)
-        assert back.delta == pytest.approx(rep.delta)
-        np.testing.assert_allclose(back.icpa_mu, rep.icpa_mu)
+        write_report(tmp_path, rep)
+        np.testing.assert_equal(json.loads((tmp_path / "report.json").read_text()), rep.to_dict())
+
+    def test_partial_report_round_trip_keeps_nan(self, rng, tmp_path):
+        x, y = _cloud(rng, [10, 10])
+        rep = nc_report(x, y, rng.standard_normal((4, x.shape[1])), None, 4)
+        write_report(tmp_path, rep)
+        raw = json.loads((tmp_path / "report.json").read_text())
+        assert np.isnan(raw["delta"]) and np.isnan(raw["icpa_mu"][3][3])
+        np.testing.assert_equal(raw, rep.to_dict())
 
     def test_partial_coverage_flags(self, rng):
         x, y = _cloud(rng, [10, 10])
