@@ -14,21 +14,16 @@ import argparse
 import sys
 
 from collapselab.config import TrainConfig, parse_config_file, with_overrides
+from collapselab.errors import CollapseLabError
 from collapselab.harness import run_train
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--config", help="base config file (defaults apply if omitted)")
-    ap.add_argument("--mode", default="ce", choices=["ce", "allnc"])
-    ap.add_argument("--betas", type=float, nargs="+", default=[1.0, 10.0, 100.0])
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args(argv)
-
+def collapse_sweep(args: argparse.Namespace) -> int:
     base = parse_config_file(args.config) if args.config else TrainConfig()
+    overrides = {} if args.seed is None else {"seed": args.seed}
     print(f"{'beta':>8}{'std_cos_mu':>12}{'std_cos_w':>12}{'delta':>10}{'acc_few':>10}{'acc_all':>10}")
     for beta in args.betas:
-        cfg = with_overrides(base, mode=args.mode, beta=beta, seed=args.seed, out_dir="")
+        cfg = with_overrides(base, mode=args.mode, beta=beta, out_dir="", **overrides)
         result = run_train(cfg)
         if result.diverged:
             print(f"beta={beta:g}: diverged", file=sys.stderr)
@@ -40,6 +35,20 @@ def main(argv=None) -> int:
             flush=True,
         )
     return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--config", help="base config file (defaults apply if omitted)")
+    ap.add_argument("--mode", default="ce", choices=["ce", "allnc"])
+    ap.add_argument("--betas", type=float, nargs="+", default=[1.0, 10.0, 100.0])
+    ap.add_argument("--seed", type=int, help="master seed (default: the config's)")
+    args = ap.parse_args(argv)
+    try:
+        return collapse_sweep(args)
+    except CollapseLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

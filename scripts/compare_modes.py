@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from collapselab.config import TrainConfig, parse_config_file, with_overrides
+from collapselab.errors import CollapseLabError
 from collapselab.harness import run_train
 
 ROWS = [
@@ -26,20 +27,14 @@ ROWS = [
 ]
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--config", help="base config file (defaults apply if omitted)")
-    ap.add_argument("--beta", type=float, default=100.0)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default="", help="artifact directory (optional)")
-    args = ap.parse_args(argv)
-
+def compare(args: argparse.Namespace) -> int:
     base = parse_config_file(args.config) if args.config else TrainConfig()
+    overrides = {k: v for k, v in (("beta", args.beta), ("seed", args.seed)) if v is not None}
     results = {}
     for mode in ("ce", "allnc"):
         out_dir = f"{args.out}/{mode}" if args.out else ""
-        cfg = with_overrides(base, mode=mode, beta=args.beta, seed=args.seed, out_dir=out_dir)
-        print(f"training mode={mode} beta={args.beta:g} seed={args.seed} ...", flush=True)
+        cfg = with_overrides(base, mode=mode, out_dir=out_dir, **overrides)
+        print(f"training mode={mode} beta={cfg.beta:g} seed={cfg.seed} ...", flush=True)
         result = run_train(cfg)
         if result.diverged:
             print(f"{mode} run diverged after {len(result.logs)} epochs", file=sys.stderr)
@@ -53,6 +48,20 @@ def main(argv=None) -> int:
         fix_v = pick(*results["allnc"])
         print(f"{name:<16}{ce_v:>12.4f}{fix_v:>12.4f}")
     return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--config", help="base config file (defaults apply if omitted)")
+    ap.add_argument("--beta", type=float, help="imbalance ratio (default: the config's)")
+    ap.add_argument("--seed", type=int, help="master seed (default: the config's)")
+    ap.add_argument("--out", default="", help="artifact directory (optional)")
+    args = ap.parse_args(argv)
+    try:
+        return compare(args)
+    except CollapseLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

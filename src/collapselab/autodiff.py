@@ -8,10 +8,10 @@ rather than mutating it in place.
 
 Gradient semantics worth knowing before reading the ops:
 
-* The backward walk stops at every node with ``requires_grad=False``.
-  ``stop_gradient`` is an identity in the forward direction whose node has
-  ``requires_grad=False``, so ancestors reachable only through it receive a
-  bitwise-zero gradient because the traversal never visits them.
+* The backward walk stops at every node with ``requires_grad=False``, so a
+  value that must not be trained enters the graph as a ``constant`` of its
+  data: ancestors reachable only through it receive a bitwise-zero gradient
+  because the traversal never visits them.
 * ``relu`` uses the subgradient 0 at exactly 0 (the mask is ``x > 0``).
 * ``linear`` and ``softmax_cross_entropy_rows`` are fused ops: each is one
   node that reproduces a chain of simpler ops (transpose, matmul and add;
@@ -106,16 +106,6 @@ def _op(data: Array, parents: Sequence[Node], grad_fns: Sequence[GradFn]) -> Nod
         if p.requires_grad:
             return Node(data, parents, grad_fns, requires_grad=True)
     return Node(data, parents, grad_fns)
-
-
-def stop_gradient(x: Node) -> Node:
-    """Identity forward, hard zero backward: the node has requires_grad=False,
-    where the backward walk stops.
-
-    The result is constant to the optimizer: every ancestor whose only route
-    to the loss runs through this node keeps a gradient of exactly 0.0.
-    """
-    return Node(x.data, parents=(x,))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +334,7 @@ def _topo_order(root: Node) -> list[Node]:
         discovered.add(node)
         stack.append((node, True))
         for parent in node.parents:
-            # Nodes with requires_grad=False (constants, stop_gradient) end the walk.
+            # Nodes with requires_grad=False end the walk.
             if parent.requires_grad and parent not in discovered:
                 stack.append((parent, False))
     return order
@@ -353,9 +343,9 @@ def _topo_order(root: Node) -> list[Node]:
 def backward(root: Node) -> dict[Node, Array]:
     """Accumulate gradients of a scalar root; return {leaf parameter: grad}.
 
-    Parameters that the loss cannot reach (for example, only through
-    stop_gradient) are absent from the returned map; callers treat absence as
-    an exact zero.
+    Parameters that the loss cannot reach (for example, only through a
+    constant of their data) are absent from the returned map; callers treat
+    absence as an exact zero.
     """
     if root.data.size != 1:
         raise ContractError(f"backward: root must be scalar, got shape {root.shape}")

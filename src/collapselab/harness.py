@@ -12,13 +12,14 @@ evaluation form (no augmentation) for a collapse report, and a balanced test
 split is scored overall and per class-size group. Groups follow the head
 count n_max: Many > 0.2*n_max, Few <= 0.04*n_max, Medium between.
 
-A non-finite loss or gradient ends the run early with the completed epochs
-preserved and the result marked diverged. A diverged run's artifacts
-describe its last completed epoch; a run with no completed epoch writes
-none. A degenerate input inside a step (a zero vector to normalize)
-also ends the run as diverged; every other package error raised by a step
-is a broken contract and propagates. numpy's floating-point warnings are
-silenced in the epoch loop: divergence is detected by the finiteness checks.
+A non-finite loss or gradient, or a degenerate input (a zero vector to
+normalize) in a step or in the epoch's collapse report, ends the run as
+diverged. The run keeps one checkpoint, its last completed epoch: the
+parameters and the features its report was computed from, which the
+artifacts describe; a run with no completed epoch writes none. Every other
+package error is a broken contract and propagates. numpy's floating-point
+warnings are silenced in the epoch loop: divergence is detected by the
+finiteness checks.
 Sweeps run one value per row and keep going past a diverged run or a value
 that validation or the data geometry rejects, marking the row failed; any
 other package error propagates as it does from ``run_train``.
@@ -28,7 +29,7 @@ Run artifacts (fixed layout, deterministic bytes for a fixed config):
     epochs.csv        one row per epoch: losses, diagnostics, accuracies
     report.json       final NCReport fields, then diverged, epochs_completed
                       and final_accuracy (written by ``write_report``)
-    features.csv      final training-set features + labels (full precision)
+    features.csv      the final report's training-set features + labels (full precision)
     weights.csv       classifier rows + bias column (full precision)
     icpa_mu.csv       final pairwise angles between centered class means
     icpa_w.csv        final pairwise angles between centered classifier rows
@@ -134,11 +135,13 @@ EPOCH_CSV_HEADER = ",".join(
 
 @dataclass
 class RunResult:
+    """One run as of its last completed epoch: its parameters, and in
+    ``features`` the training-set features (with labels) that epoch's report
+    was computed from; ``features`` is None when no epoch completed."""
+
     config: TrainConfig
     params: NetworkParams
-    train: Dataset
-    test: Dataset
-    train_counts: np.ndarray
+    features: Dataset | None
     logs: list[EpochLog]
     diverged: bool
 
@@ -267,13 +270,19 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
     instead of raising, with the parameters put back as they stood after the
     last completed epoch.
     """
+    if emit is None:
+        emit = bool(cfg.out_dir)
+    if emit and not cfg.out_dir:
+        raise ConfigError("run_train: emission requested but out_dir is empty")
     train, test, counts = build_datasets(cfg)
     seeds = _derive_seeds(cfg.seed)
     params = init_params(ArchSpec(**{f.name: getattr(cfg, f.name) for f in fields(ArchSpec)}), seeds["init"])
     nodes = [node for _, node in params.named_parameters()]
-    # sgd_step replaces parameter arrays and never writes into them, so the
-    # arrays themselves are the checkpoint of the last completed epoch.
+    # The checkpoint of the last completed epoch: its parameter arrays (sgd_step
+    # replaces arrays and never writes into them, so no copies) and the
+    # features its report was computed from.
     completed = [node.data for node in nodes]
+    features = None
     velocity: dict[ad.Node, np.ndarray] = {}
     trainable = params.trainable(cfg.freeze_classifier_bias)
     class_weights = L.inverse_frequency_weights(counts)
@@ -293,53 +302,39 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
                 eta_value = L.eta(epoch, cfg.t_max, cfg.gamma)
             sums = dict.fromkeys(LOSS_COLUMNS, 0.0)
             n_batches = 0
-            for x, y in batches(train, cfg.batch_size, cfg.seed, epoch):
-                try:
+            try:
+                for x, y in batches(train, cfg.batch_size, cfg.seed, epoch):
                     if cfg.mode == "ce":
                         total, stats = _ce_step(params, x, y)
                     else:
                         total, stats = _allnc_step(cfg, params, x, y, eta_value, class_weights, augmenter)
                     if not np.isfinite(stats["loss_total"]):
-                        diverged = True
-                        break
+                        raise TrainingDivergedError(
+                            f"run_train: non-finite loss at epoch {epoch}, batch {n_batches + 1}"
+                        )
                     grads = ad.backward(total)
                     sgd_step(trainable, grads, velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
-                except (TrainingDivergedError, DegenerateInputError):
-                    diverged = True
-                    break
-                for c in LOSS_COLUMNS:
-                    sums[c] += stats[c]
-                n_batches += 1
-            if diverged:
+                    for c in LOSS_COLUMNS:
+                        sums[c] += stats[c]
+                    n_batches += 1
+                feats = forward(params, train.x).features.data
+                report = nc_report(
+                    feats, train.y, params.classifier_w.data, params.classifier_b.data, cfg.num_classes
+                )
+            except (TrainingDivergedError, DegenerateInputError):
                 for node, data in zip(nodes, completed):
                     node.data = data
+                diverged = True
                 break
-
-            feats = forward(params, train.x).features.data
-            report = nc_report(
-                feats, train.y, params.classifier_w.data, params.classifier_b.data, cfg.num_classes
-            )
             accuracy = evaluate(params, test, counts)
             means = {c: sums[c] / n_batches for c in LOSS_COLUMNS}
             logs.append(EpochLog(epoch=epoch, eta=eta_value, **means, report=report, accuracy=accuracy))
             completed = [node.data for node in nodes]
+            features = Dataset(feats, train.y)
 
-    result = RunResult(
-        config=cfg,
-        params=params,
-        train=train,
-        test=test,
-        train_counts=counts,
-        logs=logs,
-        diverged=diverged,
-    )
-    if emit is None:
-        emit = bool(cfg.out_dir)
-    if emit:
-        if not cfg.out_dir:
-            raise ConfigError("run_train: emission requested but out_dir is empty")
-        if logs:
-            emit_outputs(result, cfg.out_dir)
+    result = RunResult(config=cfg, params=params, features=features, logs=logs, diverged=diverged)
+    if emit and logs:
+        emit_outputs(result, cfg.out_dir)
     return result
 
 
@@ -376,8 +371,7 @@ def emit_outputs(result: RunResult, out_dir: str | Path) -> Path:
         epochs_completed=len(result.logs),
         final_accuracy=vars(result.final_accuracy),
     )
-    feats = forward(result.params, result.train.x).features.data
-    save_csv(Dataset(feats, result.train.y), out / "features.csv")
+    save_csv(result.features, out / "features.csv")
     w = result.params.classifier_w.data
     columns = [f"w{i}" for i in range(w.shape[1])] + ["bias"]
     write_csv(out / "weights.csv", columns, np.column_stack([w, result.params.classifier_b.data]), "%.17g")

@@ -12,7 +12,7 @@ The pieces:
 * ``hycon``: a two-view alignment loss. For each sample, the predictor
   output of one view and the in-batch class mean of the other view are both
   pulled toward that other view's projection; the projection enters only
-  through stop_gradient, so it is a target, not a trainee. Each term is a
+  as a constant of its data, so it is a target, not a trainee. Each term is a
   negative cosine, giving the range [-4, 4] with -4 at perfect alignment.
 * ``p2p``: drives the Gram matrix of a vector set toward the simplex-ETF
   target. For class means the rows are first centered by their mean and
@@ -102,8 +102,8 @@ def hycon(h1: Node, h2: Node, z1: Node, z2: Node, u1: Node, u2: Node) -> Node:
     output, u the in-batch class mean of the projections, z the projection
     serving as the frozen target. Range [-4, 4].
     """
-    t2 = ad.l2_normalize(ad.stop_gradient(z2))
-    t1 = ad.l2_normalize(ad.stop_gradient(z1))
+    t2 = ad.l2_normalize(ad.constant(z2.data))
+    t1 = ad.l2_normalize(ad.constant(z1.data))
     sim12 = ad.add(_negative_cosine(h1, t2), _negative_cosine(u2, t2))
     sim21 = ad.add(_negative_cosine(h2, t1), _negative_cosine(u1, t1))
     return ad.add(sim12, sim21)
@@ -156,7 +156,7 @@ def hycon_batch(
 
     Class means are computed within the batch from each view's projections
     (the anchor included; a singleton class is its own mean) and they carry
-    gradient. Targets default to the gradient-stopped projections; passing
+    gradient. Targets default to constants of the projections' data; passing
     explicit constant targets pins them, which is how the finite-difference
     checks freeze the target while leaving the live paths differentiable.
     ``selectors`` may pass in the (pool, lookup) constants of
@@ -179,8 +179,8 @@ def hycon_batch(
     u1 = ad.matmul(lookup_c, ad.matmul(pool_c, z1))
     u2 = ad.matmul(lookup_c, ad.matmul(pool_c, z2))
 
-    t1 = ad.l2_normalize_rows(target_z1 if target_z1 is not None else ad.stop_gradient(z1))
-    t2 = ad.l2_normalize_rows(target_z2 if target_z2 is not None else ad.stop_gradient(z2))
+    t1 = ad.l2_normalize_rows(target_z1 if target_z1 is not None else ad.constant(z1.data))
+    t2 = ad.l2_normalize_rows(target_z2 if target_z2 is not None else ad.constant(z2.data))
 
     toward_t2 = ad.add(
         ad.rowwise_dot(ad.l2_normalize_rows(h1), t2),

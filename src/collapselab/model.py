@@ -135,10 +135,10 @@ def init_params(arch: ArchSpec, seed: int) -> NetworkParams:
     return NetworkParams(encoder=encoder, proj1=proj1, proj2=proj2, classifier_w=cw, classifier_b=cb, arch=arch)
 
 
-def forward(params: NetworkParams, x) -> ForwardOut:
-    """One view through the shared stack. ``x`` is an (N, input_dim) array or
-    node; returns features, projection, prediction, and logits nodes."""
-    node = x if isinstance(x, Node) else ad.constant(np.asarray(x, dtype=np.float64))
+def forward(params: NetworkParams, x: Array) -> ForwardOut:
+    """One view through the shared stack. ``x`` is an (N, input_dim) array;
+    returns features, projection, prediction, and logits nodes."""
+    node = ad.constant(x)
     if node.data.ndim != 2 or node.shape[1] != params.arch.input_dim:
         raise ShapeError(f"forward: input shape {node.shape} vs input_dim {params.arch.input_dim}")
 

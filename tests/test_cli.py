@@ -113,11 +113,20 @@ class TestMetrics:
     def test_round_trip_matches_training_report(self, trained_artifacts, tmp_path, capsys):
         _assert_metrics_reproduce_report(trained_artifacts, tmp_path / "metrics")
 
-    @pytest.mark.parametrize("lr", ["30", "3"])
-    def test_diverged_run_matches_its_report(self, tmp_path, capsys, lr):
-        # at either rate configs/tiny.config diverges during its second epoch
+    @pytest.mark.parametrize(
+        "base,extra",
+        [
+            # at either rate configs/tiny.config diverges during its second epoch
+            ((ROOT / "configs" / "tiny.config").read_text(), "lr = 30\n"),
+            ((ROOT / "configs" / "tiny.config").read_text(), "lr = 3\n"),
+            # epoch 2 kills every relu: its collapse report sees all-zero features
+            (TINY_CONFIG, "mode = ce\nlr = 1.5\n"),
+        ],
+        ids=["30", "3", "degenerate-report"],
+    )
+    def test_diverged_run_matches_its_report(self, tmp_path, capsys, base, extra):
         cfg = tmp_path / "diverging.cfg"
-        cfg.write_text((ROOT / "configs" / "tiny.config").read_text() + f"lr = {lr}\n")
+        cfg.write_text(base + extra)
         run_dir = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 2
         report = json.loads((run_dir / "report.json").read_text())

@@ -54,6 +54,11 @@ def tiny_run():
     return run_train(TINY, emit=False)
 
 
+@pytest.fixture(scope="module")
+def tiny_splits():
+    return build_datasets(TINY)
+
+
 class TestClassGroups:
     def test_reference_partition(self):
         counts = np.array([500, 300, 180, 108, 65, 39, 23, 14, 8, 5])
@@ -187,6 +192,17 @@ class TestRunTrain:
         assert result.diverged
         assert len(result.logs) < 4
 
+    def test_degenerate_report_keeps_completed_epochs(self, tmp_path):
+        # epoch 5 kills every relu, so its collapse report sees all-zero features
+        out = tmp_path / "run"
+        result = run_train(with_overrides(TINY, mode="ce", lr=0.3, out_dir=str(out)))
+        assert result.diverged
+        assert len(result.logs) == 4
+        short = run_train(with_overrides(TINY, mode="ce", lr=0.3, t_max=4), emit=False)
+        for (_, kept), (_, want) in zip(result.params.named_parameters(), short.params.named_parameters()):
+            np.testing.assert_array_equal(kept.data, want.data)
+        np.testing.assert_array_equal(load_csv(out / "features.csv").x, short.features.x)
+
     def test_divergence_raises_no_numpy_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -204,6 +220,7 @@ class TestRunTrain:
         result = run_train(with_overrides(TINY, mode=mode, t_max=2, out_dir=str(out)))
         assert result.diverged
         assert result.logs == []
+        assert result.features is None
         # no completed epoch: nothing to report, so nothing is written
         assert not out.exists()
 
@@ -223,22 +240,23 @@ class TestRunTrain:
 
 
 class TestEvaluate:
-    def test_trained_params_score_by_group(self, tiny_run):
-        acc = evaluate(tiny_run.params, tiny_run.test, tiny_run.train_counts)
+    def test_trained_params_score_by_group(self, tiny_run, tiny_splits):
+        _, test, counts = tiny_splits
+        acc = evaluate(tiny_run.params, test, counts)
         assert acc.overall > 0.9
         # counts [30, 17, 10] against a Many threshold of 0.2*30 = 6: all Many
-        np.testing.assert_array_equal(class_groups(tiny_run.train_counts), 0)
+        np.testing.assert_array_equal(class_groups(counts), 0)
         assert not np.isnan(acc.many)
         assert np.isnan(acc.medium) and np.isnan(acc.few)
 
-    def test_imbalanced_counts_fill_every_group(self, tiny_run):
+    def test_imbalanced_counts_fill_every_group(self, tiny_run, tiny_splits):
         # same predictions, steeper profile: every group gets classes
-        acc = evaluate(tiny_run.params, tiny_run.test, np.array([100, 10, 4]))
+        acc = evaluate(tiny_run.params, tiny_splits[1], np.array([100, 10, 4]))
         for v in (acc.many, acc.medium, acc.few):
             assert not np.isnan(v)
 
-    def test_balanced_training_gives_nan_medium_and_few(self, tiny_run):
-        acc = evaluate(tiny_run.params, tiny_run.test, np.full(3, 30))
+    def test_balanced_training_gives_nan_medium_and_few(self, tiny_run, tiny_splits):
+        acc = evaluate(tiny_run.params, tiny_splits[1], np.full(3, 30))
         assert np.isnan(acc.medium) and np.isnan(acc.few)
         assert acc.overall == pytest.approx(acc.many)
 
@@ -308,13 +326,17 @@ class TestEmission:
             "final_accuracy",
         ]
 
-    def test_features_csv_round_trips_exactly(self, emitted, tiny_run):
+    def test_features_csv_round_trips_exactly(self, emitted, tiny_run, tiny_splits):
         from collapselab.model import forward
 
+        train = tiny_splits[0]
         back = load_csv(emitted / "features.csv")
-        feats = forward(tiny_run.params, tiny_run.train.x).features.data
+        feats = forward(tiny_run.params, train.x).features.data
         np.testing.assert_array_equal(back.x, feats)
-        np.testing.assert_array_equal(back.y, tiny_run.train.y)
+        np.testing.assert_array_equal(back.y, train.y)
+        # the file is the final report's own input
+        np.testing.assert_array_equal(back.x, tiny_run.features.x)
+        np.testing.assert_array_equal(back.y, tiny_run.features.y)
 
     def test_weights_csv_round_trips_exactly(self, emitted, tiny_run):
         lines = (emitted / "weights.csv").read_text().splitlines()
@@ -327,7 +349,11 @@ class TestEmission:
         again = load_params(emitted / "params")
         np.testing.assert_array_equal(again.classifier_w.data, tiny_run.params.classifier_w.data)
 
-    def test_emit_requires_out_dir(self):
+    def test_emit_requires_out_dir(self, monkeypatch):
+        def no_training(cfg):
+            raise AssertionError("run_train built its datasets before checking out_dir")
+
+        monkeypatch.setattr(harness, "build_datasets", no_training)
         with pytest.raises(ConfigError, match="out_dir"):
             run_train(TINY, emit=True)
 
