@@ -9,7 +9,8 @@ own value syntax. The package is imported from this checkout's ``src/``. The
 ``out_dir`` line of ``config.resolved`` names the temporary directory, so it
 is left out of that file's digest. Output is one ``<sha256>  <path>`` line per
 file, sorted by path; diff it against the same command run in another
-checkout. A run that writes no artifacts prints nothing.
+checkout. A run that writes no artifacts prints nothing. A rejected config
+prints ``error: ...`` and exits 2, as the CLI does.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from collapselab.config import parse_config_file, parse_config_text, resolved_text  # noqa: E402
+from collapselab.errors import CollapseLabError  # noqa: E402
 from collapselab.harness import run_train  # noqa: E402
 
 
@@ -55,14 +57,18 @@ def main(argv=None) -> int:
     ap.add_argument("overrides", nargs="*", help="key=value config overrides")
     args = ap.parse_args(argv)
 
-    cfg = _with_text_overrides(parse_config_file(args.config), args.overrides)
-    with tempfile.TemporaryDirectory() as tmp:
-        out_dir = Path(tmp) / "run"
-        cfg = _with_text_overrides(cfg, [f"out_dir={out_dir}"])
-        run_train(cfg)
-        if out_dir.is_dir():
-            for digest, rel in digests(out_dir):
-                print(f"{digest}  {rel}")
+    try:
+        cfg = _with_text_overrides(parse_config_file(args.config), args.overrides)
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "run"
+            cfg = _with_text_overrides(cfg, [f"out_dir={out_dir}"])
+            run_train(cfg)
+            if out_dir.is_dir():
+                for digest, rel in digests(out_dir):
+                    print(f"{digest}  {rel}")
+    except CollapseLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -12,7 +12,8 @@ Gradient semantics worth knowing before reading the ops:
   value that must not be trained enters the graph as a ``constant`` of its
   data: ancestors reachable only through it receive a bitwise-zero gradient
   because the traversal never visits them.
-* ``relu`` uses the subgradient 0 at exactly 0 (the mask is ``x > 0``).
+* ``relu`` uses the subgradient 0 at exactly 0 (the mask is ``x > 0``). Its
+  forward is ``np.maximum(x, 0)``, so a NaN input stays NaN.
 * ``linear`` and ``softmax_cross_entropy_rows`` are fused ops: each is one
   node that reproduces a chain of simpler ops (transpose, matmul and add;
   log-softmax, dot with a one-hot row and negation) to the last bit, forward
@@ -148,9 +149,11 @@ def square(x: Node) -> Node:
 
 
 def relu(x: Node) -> Node:
+    # The mask is built from the captured input array, not the node, so a
+    # graph built before sgd_step replaces the array keeps its own input.
     # Strict inequality: the subgradient at exactly 0 is 0.
-    mask = x.data > 0.0
-    return _op(np.where(mask, x.data, 0.0), (x,), (lambda g: g * mask,))
+    xd = x.data
+    return _op(np.maximum(xd, 0.0), (x,), (lambda g: g * (xd > 0.0),))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,16 @@ type, and every field has a default, so an empty file is a valid experiment.
 ``resolved_text`` serializes a config back into the same format with fields
 in schema order; parsing that text reproduces the config exactly.
 
+TrainConfig is the one range check of the data and training values: the
+data generators and the optimizer take them as plain values and do not check
+them again, so a bad value fails at parse time, not partway into a run. The
+synthetic mixture's limits (mean_radius > 0, and etf placement needing
+input_dim >= num_classes) apply only when dataset = synthetic. Checks on what
+the code computes from these values stay where it is computed (a beta that
+rounds the tail to zero samples fails in ``data.long_tail_counts``), and the
+architecture's widths are checked by ``model.ArchSpec``, which also reads
+them from saved snapshots.
+
 Schema (types and defaults live on TrainConfig):
 
   mode                  "allnc" or "ce" (plain cross-entropy baseline)
@@ -112,6 +122,14 @@ class TrainConfig:
             raise ConfigError(f"view_mask_prob must be in [0, 1), got {self.view_mask_prob}")
         if self.view_noise_std < 0 or self.noise_std < 0:
             raise ConfigError("noise_std and view_noise_std must be >= 0")
+        if self.dataset == "synthetic":
+            if self.mean_radius <= 0:
+                raise ConfigError(f"mean_radius must be > 0, got {self.mean_radius}")
+            if self.mean_placement == "etf" and self.input_dim < self.num_classes:
+                raise ConfigError(
+                    f"mean_placement = etf needs input_dim >= num_classes, "
+                    f"got {self.input_dim} < {self.num_classes}"
+                )
 
 
 def _parse_bool(text: str) -> bool:

@@ -8,8 +8,15 @@ balanced regardless of the training beta.
 
 Inputs are a Gaussian mixture: class means sit either on a scaled simplex
 ETF in input space or at seeded random directions, and samples add isotropic
-noise. The two training views of a sample are independent corruptions:
-additive Gaussian noise followed by random coordinate masking.
+noise. The means depend only on placement_seed; the harness computes them
+once and samples both splits around them with different seeds. The two
+training views of a sample are independent corruptions: additive Gaussian
+noise followed by random coordinate masking.
+
+The functions here take plain values. ``config.TrainConfig`` checks their
+ranges once, when a config is parsed; what stays here are checks on values
+these functions compute (a tail rounded to zero samples, two classes at one
+center) or receive in arrays (counts that do not match the means).
 
 Everything is seeded and deterministic; harness-level streams are kept apart
 by namespacing the seed material, and the per-epoch batch shuffle depends
@@ -30,81 +37,34 @@ from .etf import make_etf
 _BATCH_STREAM = 4  # namespace tag so shuffles never collide with other streams
 
 
-@dataclass(frozen=True)
-class LongTailSpec:
-    """Exponential class-size profile from head class n_max down by beta."""
-
-    num_classes: int
-    n_max: int
-    beta: float
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigError(f"LongTailSpec: need at least 2 classes, got {self.num_classes}")
-        if self.n_max < 1:
-            raise ConfigError(f"LongTailSpec: n_max must be >= 1, got {self.n_max}")
-        if self.beta < 1:
-            raise ConfigError(f"LongTailSpec: beta must be >= 1, got {self.beta}")
-
-
-def long_tail_counts(spec: LongTailSpec) -> np.ndarray:
+def long_tail_counts(num_classes: int, n_max: int, beta: float) -> np.ndarray:
     """Per-class sample counts, head first. round-half-up; every count >= 1."""
-    c = spec.num_classes
-    exponents = -np.arange(c) / (c - 1.0)
-    raw = spec.n_max * spec.beta**exponents
+    exponents = -np.arange(num_classes) / (num_classes - 1.0)
+    raw = n_max * beta**exponents
     counts = np.floor(raw + 0.5).astype(np.int64)
     if np.any(counts < 1):
         raise ConfigError(
-            f"long_tail_counts: beta {spec.beta} starves the tail below one sample "
-            f"(n_max={spec.n_max}, C={c})"
+            f"long_tail_counts: beta {beta} starves the tail below one sample "
+            f"(n_max={n_max}, C={num_classes})"
         )
     return counts
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Gaussian-mixture geometry: where class means sit and how noisy samples are.
+def class_means(
+    num_classes: int, input_dim: int, placement: str, radius: float, placement_seed: int
+) -> np.ndarray:
+    """(C, input_dim) matrix of pairwise-distinct class centers at norm radius.
 
-    mean_placement "etf" puts the means on a simplex ETF scaled to
-    mean_radius (needs input_dim >= num_classes); "random" uses seeded random
-    unit directions at the same radius. placement_seed fixes the means so
-    train and test splits share them while sampling seeds differ.
+    placement "etf" puts them on a simplex ETF (input_dim >= num_classes);
+    "random" uses seeded random unit directions.
     """
-
-    num_classes: int
-    input_dim: int
-    mean_placement: str = "etf"
-    mean_radius: float = 4.0
-    noise_std: float = 1.0
-    placement_seed: int = 7
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigError(f"SyntheticSpec: need at least 2 classes, got {self.num_classes}")
-        if self.input_dim < 1:
-            raise ConfigError(f"SyntheticSpec: input_dim must be >= 1, got {self.input_dim}")
-        if self.mean_placement not in ("etf", "random"):
-            raise ConfigError(f"SyntheticSpec: unknown mean_placement {self.mean_placement!r}")
-        if self.mean_placement == "etf" and self.input_dim < self.num_classes:
-            raise ConfigError(
-                f"SyntheticSpec: etf placement needs input_dim >= num_classes, "
-                f"got {self.input_dim} < {self.num_classes}"
-            )
-        if self.mean_radius <= 0:
-            raise ConfigError(f"SyntheticSpec: mean_radius must be > 0, got {self.mean_radius}")
-        if self.noise_std < 0:
-            raise ConfigError(f"SyntheticSpec: noise_std must be >= 0, got {self.noise_std}")
-
-
-def class_means(spec: SyntheticSpec) -> np.ndarray:
-    """(C, input_dim) matrix of pairwise-distinct class centers."""
-    if spec.mean_placement == "etf":
-        means = make_etf(spec.input_dim, spec.num_classes, seed=spec.placement_seed).vertices
-        means = means * spec.mean_radius
+    if placement == "etf":
+        means = make_etf(input_dim, num_classes, seed=placement_seed).vertices
+        means = means * radius
     else:
-        rng = np.random.default_rng(np.random.SeedSequence([spec.placement_seed, 5]))
-        raw = rng.standard_normal((spec.num_classes, spec.input_dim))
-        means = raw / np.linalg.norm(raw, axis=1, keepdims=True) * spec.mean_radius
+        rng = np.random.default_rng(np.random.SeedSequence([placement_seed, 5]))
+        raw = rng.standard_normal((num_classes, input_dim))
+        means = raw / np.linalg.norm(raw, axis=1, keepdims=True) * radius
     diff = means[:, None, :] - means[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
     np.fill_diagonal(dist, np.inf)
@@ -115,15 +75,10 @@ def class_means(spec: SyntheticSpec) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Samples plus 0-based contiguous labels.
-
-    label_mapping records original -> internal labels when the data came from
-    a file whose labels started at 1.
-    """
+    """Samples plus 0-based contiguous labels."""
 
     x: np.ndarray
     y: np.ndarray
-    label_mapping: dict[int, int] | None = None
 
     def __post_init__(self):
         self.x = np.ascontiguousarray(self.x, dtype=np.float64)
@@ -139,42 +94,30 @@ class Dataset:
     def dim(self) -> int:
         return int(self.x.shape[1])
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.y.max()) + 1 if self.n else 0
-
-    def counts(self, num_classes: int | None = None) -> np.ndarray:
-        c = self.num_classes if num_classes is None else int(num_classes)
-        return np.bincount(self.y, minlength=c).astype(np.int64)
+    def counts(self, num_classes: int) -> np.ndarray:
+        return np.bincount(self.y, minlength=num_classes).astype(np.int64)
 
 
-def gen_gaussian_mixture(spec: SyntheticSpec, counts: np.ndarray, seed: int) -> Dataset:
-    """Sample counts[c] points around each class mean; deterministic per seed.
+def gen_gaussian_mixture(means: np.ndarray, counts: np.ndarray, noise_std: float, seed: int) -> Dataset:
+    """Sample counts[c] points around means[c] with isotropic noise_std;
+    deterministic per seed.
 
     Rows come out grouped by class (head first); the per-epoch shuffle is the
     batching layer's job.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (spec.num_classes,):
-        raise ShapeError(f"gen_gaussian_mixture: counts shape {counts.shape} vs {spec.num_classes} classes")
+    if counts.shape != (means.shape[0],):
+        raise ShapeError(f"gen_gaussian_mixture: counts shape {counts.shape} vs {means.shape[0]} classes")
     if np.any(counts < 1):
         raise ContractError("gen_gaussian_mixture: every class needs at least one sample")
-    means = class_means(spec)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     blocks = []
     labels = []
     for c, n_c in enumerate(counts):
-        noise = rng.standard_normal((int(n_c), spec.input_dim)) * spec.noise_std
+        noise = rng.standard_normal((int(n_c), means.shape[1])) * noise_std
         blocks.append(means[c] + noise)
         labels.append(np.full(int(n_c), c, dtype=np.int64))
     return Dataset(x=np.concatenate(blocks, axis=0), y=np.concatenate(labels))
-
-
-def balanced_counts(num_classes: int, per_class: int) -> np.ndarray:
-    """The beta = 1 profile used for every evaluation split."""
-    if per_class < 1:
-        raise ConfigError(f"balanced_counts: per_class must be >= 1, got {per_class}")
-    return np.full(num_classes, per_class, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +131,6 @@ class ViewAugmenter:
     noise_std: float
     mask_prob: float
     rng: np.random.Generator = field(repr=False)
-
-    def __post_init__(self):
-        if self.noise_std < 0:
-            raise ConfigError(f"ViewAugmenter: noise_std must be >= 0, got {self.noise_std}")
-        if not 0.0 <= self.mask_prob < 1.0:
-            raise ConfigError(f"ViewAugmenter: mask_prob must be in [0, 1), got {self.mask_prob}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -242,12 +179,17 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str] | None, np.ndarray]:
     """Parse a rectangular numeric CSV, with an optional single header row.
 
     Returns (header or None, float64 matrix). Ragged rows, non-numeric cells,
-    and empty files raise ParseError naming the 1-based line number.
+    and empty files raise ParseError naming the 1-based line number; a file
+    that cannot be opened raises ParseError naming the path.
     """
     rows: list[list[float]] = []
     header: list[str] | None = None
     width: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot open: {exc.strerror}") from exc
+    with fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -292,7 +234,7 @@ def load_csv(path: str | Path) -> Dataset:
     """Load a dataset CSV: d feature columns then one integer label column.
 
     Labels must be contiguous starting at 0 or 1; 1-based labels are shifted
-    down and the mapping recorded on the returned dataset.
+    down to 0-based.
     """
     _, mat = read_numeric_csv(path)
     if mat.shape[1] < 2:
@@ -306,8 +248,7 @@ def load_csv(path: str | Path) -> Dataset:
     expected = np.arange(lo, lo + uniq.shape[0])
     if not np.array_equal(uniq, expected):
         raise ParseError(f"{path}: labels are not contiguous ({uniq.tolist()})")
-    mapping = {int(v): int(v - lo) for v in uniq} if lo == 1 else None
-    return Dataset(x=x, y=y - lo, label_mapping=mapping)
+    return Dataset(x=x, y=y - lo)
 
 
 def write_csv(path: str | Path, columns: list[str], matrix: np.ndarray, fmt: str | list[str]) -> None:

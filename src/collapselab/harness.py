@@ -50,11 +50,9 @@ from . import losses as L
 from .config import TrainConfig, resolved_text, with_overrides
 from .data import (
     Dataset,
-    LongTailSpec,
-    SyntheticSpec,
     ViewAugmenter,
-    balanced_counts,
     batches,
+    class_means,
     gen_gaussian_mixture,
     load_csv,
     long_tail_counts,
@@ -191,20 +189,12 @@ def build_datasets(cfg: TrainConfig) -> tuple[Dataset, Dataset, np.ndarray]:
             raise ConfigError("csv training data is missing at least one class")
         return train, test, counts
     seeds = _derive_seeds(cfg.seed)
-    spec = SyntheticSpec(
-        num_classes=cfg.num_classes,
-        input_dim=cfg.input_dim,
-        mean_placement=cfg.mean_placement,
-        mean_radius=cfg.mean_radius,
-        noise_std=cfg.noise_std,
-        placement_seed=cfg.placement_seed,
-    )
-    counts = long_tail_counts(LongTailSpec(cfg.num_classes, cfg.n_max, cfg.beta))
-    train = gen_gaussian_mixture(spec, counts, seeds["train_data"])
+    means = class_means(cfg.num_classes, cfg.input_dim, cfg.mean_placement, cfg.mean_radius, cfg.placement_seed)
+    counts = long_tail_counts(cfg.num_classes, cfg.n_max, cfg.beta)
+    train = gen_gaussian_mixture(means, counts, cfg.noise_std, seeds["train_data"])
     # Evaluation is always balanced, whatever beta shaped the training split.
-    test = gen_gaussian_mixture(
-        spec, balanced_counts(cfg.num_classes, cfg.n_test_per_class), seeds["test_data"]
-    )
+    test_counts = np.full(cfg.num_classes, cfg.n_test_per_class, dtype=np.int64)
+    test = gen_gaussian_mixture(means, test_counts, cfg.noise_std, seeds["test_data"])
     return train, test, counts
 
 

@@ -53,10 +53,6 @@ class ClassStats:
     def complete(self) -> bool:
         return bool(np.all(self.counts > 0))
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.counts.shape[0])
-
 
 def class_stats(features: np.ndarray, labels: np.ndarray, num_classes: int) -> ClassStats:
     """Class means, global mean, and counts for a labeled feature batch."""

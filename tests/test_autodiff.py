@@ -100,6 +100,11 @@ def test_relu_subgradient_zero_at_kink():
     np.testing.assert_array_equal(g, [0.0, 0.0, 1.0])
 
 
+def test_relu_propagates_nan():
+    x = ad.param(np.array([np.nan, -1.0, 2.0]))
+    np.testing.assert_array_equal(ad.relu(x).data, [np.nan, 0.0, 2.0])
+
+
 def test_constant_of_data_prunes_leaf(rng):
     x = ad.param(rng.standard_normal(4))
     loss = ad.sum_all(ad.constant(x.data))

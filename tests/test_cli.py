@@ -89,6 +89,15 @@ class TestTrain:
         assert code == 2
         assert "definitely_not_a_key" in capsys.readouterr().err
 
+    def test_missing_train_csv_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "csv.cfg"
+        missing = tmp_path / "missing.csv"
+        path.write_text(f"dataset = csv\ntrain_csv = {missing}\ntest_csv = {missing}\n")
+        code = main(["train", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "missing.csv" in err
+
 
 def _assert_metrics_reproduce_report(run_dir, out):
     """`metrics` on a run's features.csv and weights.csv writes exactly the
@@ -182,6 +191,19 @@ class TestMetrics:
         )
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_missing_features_exit_two(self, trained_artifacts, tmp_path, capsys):
+        code = main(
+            [
+                "metrics",
+                "--features", str(tmp_path / "missing.csv"),
+                "--weights", str(trained_artifacts / "weights.csv"),
+                "--out", str(tmp_path / "m"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "missing.csv" in err
 
     def test_non_integer_label_exit_two(self, trained_artifacts, tmp_path, capsys):
         lines = (trained_artifacts / "features.csv").read_text().splitlines()

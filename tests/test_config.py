@@ -99,6 +99,14 @@ def test_hidden_dims_parsing():
         "fixed_eta = 1.5",
         "view_mask_prob = 1.0",
         "t_max = 0",
+        "n_max = 0",
+        "n_test_per_class = 0",
+        "mean_placement = grid",
+        "noise_std = -1",
+        "view_noise_std = -0.1",
+        "mean_radius = 0",
+        # the default etf placement of 10 classes needs input_dim >= 10
+        "input_dim = 4",
     ],
 )
 def test_validation_rejects(line):
@@ -111,6 +119,14 @@ def test_csv_dataset_requires_paths():
         parse_config_text("dataset = csv\n")
     cfg = parse_config_text("dataset = csv\ntrain_csv = a.csv\ntest_csv = b.csv\n")
     assert cfg.train_csv == "a.csv"
+
+
+def test_csv_dataset_skips_mixture_geometry():
+    # the mixture's limits do not apply to data read from files
+    cfg = parse_config_text(
+        "dataset = csv\ntrain_csv = a.csv\ntest_csv = b.csv\nnum_classes = 10\ninput_dim = 4\nmean_radius = 0\n"
+    )
+    assert (cfg.num_classes, cfg.input_dim) == (10, 4)
 
 
 def test_with_overrides_validates():

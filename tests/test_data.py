@@ -5,10 +5,7 @@ import pytest
 
 from collapselab.data import (
     Dataset,
-    LongTailSpec,
-    SyntheticSpec,
     ViewAugmenter,
-    balanced_counts,
     batches,
     class_means,
     gen_gaussian_mixture,
@@ -23,51 +20,36 @@ from collapselab.errors import ConfigError, ContractError, ParseError, ShapeErro
 
 class TestLongTailCounts:
     def test_reference_profile(self):
-        counts = long_tail_counts(LongTailSpec(num_classes=10, n_max=500, beta=100.0))
+        counts = long_tail_counts(10, 500, 100.0)
         np.testing.assert_array_equal(counts, [500, 300, 180, 108, 65, 39, 23, 14, 8, 5])
 
     def test_head_and_tail_anchors(self):
         for beta in (1.0, 10.0, 100.0):
-            counts = long_tail_counts(LongTailSpec(num_classes=6, n_max=400, beta=beta))
+            counts = long_tail_counts(6, 400, beta)
             assert counts[0] == 400
             assert abs(counts[-1] - 400 / beta) <= 0.5
 
     def test_monotone_nonincreasing(self):
-        counts = long_tail_counts(LongTailSpec(num_classes=12, n_max=350, beta=50.0))
+        counts = long_tail_counts(12, 350, 50.0)
         assert np.all(np.diff(counts) <= 0)
 
     def test_rounds_half_up(self):
         # C=3, n_max=10, beta=4: raw tail of class 1 is 10/2 = 5, class 2 is 2.5
-        counts = long_tail_counts(LongTailSpec(num_classes=3, n_max=10, beta=4.0))
+        counts = long_tail_counts(3, 10, 4.0)
         np.testing.assert_array_equal(counts, [10, 5, 3])
 
     def test_balanced_when_beta_one(self):
-        counts = long_tail_counts(LongTailSpec(num_classes=5, n_max=77, beta=1.0))
+        counts = long_tail_counts(5, 77, 1.0)
         np.testing.assert_array_equal(counts, 77)
 
     def test_starved_tail_rejected(self):
         with pytest.raises(ConfigError, match="starves"):
-            long_tail_counts(LongTailSpec(num_classes=4, n_max=10, beta=100.0))
-
-    def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            LongTailSpec(num_classes=1, n_max=10, beta=2.0)
-        with pytest.raises(ConfigError):
-            LongTailSpec(num_classes=3, n_max=0, beta=2.0)
-        with pytest.raises(ConfigError):
-            LongTailSpec(num_classes=3, n_max=10, beta=0.5)
-
-
-def test_balanced_counts():
-    np.testing.assert_array_equal(balanced_counts(4, 25), [25, 25, 25, 25])
-    with pytest.raises(ConfigError):
-        balanced_counts(4, 0)
+            long_tail_counts(4, 10, 100.0)
 
 
 class TestClassMeans:
     def test_etf_placement_geometry(self):
-        spec = SyntheticSpec(num_classes=5, input_dim=8, mean_radius=4.0)
-        mu = class_means(spec)
+        mu = class_means(5, 8, "etf", 4.0, 7)
         np.testing.assert_allclose(np.linalg.norm(mu, axis=1), 4.0, atol=1e-9)
         unit = mu / 4.0
         cos = unit @ unit.T
@@ -75,73 +57,59 @@ class TestClassMeans:
         np.testing.assert_allclose(off, -0.25, atol=1e-9)
 
     def test_random_placement_radius_and_distinct(self):
-        spec = SyntheticSpec(num_classes=6, input_dim=3, mean_placement="random", mean_radius=2.0)
-        mu = class_means(spec)
+        mu = class_means(6, 3, "random", 2.0, 7)
         np.testing.assert_allclose(np.linalg.norm(mu, axis=1), 2.0, atol=1e-12)
         d = np.linalg.norm(mu[:, None] - mu[None, :], axis=2)
         np.fill_diagonal(d, np.inf)
         assert d.min() > 1e-6
 
     def test_placement_seed_fixes_means(self):
-        a = class_means(SyntheticSpec(num_classes=4, input_dim=6, placement_seed=3))
-        b = class_means(SyntheticSpec(num_classes=4, input_dim=6, placement_seed=3))
-        c = class_means(SyntheticSpec(num_classes=4, input_dim=6, placement_seed=4))
+        a = class_means(4, 6, "etf", 4.0, 3)
+        b = class_means(4, 6, "etf", 4.0, 3)
+        c = class_means(4, 6, "etf", 4.0, 4)
         np.testing.assert_array_equal(a, b)
         assert not np.allclose(a, c)
 
-    def test_etf_needs_room(self):
-        with pytest.raises(ConfigError):
-            SyntheticSpec(num_classes=10, input_dim=4)
-
-    def test_spec_validation(self):
-        with pytest.raises(ConfigError):
-            SyntheticSpec(num_classes=3, input_dim=5, mean_placement="grid")
-        with pytest.raises(ConfigError):
-            SyntheticSpec(num_classes=3, input_dim=5, mean_radius=0.0)
-        with pytest.raises(ConfigError):
-            SyntheticSpec(num_classes=3, input_dim=5, noise_std=-1.0)
-
 
 class TestMixture:
-    SPEC = SyntheticSpec(num_classes=3, input_dim=5, mean_radius=4.0, noise_std=1.0)
+    MEANS = class_means(3, 5, "etf", 4.0, 7)
 
     def test_counts_honored_and_grouped(self):
         counts = np.array([40, 20, 10])
-        ds = gen_gaussian_mixture(self.SPEC, counts, seed=0)
-        np.testing.assert_array_equal(ds.counts(), counts)
+        ds = gen_gaussian_mixture(self.MEANS, counts, 1.0, seed=0)
+        np.testing.assert_array_equal(ds.counts(3), counts)
         np.testing.assert_array_equal(ds.y, np.repeat([0, 1, 2], counts))
 
     def test_sample_means_near_centers(self):
         counts = np.array([4000, 4000, 4000])
-        ds = gen_gaussian_mixture(self.SPEC, counts, seed=1)
-        mu = class_means(self.SPEC)
+        ds = gen_gaussian_mixture(self.MEANS, counts, 1.0, seed=1)
         for c in range(3):
             got = ds.x[ds.y == c].mean(axis=0)
             # CLT: each coordinate off by ~ std/sqrt(n); allow 5 sigma
-            assert np.max(np.abs(got - mu[c])) < 5.0 / np.sqrt(4000)
+            assert np.max(np.abs(got - self.MEANS[c])) < 5.0 / np.sqrt(4000)
 
     def test_deterministic_per_seed(self):
         counts = np.array([5, 4, 3])
-        a = gen_gaussian_mixture(self.SPEC, counts, seed=9)
-        b = gen_gaussian_mixture(self.SPEC, counts, seed=9)
-        c = gen_gaussian_mixture(self.SPEC, counts, seed=10)
+        a = gen_gaussian_mixture(self.MEANS, counts, 1.0, seed=9)
+        b = gen_gaussian_mixture(self.MEANS, counts, 1.0, seed=9)
+        c = gen_gaussian_mixture(self.MEANS, counts, 1.0, seed=10)
         np.testing.assert_array_equal(a.x, b.x)
         assert not np.allclose(a.x, c.x)
 
     def test_train_and_test_share_means(self):
-        # different sampling seeds, same placement: per-class means agree
+        # different sampling seeds around the same means: per-class means agree
         counts = np.array([3000, 3000, 3000])
-        tr = gen_gaussian_mixture(self.SPEC, counts, seed=0)
-        te = gen_gaussian_mixture(self.SPEC, counts, seed=1)
+        tr = gen_gaussian_mixture(self.MEANS, counts, 1.0, seed=0)
+        te = gen_gaussian_mixture(self.MEANS, counts, 1.0, seed=1)
         for c in range(3):
             gap = tr.x[tr.y == c].mean(axis=0) - te.x[te.y == c].mean(axis=0)
             assert np.linalg.norm(gap) < 0.2
 
     def test_zero_count_rejected(self):
         with pytest.raises(ContractError):
-            gen_gaussian_mixture(self.SPEC, np.array([5, 0, 3]), seed=0)
+            gen_gaussian_mixture(self.MEANS, np.array([5, 0, 3]), 1.0, seed=0)
         with pytest.raises(ShapeError):
-            gen_gaussian_mixture(self.SPEC, np.array([5, 3]), seed=0)
+            gen_gaussian_mixture(self.MEANS, np.array([5, 3]), 1.0, seed=0)
 
 
 class TestAugmenter:
@@ -166,13 +134,6 @@ class TestAugmenter:
         aug = ViewAugmenter(noise_std=0.5, mask_prob=0.1, rng=np.random.default_rng(3))
         v1, v2 = aug.pair(np.zeros((4, 6)))
         assert not np.array_equal(v1, v2)
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigError):
-            ViewAugmenter(noise_std=-0.1, mask_prob=0.0, rng=rng)
-        with pytest.raises(ConfigError):
-            ViewAugmenter(noise_std=0.1, mask_prob=1.0, rng=rng)
 
 
 class TestBatches:
@@ -224,7 +185,6 @@ class TestCsv:
         back = load_csv(path)
         np.testing.assert_array_equal(back.x, ds.x)
         np.testing.assert_array_equal(back.y, ds.y)
-        assert back.label_mapping is None
 
     def test_write_csv_formats_special_values(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -232,12 +192,12 @@ class TestCsv:
         write_csv(path, ["a", "b", "c"], matrix, "%.17g")
         assert path.read_text() == "a,b,c\nnan,-0,4.9406564584124654e-324\ninf,-inf,1.797e+308\n"
 
-    def test_one_based_labels_shift_and_record(self, tmp_path):
+    def test_one_based_labels_shift_down(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("1.0,2.0,1\n3.0,4.0,2\n5.0,6.0,3\n")
+        path.write_text("1.0,2.0,1\n3.0,4.0,2\n5.0,6.0,3\n7.0,8.0,3\n")
         ds = load_csv(path)
-        np.testing.assert_array_equal(ds.y, [0, 1, 2])
-        assert ds.label_mapping == {1: 0, 2: 1, 3: 2}
+        np.testing.assert_array_equal(ds.y, [0, 1, 2, 2])
+        np.testing.assert_array_equal(ds.counts(3), [1, 1, 2])
 
     def test_header_detected(self, tmp_path):
         path = tmp_path / "d.csv"

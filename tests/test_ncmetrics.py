@@ -40,7 +40,7 @@ class TestClassStats:
         np.testing.assert_allclose(s.mu[0], [1.0, 0.0])
         np.testing.assert_allclose(s.mu[1], [0.0, 4.0])
         np.testing.assert_array_equal(s.counts, [2, 1])
-        assert s.complete and s.num_classes == 2
+        assert s.complete
 
     def test_global_mean_is_count_weighted(self, rng):
         x, y = _cloud(rng, [50, 7, 3])

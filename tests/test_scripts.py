@@ -49,6 +49,14 @@ def test_artifact_digest_lists_every_file_and_repeats():
     assert _artifact_digest(str(ROOT / "configs" / "tiny.config"), "t_max=1") == first
 
 
+def test_artifact_digest_reports_a_rejected_config_like_the_cli():
+    done = _demo("artifact_digest.py", TINY, "mean_radius=0")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "mean_radius" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_compare_modes_takes_beta_and_seed_from_the_config():
     done = _demo("compare_modes.py", "--config", TINY)
     assert done.returncode == 0, done.stderr
