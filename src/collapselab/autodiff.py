@@ -25,7 +25,9 @@ Gradient semantics worth knowing before reading the ops:
 
 Broadcasting is deliberately restricted to the one pattern the networks here
 need: adding or subtracting a length-d vector row-wise against an (N, d)
-matrix. Everything else requires exact shape agreement.
+matrix. Everything else requires exact shape agreement. ``l2_normalize_rows``
+and ``rowwise_dot`` work along the last axis, so one op serves a single (d,)
+vector and each row of an (N, d) matrix.
 """
 
 from __future__ import annotations
@@ -212,13 +214,14 @@ def dot(a: Node, b: Node) -> Node:
 
 
 def rowwise_dot(a: Node, b: Node) -> Node:
-    """Per-row inner products of two (N, d) matrices; returns an (N,) node."""
-    if a.data.ndim != 2 or a.shape != b.shape:
-        raise ShapeError(f"rowwise_dot: need matching 2-d shapes, got {a.shape} and {b.shape}")
+    """Inner products along the last axis of two equal (d,) or (N, d) operands;
+    returns a scalar or an (N,) node."""
+    if a.data.ndim not in (1, 2) or a.shape != b.shape:
+        raise ShapeError(f"rowwise_dot: need matching 1-d or 2-d shapes, got {a.shape} and {b.shape}")
     return _op(
-        np.einsum("ij,ij->i", a.data, b.data),
+        np.einsum("...i,...i->...", a.data, b.data),
         (a, b),
-        (lambda g: g[:, None] * b.data, lambda g: g[:, None] * a.data),
+        (lambda g: g[..., None] * b.data, lambda g: g[..., None] * a.data),
     )
 
 
@@ -253,34 +256,20 @@ def mean_rows(x: Node) -> Node:
 # norms and normalization
 
 
-def l2_normalize(v: Node) -> Node:
-    """v / ||v|| for a 1-d vector. Gradient projects out the radial part."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"l2_normalize: need a 1-d operand, got {v.shape}")
-    n = float(np.linalg.norm(v.data))
-    if n == 0.0:
-        raise DegenerateInputError("l2_normalize: zero vector")
-    y = v.data / n
-
-    def back(g: Array) -> Array:
-        return (g - y * float(y @ g)) / n
-
-    return _op(y, (v,), (back,))
-
-
 def l2_normalize_rows(x: Node) -> Node:
-    """Row-wise unit normalization of an (N, d) matrix."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"l2_normalize_rows: need a 2-d operand, got {x.shape}")
-    norms = np.linalg.norm(x.data, axis=1)
+    """Unit normalization along the last axis of a (d,) vector or each row of
+    an (N, d) matrix. The gradient projects out the radial part."""
+    if x.data.ndim not in (1, 2):
+        raise ShapeError(f"l2_normalize_rows: need a 1-d or 2-d operand, got {x.shape}")
+    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateInputError(f"l2_normalize_rows: zero vector at row {int(zero[0])}")
-    y = x.data / norms[:, None]
+    y = x.data / norms
 
     def back(g: Array) -> Array:
-        radial = np.einsum("ij,ij->i", y, g)
-        return (g - y * radial[:, None]) / norms[:, None]
+        radial = np.einsum("...i,...i->...", y, g)
+        return (g - y * radial[..., None]) / norms
 
     return _op(y, (x,), (back,))
 

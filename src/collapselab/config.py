@@ -13,9 +13,10 @@ them again, so a bad value fails at parse time, not partway into a run. The
 synthetic mixture's limits (mean_radius > 0, and etf placement needing
 input_dim >= num_classes) apply only when dataset = synthetic. Checks on what
 the code computes from these values stay where it is computed (a beta that
-rounds the tail to zero samples fails in ``data.long_tail_counts``), and the
-architecture's widths are checked by ``model.ArchSpec``, which also reads
-them from saved snapshots.
+rounds the tail to zero samples fails in ``data.long_tail_counts``). The
+architecture's widths are checked at parse time too, by building the
+``model.ArchSpec`` of the config's fields: that class holds the one copy of
+the width rules, which it also applies to saved snapshots.
 
 Schema (types and defaults live on TrainConfig):
 
@@ -47,6 +48,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .model import ArchSpec
 
 _MODES = ("allnc", "ce")
 _DATASETS = ("synthetic", "csv")
@@ -106,6 +108,7 @@ class TrainConfig:
             raise ConfigError(f"beta must be >= 1, got {self.beta}")
         if min(self.input_dim, self.n_max, self.n_test_per_class, self.batch_size, self.t_max) < 1:
             raise ConfigError("input_dim, n_max, n_test_per_class, batch_size, t_max must be >= 1")
+        ArchSpec(**{f.name: getattr(self, f.name) for f in fields(ArchSpec)})
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:

@@ -180,35 +180,38 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str] | None, np.ndarray]:
 
     Returns (header or None, float64 matrix). Ragged rows, non-numeric cells,
     and empty files raise ParseError naming the 1-based line number; a file
-    that cannot be opened raises ParseError naming the path.
+    that cannot be opened or is not UTF-8 text raises ParseError naming the
+    path.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot open: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     rows: list[list[float]] = []
     header: list[str] | None = None
     width: int | None = None
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot open: {exc.strerror}") from exc
-    with fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cells = _split_line(line)
-            if width is None:
-                try:
-                    rows.append([float(c) for c in cells])
-                except ValueError:
-                    header = cells
-                width = len(cells)
-                continue
-            if len(cells) != width:
-                raise ParseError(f"{path}: line {ln}: expected {width} columns, got {len(cells)}")
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        cells = _split_line(line)
+        if width is None:
             try:
                 rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                bad = next(c for c in cells if not _is_float(c))
-                raise ParseError(f"{path}: line {ln}: non-numeric value {bad!r}") from exc
+            except ValueError:
+                header = cells
+            width = len(cells)
+            continue
+        if len(cells) != width:
+            raise ParseError(f"{path}: line {ln}: expected {width} columns, got {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            bad = next(c for c in cells if not _is_float(c))
+            raise ParseError(f"{path}: line {ln}: non-numeric value {bad!r}") from exc
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=np.float64)

@@ -87,11 +87,3 @@ def etf_deviation(vectors: np.ndarray) -> float:
         raise DegenerateInputError(f"etf_deviation: zero column at index {int(zero[0])}")
     unit = v / norms
     return float(np.max(np.abs(unit.T @ unit - rho_matrix(c))))
-
-
-def icpa_degrees_target(num_classes: int) -> float:
-    """The angle, in degrees, between any two vectors of a simplex ETF."""
-    c = int(num_classes)
-    if c < 2:
-        raise DomainError(f"icpa_degrees_target: need at least 2 classes, got {c}")
-    return float(np.degrees(np.arccos(-1.0 / (c - 1.0))))

@@ -9,11 +9,14 @@ The pieces:
 * ``mean_cross_entropy`` / ``mean_reweighted_ce``: standard CE and its
   inverse-frequency-weighted variant (weights normalized to mean 1, so
   balanced data reduces it to plain CE).
-* ``hycon``: a two-view alignment loss. For each sample, the predictor
-  output of one view and the in-batch class mean of the other view are both
-  pulled toward that other view's projection; the projection enters only
-  as a constant of its data, so it is a target, not a trainee. Each term is a
-  negative cosine, giving the range [-4, 4] with -4 at perfect alignment.
+* ``hycon``: the two-view alignment loss, defined once for one sample of
+  (p,) vectors or the batch mean over (N, p) stacks. For each sample, the
+  predictor output of one view and the in-batch class mean of the other
+  view are both pulled toward that other view's projection; the projection
+  enters only as a constant of its data, so it is a target, not a trainee.
+  Each term is a negative cosine, giving the range [-4, 4] with -4 at
+  perfect alignment. ``hycon_batch`` builds the class means from the labels
+  and calls it.
 * ``p2p``: drives the Gram matrix of a vector set toward the simplex-ETF
   target. For class means the rows are first centered by their mean and
   unit-normalized; classifier rows enter raw, so the loss also pushes them
@@ -90,23 +93,27 @@ def inverse_frequency_weights(counts: np.ndarray) -> np.ndarray:
 # two-view alignment
 
 
-def _negative_cosine(a: Node, target_unit: Node) -> Node:
-    return ad.neg(ad.dot(ad.l2_normalize(a), target_unit))
-
-
 def hycon(h1: Node, h2: Node, z1: Node, z2: Node, u1: Node, u2: Node) -> Node:
-    """Single-sample two-view alignment loss.
+    """Two-view alignment loss of one sample of (p,) vectors, or the batch
+    mean over N samples of (N, p) stacks.
 
     sim(h, u, sg(z)) = -cos(h, z) - cos(u, z) with z gradient-stopped; the
     loss is sim(h1, u2, sg(z2)) + sim(h2, u1, sg(z1)). h is the predictor
     output, u the in-batch class mean of the projections, z the projection
     serving as the frozen target. Range [-4, 4].
     """
-    t2 = ad.l2_normalize(ad.constant(z2.data))
-    t1 = ad.l2_normalize(ad.constant(z1.data))
-    sim12 = ad.add(_negative_cosine(h1, t2), _negative_cosine(u2, t2))
-    sim21 = ad.add(_negative_cosine(h2, t1), _negative_cosine(u1, t1))
-    return ad.add(sim12, sim21)
+    t1 = ad.l2_normalize_rows(ad.constant(z1.data))
+    t2 = ad.l2_normalize_rows(ad.constant(z2.data))
+
+    toward_t2 = ad.add(
+        ad.rowwise_dot(ad.l2_normalize_rows(h1), t2),
+        ad.rowwise_dot(ad.l2_normalize_rows(u2), t2),
+    )
+    toward_t1 = ad.add(
+        ad.rowwise_dot(ad.l2_normalize_rows(h2), t1),
+        ad.rowwise_dot(ad.l2_normalize_rows(u1), t1),
+    )
+    return ad.neg(ad.mean_all(ad.add(toward_t2, toward_t1)))
 
 
 def _class_selectors(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,16 +159,16 @@ def hycon_batch(
     target_z2: Node | None = None,
     selectors: tuple[Node, Node] | None = None,
 ) -> Node:
-    """Batch-mean two-view alignment loss over (N, p) stacks.
+    """``hycon`` over (N, p) stacks with u the in-batch class means.
 
     Class means are computed within the batch from each view's projections
     (the anchor included; a singleton class is its own mean) and they carry
-    gradient. Targets default to constants of the projections' data; passing
-    explicit constant targets pins them, which is how the finite-difference
-    checks freeze the target while leaving the live paths differentiable.
-    ``selectors`` may pass in the (pool, lookup) constants of
-    ``_class_selectors(labels)``, so that a caller who also needs class means
-    builds them once.
+    gradient. Targets default to the projections themselves; ``hycon`` reads
+    a target only as a constant of its data, so no gradient reaches it.
+    Passing explicit targets pins them, which is how the finite-difference
+    checks keep the target still while they perturb z. ``selectors`` may
+    pass in the (pool, lookup) constants of ``_class_selectors(labels)``, so
+    that a caller who also needs class means builds them once.
     """
     for name, node in (("h1", h1), ("h2", h2), ("z1", z1), ("z2", z2)):
         if node.data.ndim != 2:
@@ -178,19 +185,11 @@ def hycon_batch(
     pool_c, lookup_c = selectors
     u1 = ad.matmul(lookup_c, ad.matmul(pool_c, z1))
     u2 = ad.matmul(lookup_c, ad.matmul(pool_c, z2))
-
-    t1 = ad.l2_normalize_rows(target_z1 if target_z1 is not None else ad.constant(z1.data))
-    t2 = ad.l2_normalize_rows(target_z2 if target_z2 is not None else ad.constant(z2.data))
-
-    toward_t2 = ad.add(
-        ad.rowwise_dot(ad.l2_normalize_rows(h1), t2),
-        ad.rowwise_dot(ad.l2_normalize_rows(u2), t2),
-    )
-    toward_t1 = ad.add(
-        ad.rowwise_dot(ad.l2_normalize_rows(h2), t1),
-        ad.rowwise_dot(ad.l2_normalize_rows(u1), t1),
-    )
-    return ad.neg(ad.mean_all(ad.add(toward_t2, toward_t1)))
+    if target_z1 is None:
+        target_z1 = z1
+    if target_z2 is None:
+        target_z2 = z2
+    return hycon(h1, h2, target_z1, target_z2, u1, u2)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +234,9 @@ def p2p(
             raise ShapeError(f"p2p: center shape {center.shape} vs row width {vectors.shape[1]}")
         v = ad.l2_normalize_rows(ad.sub(v, center))
     gram = ad.matmul(v, ad.transpose(v))
-    target = rho_matrix(c)[:k, :k] if k < c else rho_matrix(c)
     # With k < c the slice keeps ones on the diagonal and -1/(C-1) off it,
     # which is exactly the Gram a subset of the full frame should have.
-    return ad.mean_all(ad.square(ad.sub(gram, ad.constant(target))))
+    return ad.mean_all(ad.square(ad.sub(gram, ad.constant(rho_matrix(c)[:k, :k]))))
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,14 @@ def test_backward_rejects_vector_root(rng):
         lambda x: ad.sum_all(ad.square(ad.softmax_cross_entropy_rows(x, ONEHOT_4x6))),
         lambda x: ad.sum_all(ad.matmul(x, ad.transpose(x))),
         lambda x: ad.sum_all(ad.square(ad.matmul(x, ad.transpose(x)))),
+        lambda x: ad.sum_all(ad.square(ad.rowwise_dot(x, ad.square(x)))),
+        lambda x: ad.rowwise_dot(ad.mean_rows(x), ad.mean_rows(ad.square(x))),
+        lambda x: ad.sum_all(ad.l2_normalize_rows(ad.mean_rows(ad.square(x)))),
     ],
-    ids=["relu", "mean_sq", "l2rows", "meanrows", "softmax_xent", "gram", "gram_sq"],
+    ids=[
+        "relu", "mean_sq", "l2rows", "meanrows", "softmax_xent", "gram", "gram_sq",
+        "rowdot_2d", "rowdot_1d", "l2rows_1d",
+    ],
 )
 def test_matrix_ops_match_finite_differences(build, rng):
     # offset away from relu kinks; the other ops are smooth everywhere
@@ -233,11 +239,12 @@ def test_softmax_cross_entropy_rows_is_bitwise_log_softmax_arithmetic(rng, offse
         )
 
 
-def test_l2_normalize_unit_output(rng):
+def test_l2_normalize_rows_unit_vector_output(rng):
     v = ad.param(rng.standard_normal(6))
-    n = ad.l2_normalize(v)
+    n = ad.l2_normalize_rows(v)
+    assert n.shape == (6,)
     assert abs(np.linalg.norm(n.data) - 1.0) < 1e-12
-    assert ad.grad_check(lambda: ad.sum_all(ad.square(ad.l2_normalize(v))), [v]) < 1e-6
+    assert ad.grad_check(lambda: ad.sum_all(ad.square(ad.l2_normalize_rows(v))), [v]) < 1e-6
 
 
 def test_backward_deterministic(rng):

@@ -205,6 +205,16 @@ class TestMetrics:
         assert code == 2
         assert err.startswith("error:") and "missing.csv" in err
 
+    def test_binary_input_exit_two(self, tmp_path, capsys):
+        # 300 random bytes are not UTF-8 text; the reader names the file
+        # instead of letting the decode error escape as a traceback
+        bad = tmp_path / "bin.csv"
+        bad.write_bytes(np.random.default_rng(0).bytes(300))
+        code = main(["metrics", "--features", str(bad), "--weights", str(bad), "--out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "bin.csv" in err and "UTF-8" in err
+
     def test_non_integer_label_exit_two(self, trained_artifacts, tmp_path, capsys):
         lines = (trained_artifacts / "features.csv").read_text().splitlines()
         cells = lines[2].split(",")

@@ -107,6 +107,10 @@ def test_hidden_dims_parsing():
         "mean_radius = 0",
         # the default etf placement of 10 classes needs input_dim >= 10
         "input_dim = 4",
+        # architecture widths, checked by model.ArchSpec at parse time
+        "feature_dim = 0",
+        "hidden_dims = 0,64",
+        "proj1_hidden = -1",
     ],
 )
 def test_validation_rejects(line):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collapselab.errors import DegenerateInputError, ShapeError
-from collapselab.etf import EtfFrame, etf_deviation, icpa_degrees_target, make_etf, rho_matrix
+from collapselab.etf import EtfFrame, etf_deviation, make_etf, rho_matrix
 
 
 @pytest.mark.parametrize("c", [2, 4, 10, 16])
@@ -35,12 +35,6 @@ def test_minimum_embedding_dimension_works():
     # C-1 dimensions suffice for a C simplex after centering drops one rank
     frame = make_etf(4, 4, seed=0)
     assert etf_deviation(frame.vectors) < 1e-9
-
-
-def test_icpa_target_value():
-    assert icpa_degrees_target(10) == pytest.approx(np.degrees(np.arccos(-1.0 / 9.0)))
-    assert abs(icpa_degrees_target(10) - 96.3793702) < 1e-6
-    assert icpa_degrees_target(2) == pytest.approx(180.0)
 
 
 def test_deviation_of_orthonormal_columns():

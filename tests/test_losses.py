@@ -101,6 +101,28 @@ class TestHycon:
         )
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
+    def test_stacks_with_class_means_equal_hycon_batch(self, rng):
+        # hycon_batch only builds u from the labels; handed the same class
+        # means, hycon must give the same value and gradients to the bit
+        y = np.array([2, 0, 2, 1, 0])
+        h1, h2, z1, z2 = (ad.param(rng.standard_normal((5, 4))) for _ in range(4))
+        means1, present = class_mean_matrix(z1, y)
+        means2, _ = class_mean_matrix(z2, y)
+        lookup = ad.constant(np.eye(present.shape[0])[np.searchsorted(present, y)])
+        u1, u2 = ad.matmul(lookup, means1), ad.matmul(lookup, means2)
+        direct = hycon(h1, h2, z1, z2, u1, u2)
+        batch = hycon_batch(h1, h2, z1, z2, y)
+        assert direct.item() == batch.item()
+        g_direct, g_batch = ad.backward(direct), ad.backward(batch)
+        for node in (h1, h2, z1, z2):
+            assert np.array_equal(g_direct[node], g_batch[node])
+
+    def test_one_sample_equals_one_row_stack(self, rng):
+        vecs = rng.standard_normal((6, 4))
+        single = hycon(*(ad.constant(v) for v in vecs)).item()
+        stacked = hycon(*(ad.constant(v[None, :]) for v in vecs)).item()
+        assert single == stacked
+
     def test_batch_coincident_views(self, rng):
         # the u-term compares against the class mean, so the floor needs every
         # sample of a class on one point, not just equal views

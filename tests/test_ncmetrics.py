@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from collapselab.errors import ContractError, DegenerateInputError, ShapeError
-from collapselab.etf import icpa_degrees_target, make_etf
+from collapselab.etf import make_etf
 from collapselab.harness import write_report
 from collapselab.ncmetrics import (
     centered_pairwise_cosines,
@@ -151,7 +151,7 @@ class TestIcpa:
         cos = centered_pairwise_cosines(frame.vertices, np.zeros(16))
         angles = icpa_degrees(cos)
         off = angles[np.triu_indices(10, k=1)]
-        assert np.max(np.abs(off - icpa_degrees_target(10))) < 1e-6
+        assert np.max(np.abs(off - np.degrees(np.arccos(-1 / 9)))) < 1e-6
         np.testing.assert_array_equal(np.diag(angles), 0.0)
 
     def test_clips_out_of_range_cosines(self):
@@ -262,7 +262,7 @@ class TestReport:
         assert rep.delta < 1e-9
         assert rep.ncc_agreement == 1.0
         off = rep.icpa_mu[np.triu_indices(10, k=1)]
-        assert np.max(np.abs(off - icpa_degrees_target(10))) < 1e-6
+        assert np.max(np.abs(off - np.degrees(np.arccos(-1 / 9)))) < 1e-6
 
     def test_weights_row_count_checked(self, rng):
         x, y = _cloud(rng, [5, 5])
