@@ -14,12 +14,24 @@ Gradient semantics worth knowing before reading the ops:
   because the traversal never visits them.
 * ``relu`` uses the subgradient 0 at exactly 0 (the mask is ``x > 0``). Its
   forward is ``np.maximum(x, 0)``, so a NaN input stays NaN.
-* ``linear`` and ``softmax_cross_entropy_rows`` are fused ops: each is one
-  node that reproduces a chain of simpler ops (transpose, matmul and add;
-  log-softmax, dot with a one-hot row and negation) to the last bit, forward
-  and backward; ``linear`` documents the batch shapes where BLAS rounds its
-  backward differently. The cross-entropy subtracts the row maximum before
-  exponentiating, so large logits cannot overflow.
+* ``linear``, ``softmax_cross_entropy_rows``, ``cosine_alignment`` and
+  ``gram_mse`` are fused ops: each is one node that reproduces a chain of
+  simpler ops to the last bit, forward and backward, on the gradient of
+  every input that has no other consumer:
+  - ``linear``: transpose, matmul and add; it documents the batch shapes
+    where BLAS rounds its backward differently;
+  - ``softmax_cross_entropy_rows``: log-softmax, dot with a one-hot row and
+    negation; it subtracts the row maximum before exponentiating, so large
+    logits cannot overflow;
+  - ``cosine_alignment``: four ``l2_normalize_rows`` and ``rowwise_dot``
+    pairs against two constant targets, normalized in numpy, then add,
+    ``mean_all`` and ``neg``;
+  - ``gram_mse``: transpose, matmul, subtraction of a constant target,
+    square and ``mean_all``.
+  An input that also feeds other nodes receives the same contributions, but
+  ``backward`` may sum them in another order than it would for the chain.
+* ``sub`` is one node, bit for bit ``add(a, neg(b))``. ``l2_normalize_rows``
+  computes its norms with the arithmetic of ``np.linalg.norm``.
 * ``backward`` walks the graph once in reverse topological order and
   accumulates into each node; the schedule is deterministic given the graph.
 
@@ -115,18 +127,27 @@ def _op(data: Array, parents: Sequence[Node], grad_fns: Sequence[GradFn]) -> Nod
 # elementwise and affine ops
 
 
+def _row_broadcast(a: Node, b: Node, op: str) -> bool:
+    """Whether b broadcasts across a's rows; raises on any other mismatch."""
+    if a.shape == b.shape:
+        return False
+    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
+        return True
+    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+
+
 def add(a: Node, b: Node) -> Node:
     """a + b for equal shapes, or (N, d) + (d,) broadcast across rows."""
-    if a.shape == b.shape:
-        return _op(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
+    if _row_broadcast(a, b, "add"):
         return _op(a.data + b.data, (a, b), (lambda g: g, lambda g: g.sum(axis=0)))
-    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    return _op(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a: Node, b: Node) -> Node:
-    """a - b with the same shape rules as add."""
-    return add(a, neg(b))
+    """a - b with the same shape rules as add; bit for bit add(a, neg(b))."""
+    if _row_broadcast(a, b, "sub"):
+        return _op(a.data - b.data, (a, b), (lambda g: g, lambda g: -g.sum(axis=0)))
+    return _op(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
 
 
 def neg(x: Node) -> Node:
@@ -225,6 +246,28 @@ def rowwise_dot(a: Node, b: Node) -> Node:
     )
 
 
+def gram_mse(v: Node, target: Array) -> Node:
+    """mean((v @ v.T - target)**2) of a (K, d) node against a constant (K, K)
+    array, as one scalar node.
+
+    Bit for bit the chain of transpose, matmul, sub, square and mean_all,
+    forward and backward: the Gram multiplies by a contiguous copy of v.T,
+    and the backward keeps the chain's operand layout, g @ (copy of v.T).T
+    plus the transpose of v.T @ g, in the order backward sums them.
+    """
+    if v.data.ndim != 2 or target.shape != (v.shape[0], v.shape[0]):
+        raise ShapeError(f"gram_mse: need (K, d) rows and a (K, K) target, got {v.shape} and {target.shape}")
+    vt = np.ascontiguousarray(v.data.T)
+    diff = v.data @ vt - target
+    count = diff.size
+
+    def back(g: Array) -> Array:
+        g_gram = 2.0 * diff * (float(g) / count)
+        return g_gram @ vt.T + np.ascontiguousarray((v.data.T @ g_gram).T)
+
+    return _op(np.asarray((diff * diff).mean()), (v,), (back,))
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -256,22 +299,61 @@ def mean_rows(x: Node) -> Node:
 # norms and normalization
 
 
+def _unit_rows(x: Array, op: str) -> tuple[Array, Array]:
+    """(x / norms, norms) along the last axis of a (d,) or (N, d) array.
+
+    The norms are np.linalg.norm's own arithmetic, without its dispatch.
+    """
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"{op}: need a 1-d or 2-d operand, got {x.shape}")
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateInputError(f"{op}: zero vector at row {int(zero[0])}")
+    return x / norms, norms
+
+
+def _unit_rows_back(y: Array, norms: Array, g: Array) -> Array:
+    """Gradient of x / |x| given its output y: the radial part projected out."""
+    radial = np.einsum("...i,...i->...", y, g)
+    return (g - y * radial[..., None]) / norms
+
+
 def l2_normalize_rows(x: Node) -> Node:
     """Unit normalization along the last axis of a (d,) vector or each row of
     an (N, d) matrix. The gradient projects out the radial part."""
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"l2_normalize_rows: need a 1-d or 2-d operand, got {x.shape}")
-    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateInputError(f"l2_normalize_rows: zero vector at row {int(zero[0])}")
-    y = x.data / norms
+    y, norms = _unit_rows(x.data, "l2_normalize_rows")
+    return _op(y, (x,), (lambda g: _unit_rows_back(y, norms, g),))
 
-    def back(g: Array) -> Array:
-        radial = np.einsum("...i,...i->...", y, g)
-        return (g - y * radial[..., None]) / norms
 
-    return _op(y, (x,), (back,))
+def cosine_alignment(a1: Node, b1: Node, t1: Array, a2: Node, b2: Node, t2: Array) -> Node:
+    """-mean((cos(a1, t1) + cos(b1, t1)) + (cos(a2, t2) + cos(b2, t2))) as one
+    node, the cosines taken along the last axis of equal (d,) or (N, d)
+    operands; a scalar node.
+
+    t1 and t2 are constant arrays, unit-normalized here in numpy. Forward and
+    backward are bit for bit the chain of l2_normalize_rows, rowwise_dot,
+    add, mean_all and neg.
+    """
+    for operand in (b1.data, a2.data, b2.data, t1, t2):
+        if operand.shape != a1.shape:
+            raise ShapeError(f"cosine_alignment: shapes differ, {operand.shape} vs {a1.shape}")
+    u1, _ = _unit_rows(t1, "cosine_alignment")
+    u2, _ = _unit_rows(t2, "cosine_alignment")
+    nodes = (a1, b1, a2, b2)
+    units = [_unit_rows(n.data, "cosine_alignment") for n in nodes]
+    targets = (u1, u1, u2, u2)
+    cos = [np.einsum("...i,...i->...", y, t) for (y, _), t in zip(units, targets)]
+    total = (cos[0] + cos[1]) + (cos[2] + cos[3])
+    count = total.size
+    if count == 0:
+        raise ContractError("cosine_alignment: empty operands")
+
+    def back_fn(y: Array, norms: Array, t: Array) -> GradFn:
+        # every cosine's upstream gradient is the constant -g / count
+        return lambda g: _unit_rows_back(y, norms, t * (float(-g) / count))
+
+    return _op(-np.asarray(total.mean()), nodes, [back_fn(y, norms, t) for (y, norms), t in zip(units, targets)])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ in schema order; parsing that text reproduces the config exactly.
 TrainConfig is the one range check of the data and training values: the
 data generators and the optimizer take them as plain values and do not check
 them again, so a bad value fails at parse time, not partway into a run. The
-synthetic mixture's limits (mean_radius > 0, and etf placement needing
+error names the file, and also the line of the one key whose default would
+make the config valid, when there is exactly one such key. The synthetic
+mixture's limits (mean_radius > 0, and etf placement needing
 input_dim >= num_classes) apply only when dataset = synthetic. Checks on what
 the code computes from these values stay where it is computed (a beta that
 rounds the tail to zero samples fails in ``data.long_tail_counts``). The
@@ -169,6 +171,7 @@ def _schema() -> dict[str, object]:
 def parse_config_text(text: str, source: str = "<config>") -> TrainConfig:
     """Parse flat key=value text into a validated TrainConfig."""
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     schema = _schema()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -187,7 +190,23 @@ def parse_config_text(text: str, source: str = "<config>") -> TrainConfig:
             values[key] = schema[key](val)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{source}: line {ln}: bad value for {key}: {exc}") from exc
-    return TrainConfig(**values)
+        lines[key] = ln
+    try:
+        return TrainConfig(**values)
+    except ConfigError as exc:
+        # A rejected value is named by its line when the config is valid
+        # with that one key left at its default.
+        culprits = [key for key in values if _valid({k: v for k, v in values.items() if k != key})]
+        where = f"line {lines[culprits[0]]}: bad value for {culprits[0]}: " if len(culprits) == 1 else ""
+        raise ConfigError(f"{source}: {where}{exc}") from exc
+
+
+def _valid(values: dict[str, object]) -> bool:
+    try:
+        TrainConfig(**values)
+    except ConfigError:
+        return False
+    return True
 
 
 def parse_config_file(path: str | Path) -> TrainConfig:

@@ -10,6 +10,7 @@ diagnostics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +18,19 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, ShapeError
 
 
+@functools.cache
 def rho_matrix(num_classes: int) -> np.ndarray:
-    """The full C x C target Gram matrix (ones diagonal, -1/(C-1) off)."""
+    """The full C x C target Gram matrix (ones diagonal, -1/(C-1) off).
+
+    Built once per class count and shared, so the array is read-only.
+    """
     c = int(num_classes)
     if c < 2:
         raise DomainError(f"rho_matrix: need at least 2 classes, got {c}")
     off = -1.0 / (c - 1.0)
     target = np.full((c, c), off)
     np.fill_diagonal(target, 1.0)
+    target.flags.writeable = False
     return target
 
 

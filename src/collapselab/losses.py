@@ -8,19 +8,24 @@ The pieces:
 
 * ``mean_cross_entropy`` / ``mean_reweighted_ce``: standard CE and its
   inverse-frequency-weighted variant (weights normalized to mean 1, so
-  balanced data reduces it to plain CE).
+  balanced data reduces it to plain CE). A classification branch takes both
+  means from one ``cross_entropy_rows`` node.
 * ``hycon``: the two-view alignment loss, defined once for one sample of
   (p,) vectors or the batch mean over (N, p) stacks. For each sample, the
   predictor output of one view and the in-batch class mean of the other
   view are both pulled toward that other view's projection; the projection
   enters only as a constant of its data, so it is a target, not a trainee.
   Each term is a negative cosine, giving the range [-4, 4] with -4 at
-  perfect alignment. ``hycon_batch`` builds the class means from the labels
-  and calls it.
+  perfect alignment. After the class means the loss is one
+  ``autodiff.cosine_alignment`` node, bit for bit the unfused chain of
+  normalizations, row dots, sum, mean and negation.
+  ``hycon_batch`` builds the class means from the labels and calls it.
 * ``p2p``: drives the Gram matrix of a vector set toward the simplex-ETF
   target. For class means the rows are first centered by their mean and
   unit-normalized; classifier rows enter raw, so the loss also pushes them
-  to unit norm.
+  to unit norm. Gram, target subtraction, square and mean are one
+  ``autodiff.gram_mse`` node, bit for bit the unfused chain, against the
+  cached read-only ``etf.rho_matrix``.
 * ``branch_loss`` / ``total_loss``: the scheduled combination. eta decays
   from 1 to 0 over training, handing each classification branch from plain
   CE to re-weighted CE plus classifier Gram matching.
@@ -70,10 +75,14 @@ def mean_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
 
 def mean_reweighted_ce(logits: Node, labels: np.ndarray, class_weights: np.ndarray) -> Node:
     """Batch mean of class_weights[y_i] * CE_i."""
+    return _reweighted_mean(cross_entropy_rows(logits, labels), logits.shape[1], labels, class_weights)
+
+
+def _reweighted_mean(rows: Node, num_classes: int, labels: np.ndarray, class_weights: np.ndarray) -> Node:
+    """Batch mean of class_weights[y_i] * rows_i."""
     w = np.asarray(class_weights, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] != logits.shape[1]:
-        raise ShapeError(f"mean_reweighted_ce: weights shape {w.shape} vs {logits.shape[1]} classes")
-    rows = cross_entropy_rows(logits, labels)
+    if w.ndim != 1 or w.shape[0] != num_classes:
+        raise ShapeError(f"mean_reweighted_ce: weights shape {w.shape} vs {num_classes} classes")
     per_sample = ad.constant(w[np.asarray(labels)])
     return ad.scale(ad.dot(rows, per_sample), 1.0 / rows.shape[0])
 
@@ -102,18 +111,7 @@ def hycon(h1: Node, h2: Node, z1: Node, z2: Node, u1: Node, u2: Node) -> Node:
     output, u the in-batch class mean of the projections, z the projection
     serving as the frozen target. Range [-4, 4].
     """
-    t1 = ad.l2_normalize_rows(ad.constant(z1.data))
-    t2 = ad.l2_normalize_rows(ad.constant(z2.data))
-
-    toward_t2 = ad.add(
-        ad.rowwise_dot(ad.l2_normalize_rows(h1), t2),
-        ad.rowwise_dot(ad.l2_normalize_rows(u2), t2),
-    )
-    toward_t1 = ad.add(
-        ad.rowwise_dot(ad.l2_normalize_rows(h2), t1),
-        ad.rowwise_dot(ad.l2_normalize_rows(u1), t1),
-    )
-    return ad.neg(ad.mean_all(ad.add(toward_t2, toward_t1)))
+    return ad.cosine_alignment(h1, u2, z2.data, h2, u1, z1.data)
 
 
 def _class_selectors(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,10 +231,9 @@ def p2p(
         elif center.data.shape != (vectors.shape[1],):
             raise ShapeError(f"p2p: center shape {center.shape} vs row width {vectors.shape[1]}")
         v = ad.l2_normalize_rows(ad.sub(v, center))
-    gram = ad.matmul(v, ad.transpose(v))
     # With k < c the slice keeps ones on the diagonal and -1/(C-1) off it,
     # which is exactly the Gram a subset of the full frame should have.
-    return ad.mean_all(ad.square(ad.sub(gram, ad.constant(rho_matrix(c)[:k, :k]))))
+    return ad.gram_mse(v, rho_matrix(c)[:k, :k])
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +254,16 @@ def eta(t: int, t_max: int, gamma: float) -> float:
 def _branch(
     logits: Node, labels: np.ndarray, eta_value: float, class_weights: np.ndarray, p2p_w: Node
 ) -> tuple[Node, Node, Node]:
-    """(CE, reweighted CE, eta*CE + (1-eta)*(reweighted CE + p2p_w))."""
+    """(CE, reweighted CE, eta*CE + (1-eta)*(reweighted CE + p2p_w)).
+
+    Both means read one per-sample cross-entropy node, so the log-softmax is
+    computed once and its backward runs once on the summed gradient.
+    """
     if not 0.0 <= eta_value <= 1.0:
         raise ContractError(f"branch loss: eta {eta_value} outside [0, 1]")
-    ce = mean_cross_entropy(logits, labels)
-    re = mean_reweighted_ce(logits, labels, class_weights)
+    rows = cross_entropy_rows(logits, labels)
+    ce = ad.mean_all(rows)
+    re = _reweighted_mean(rows, logits.shape[1], labels, class_weights)
     return ce, re, ad.add(ad.scale(ce, eta_value), ad.scale(ad.add(re, p2p_w), 1.0 - eta_value))
 
 

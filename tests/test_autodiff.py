@@ -239,6 +239,88 @@ def test_softmax_cross_entropy_rows_is_bitwise_log_softmax_arithmetic(rng, offse
         )
 
 
+# (rows, width) of the alignment loss's stacks in the shipped configs and the
+# gradient suite: configs/default.config at batch 64 and its 26-row last
+# batch, configs/tiny.config at batch 16, 9 and 3, the gradient suite's
+# (3, 4) and (4, 4), and one (p,) sample.
+ALIGNMENT_SHAPES = ((64, 16), (26, 16), (16, 6), (9, 6), (3, 6), (3, 4), (4, 4), (16,))
+# (K, d) of the Gram matching's rows: the classifier and the class means of
+# both configs, a partial batch's present classes, and the gradient suite's.
+GRAM_SHAPES = ((10, 16), (7, 16), (3, 6), (2, 6), (3, 4), (4, 6))
+
+
+def _alignment_chain(a1, b1, t1, a2, b2, t2):
+    u1 = ad.l2_normalize_rows(ad.constant(t1))
+    u2 = ad.l2_normalize_rows(ad.constant(t2))
+    toward_1 = ad.add(ad.rowwise_dot(ad.l2_normalize_rows(a1), u1), ad.rowwise_dot(ad.l2_normalize_rows(b1), u1))
+    toward_2 = ad.add(ad.rowwise_dot(ad.l2_normalize_rows(a2), u2), ad.rowwise_dot(ad.l2_normalize_rows(b2), u2))
+    return ad.neg(ad.mean_all(ad.add(toward_1, toward_2)))
+
+
+def _gram_chain(v, target):
+    gram = ad.matmul(v, ad.transpose(v))
+    return ad.mean_all(ad.square(ad.add(gram, ad.neg(ad.constant(target)))))
+
+
+def test_cosine_alignment_is_bitwise_its_chain(rng):
+    for shape in ALIGNMENT_SHAPES:
+        nodes = [ad.param(rng.standard_normal(shape)) for _ in range(4)]
+        t1, t2 = rng.standard_normal(shape), rng.standard_normal(shape)
+        g = np.asarray(rng.standard_normal())
+        fused = ad.cosine_alignment(nodes[0], nodes[1], t1, nodes[2], nodes[3], t2)
+        chain = _alignment_chain(nodes[0], nodes[1], t1, nodes[2], nodes[3], t2)
+        assert fused.shape == () and np.array_equal(fused.data, chain.data), shape
+        for a, c in zip(_grads_under(fused, g, nodes), _grads_under(chain, g, nodes)):
+            assert np.array_equal(a, c), shape
+
+
+def test_gram_mse_is_bitwise_its_chain(rng):
+    for k, d in GRAM_SHAPES:
+        v = ad.param(rng.standard_normal((k, d)))
+        target = rng.standard_normal((k, k))
+        g = np.asarray(rng.standard_normal())
+        fused, chain = ad.gram_mse(v, target), _gram_chain(v, target)
+        assert fused.shape == () and np.array_equal(fused.data, chain.data), (k, d)
+        assert np.array_equal(_grads_under(fused, g, (v,))[0], _grads_under(chain, g, (v,))[0]), (k, d)
+
+
+@pytest.mark.parametrize("b_shape", [(4, 6), (6,)], ids=["equal", "row_broadcast"])
+def test_sub_is_bitwise_add_neg(rng, b_shape):
+    a = ad.param(rng.standard_normal((4, 6)))
+    b = ad.param(rng.standard_normal(b_shape))
+    g = rng.standard_normal((4, 6))
+    fused, chain = ad.sub(a, b), ad.add(a, ad.neg(b))
+    assert np.array_equal(fused.data, chain.data)
+    for x, y in zip(_grads_under(fused, g, (a, b)), _grads_under(chain, g, (a, b))):
+        assert np.array_equal(x, y)
+    assert ad.grad_check(lambda: ad.sum_all(ad.square(ad.sub(a, b))), [a, b]) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (5,)], ids=["rows", "one_sample"])
+def test_cosine_alignment_matches_finite_differences(rng, shape):
+    nodes = [ad.param(rng.standard_normal(shape) + 0.5) for _ in range(4)]
+    t1, t2 = rng.standard_normal(shape) + 0.5, rng.standard_normal(shape) + 0.5
+    assert ad.grad_check(lambda: ad.cosine_alignment(nodes[0], nodes[1], t1, nodes[2], nodes[3], t2), nodes) < 1e-6
+
+
+def test_gram_mse_matches_finite_differences(rng):
+    v = ad.param(rng.standard_normal((4, 6)))
+    target = rng.standard_normal((4, 4))
+    assert ad.grad_check(lambda: ad.gram_mse(v, target), [v]) < 1e-6
+
+
+def test_fused_loss_ops_shape_checks():
+    rows, target = ad.constant(np.ones((2, 3))), np.ones((2, 3))
+    with pytest.raises(ShapeError):
+        ad.cosine_alignment(rows, rows, target, rows, ad.constant(np.ones((2, 4))), target)
+    with pytest.raises(ShapeError):
+        ad.cosine_alignment(rows, rows, target, rows, rows, np.ones(3))
+    with pytest.raises(ShapeError):
+        ad.gram_mse(rows, np.ones((3, 3)))
+    with pytest.raises(ShapeError):
+        ad.gram_mse(ad.constant(np.ones(3)), np.ones((1, 1)))
+
+
 def test_l2_normalize_rows_unit_vector_output(rng):
     v = ad.param(rng.standard_normal(6))
     n = ad.l2_normalize_rows(v)

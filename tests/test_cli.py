@@ -89,6 +89,14 @@ class TestTrain:
         assert code == 2
         assert "definitely_not_a_key" in capsys.readouterr().err
 
+    def test_rejected_value_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "fd0.cfg"
+        path.write_text("feature_dim = 0\n")
+        code = main(["train", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}: line 1: bad value for feature_dim: ")
+
     def test_missing_train_csv_exits_two(self, tmp_path, capsys):
         path = tmp_path / "csv.cfg"
         missing = tmp_path / "missing.csv"

@@ -118,6 +118,15 @@ def test_validation_rejects(line):
         parse_config_text(line + "\n")
 
 
+def test_rejected_value_names_source_and_line():
+    with pytest.raises(ConfigError, match=r"^run\.cfg: line 2: bad value for lr: lr must be > 0"):
+        parse_config_text("seed = 3\nlr = 0\n", source="run.cfg")
+    # the config stays invalid whichever key goes back to its default, so no
+    # one line is to blame
+    with pytest.raises(ConfigError, match=r"^run\.cfg: (?!line)"):
+        parse_config_text("lr = 0\nfeature_dim = 0\n", source="run.cfg")
+
+
 def test_csv_dataset_requires_paths():
     with pytest.raises(ConfigError, match="train_csv"):
         parse_config_text("dataset = csv\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from collapselab.errors import DegenerateInputError, ShapeError
+from collapselab.errors import DegenerateInputError, DomainError, ShapeError
 from collapselab.etf import EtfFrame, etf_deviation, make_etf, rho_matrix
 
 
@@ -24,6 +24,25 @@ def test_vertices_unit_norm_and_centered():
 def test_gram_matches_rho_matrix():
     frame = make_etf(12, 6, seed=1)
     np.testing.assert_allclose(frame.gram(), rho_matrix(6), atol=1e-12)
+
+
+@pytest.mark.parametrize("c", [2, 3, 10])
+def test_rho_matrix_is_cached_read_only(c):
+    target = rho_matrix(c)
+    assert not target.flags.writeable
+    with pytest.raises(ValueError):
+        target[0, 0] = 0.0
+    again = rho_matrix(c)
+    assert np.array_equal(again, target)
+    np.testing.assert_array_equal(np.diag(again), 1.0)
+    assert again[0, 1] == -1.0 / (c - 1.0)
+
+
+def test_rho_matrix_needs_two_classes():
+    # the cache keeps results, not exceptions: every call raises
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            rho_matrix(1)
 
 
 def test_make_etf_needs_room():

@@ -1,5 +1,7 @@
 """Loss functions: CE variants, two-view alignment, Gram matching, schedule."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +22,7 @@ from collapselab.losses import (
     p2p,
     total_loss,
 )
+from collapselab.config import TrainConfig
 from collapselab.model import ArchSpec, forward, init_params
 
 
@@ -418,3 +421,42 @@ class TestAllncLoss:
         terms = self._terms(params, views, y, w)
         assert terms["p2p_mu"].item() == 0.0
         assert np.isfinite(terms["total"].item())
+
+
+def _reachable(root: ad.Node, grad_path: bool) -> int:
+    """Nodes reachable from root through parents; with grad_path, only
+    through requires-grad parents, as backward walks them."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if (parent.requires_grad or not grad_path) and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+class TestStepGraphSize:
+    """Graph nodes of one training step on the default architecture at batch
+    64: the count the fused loss ops exist to keep down. A change that moves
+    these numbers changes the cost of every step; update them on purpose."""
+
+    def _step_inputs(self, rng):
+        cfg = TrainConfig()
+        arch = ArchSpec(**{f.name: getattr(cfg, f.name) for f in fields(ArchSpec)})
+        params = init_params(arch, seed=0)
+        y = np.arange(64) % cfg.num_classes
+        x1, x2 = rng.standard_normal((2, 64, cfg.input_dim))
+        return cfg, params, x1, x2, y
+
+    def test_allnc_step(self, rng):
+        cfg, params, x1, x2, y = self._step_inputs(rng)
+        w = inverse_frequency_weights(np.bincount(y, minlength=cfg.num_classes))
+        terms = allnc_loss(
+            forward(params, x1), forward(params, x2), y, 0.5, w, params.classifier_w, cfg.num_classes, cfg.alpha
+        )
+        assert (_reachable(terms["total"], False), _reachable(terms["total"], True)) == (80, 74)
+
+    def test_ce_step(self, rng):
+        _, params, x1, _, y = self._step_inputs(rng)
+        ce = mean_cross_entropy(forward(params, x1).logits, y)
+        assert (_reachable(ce, False), _reachable(ce, True)) == (18, 17)
