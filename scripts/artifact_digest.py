@@ -21,20 +21,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from collapselab.config import parse_config_file, parse_config_text, resolved_text  # noqa: E402
+from collapselab.config import parse_config_file, parse_overrides, with_overrides  # noqa: E402
 from collapselab.errors import CollapseLabError  # noqa: E402
 from collapselab.harness import run_train  # noqa: E402
-
-
-def _with_text_overrides(cfg, pairs: list[str]):
-    """cfg with ``key=value`` strings applied through the config parser."""
-    lines = dict(line.split(" = ", 1) for line in resolved_text(cfg).splitlines())
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise SystemExit(f"artifact_digest: expected key=value, got {pair!r}")
-        lines[key.strip()] = value.strip()
-    return parse_config_text("".join(f"{k} = {v}\n" for k, v in lines.items()), source="overrides")
 
 
 def digests(out_dir: Path) -> list[tuple[str, str]]:
@@ -58,11 +47,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
-        cfg = _with_text_overrides(parse_config_file(args.config), args.overrides)
+        cfg = with_overrides(parse_config_file(args.config), **parse_overrides(args.overrides))
         with tempfile.TemporaryDirectory() as tmp:
             out_dir = Path(tmp) / "run"
-            cfg = _with_text_overrides(cfg, [f"out_dir={out_dir}"])
-            run_train(cfg)
+            run_train(with_overrides(cfg, out_dir=str(out_dir)))
             if out_dir.is_dir():
                 for digest, rel in digests(out_dir):
                     print(f"{digest}  {rel}")

@@ -5,7 +5,10 @@ Four subcommands:
   train    run one experiment from a config file
   metrics  recompute the collapse report from exported features/weights
   etf      print (and optionally export) a simplex frame and its deviation
-  sweep    train once per value of gamma, alpha, or beta and tabulate
+  sweep    train once per value of any config key and tabulate
+
+``train`` and ``sweep`` take trailing ``key=value`` arguments, each overriding
+one key of the config file with the file's own value syntax.
 
 Exit code 0 on success, 2 on any reported package error.
 """
@@ -17,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import parse_config_file, with_overrides
+from .config import parse_config_file, parse_overrides, with_overrides
 from .data import integer_labels, read_numeric_csv, write_csv
 from .errors import CollapseLabError, ParseError
 from .etf import etf_deviation, make_etf
@@ -34,9 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run one experiment from a config file")
     p_train.add_argument("--config", required=True, help="flat key=value config file")
-    p_train.add_argument("--mode", choices=["allnc", "ce"], help="override the config's mode")
-    p_train.add_argument("--seed", type=int, help="override the config's seed")
-    p_train.add_argument("--out", help="override the config's output directory")
+    p_train.add_argument("overrides", nargs="*", metavar="key=value", help="config overrides")
 
     p_metrics = sub.add_parser("metrics", help="collapse report from exported arrays")
     p_metrics.add_argument("--features", required=True, help="CSV of feature rows + label column")
@@ -52,24 +53,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="train once per parameter value")
     p_sweep.add_argument("--config", required=True, help="flat key=value config file")
-    p_sweep.add_argument("--param", required=True, choices=["gamma", "alpha", "beta"])
+    p_sweep.add_argument("--param", required=True, help="the config key to vary")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", help="output CSV path (default: sweep_<param>.csv)")
+    p_sweep.add_argument("overrides", nargs="*", metavar="key=value", help="config overrides")
 
     return parser
 
 
+def _load_config(args: argparse.Namespace):
+    return with_overrides(parse_config_file(args.config), **parse_overrides(args.overrides))
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = parse_config_file(args.config)
-    overrides = {}
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        cfg = with_overrides(cfg, **overrides)
+    cfg = _load_config(args)
     result = run_train(cfg)
     if not result.logs:
         print("diverged before completing the first epoch", file=sys.stderr)
@@ -149,12 +146,7 @@ def _cmd_etf(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = parse_config_file(args.config)
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ParseError(f"--values: {exc}") from exc
-    rows = sweep(cfg, args.param, values)
+    rows = sweep(_load_config(args), args.param, [v for v in args.values.split(",") if v.strip()])
     out = args.out or f"sweep_{args.param}.csv"
     write_sweep_csv(rows, out)
     for row in rows:

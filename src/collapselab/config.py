@@ -5,7 +5,10 @@ ignored. Keys must belong to the schema below (unknown keys are rejected so a
 typo cannot silently fall back to a default), values are coerced to the field
 type, and every field has a default, so an empty file is a valid experiment.
 ``resolved_text`` serializes a config back into the same format with fields
-in schema order; parsing that text reproduces the config exactly.
+in schema order; parsing that text reproduces the config exactly, which is
+why a text value may not hold ``#``, a line break or surrounding spaces.
+``parse_overrides`` reads ``key=value`` command-line pairs with the same
+per-key rules; ``with_overrides`` applies them.
 
 TrainConfig is the one range check of the data and training values: the
 data generators and the optimizer take them as plain values and do not check
@@ -16,9 +19,9 @@ mixture's limits (mean_radius > 0, and etf placement needing
 input_dim >= num_classes) apply only when dataset = synthetic. Checks on what
 the code computes from these values stay where it is computed (a beta that
 rounds the tail to zero samples fails in ``data.long_tail_counts``). The
-architecture's widths are checked at parse time too, by building the
-``model.ArchSpec`` of the config's fields: that class holds the one copy of
-the width rules, which it also applies to saved snapshots.
+architecture's widths are checked at parse time too, by building the config's
+``arch``: ``model.ArchSpec`` holds the one copy of the width rules, which it
+also applies to saved snapshots.
 
 Schema (types and defaults live on TrainConfig):
 
@@ -96,6 +99,10 @@ class TrainConfig:
     out_dir: str = ""
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and ("#" in value or value.strip() != value or len(value.splitlines()) > 1):
+                raise ConfigError(f"{f.name} must not hold '#', a line break or surrounding spaces, got {value!r}")
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.dataset not in _DATASETS:
@@ -110,7 +117,7 @@ class TrainConfig:
             raise ConfigError(f"beta must be >= 1, got {self.beta}")
         if min(self.input_dim, self.n_max, self.n_test_per_class, self.batch_size, self.t_max) < 1:
             raise ConfigError("input_dim, n_max, n_test_per_class, batch_size, t_max must be >= 1")
-        ArchSpec(**{f.name: getattr(self, f.name) for f in fields(ArchSpec)})
+        self.arch  # ArchSpec checks the widths
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
@@ -135,6 +142,11 @@ class TrainConfig:
                     f"mean_placement = etf needs input_dim >= num_classes, "
                     f"got {self.input_dim} < {self.num_classes}"
                 )
+
+    @property
+    def arch(self) -> ArchSpec:
+        """The model architecture of this config's widths."""
+        return ArchSpec(**{f.name: getattr(self, f.name) for f in fields(ArchSpec)})
 
 
 def _parse_bool(text: str) -> bool:
@@ -168,37 +180,47 @@ def _schema() -> dict[str, object]:
     return {f.name: _PARSERS[f.type] for f in fields(TrainConfig)}
 
 
+def _parse_pairs(pairs: list[tuple[str, str]]) -> dict[str, object]:
+    """Coerce ``key = value`` texts to field values by the schema. Each pair
+    is (where, text), and an error starts with the where of the text it
+    rejects."""
+    values: dict[str, object] = {}
+    schema = _schema()
+    for where, text in pairs:
+        key, sep, val = text.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ConfigError(f"{where}: expected 'key = value'")
+        if key not in schema:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        try:
+            values[key] = schema[key](val.strip())
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+    return values
+
+
+def parse_overrides(pairs: list[str]) -> dict[str, object]:
+    """Field values of ``key=value`` texts, for ``with_overrides``."""
+    return _parse_pairs([(repr(pair), pair) for pair in pairs])
+
+
 def parse_config_text(text: str, source: str = "<config>") -> TrainConfig:
     """Parse flat key=value text into a validated TrainConfig."""
-    values: dict[str, object] = {}
-    lines: dict[str, int] = {}
-    schema = _schema()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}: line {ln}: expected 'key = value', got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in schema:
-            raise ConfigError(f"{source}: line {ln}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{source}: line {ln}: duplicate key {key!r}")
-        try:
-            values[key] = schema[key](val)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{source}: line {ln}: bad value for {key}: {exc}") from exc
-        lines[key] = ln
+    lines = [(f"{source}: line {ln}", raw.split("#", 1)[0].strip()) for ln, raw in enumerate(text.splitlines(), 1)]
+    pairs = [(where, line) for where, line in lines if line]
+    values = _parse_pairs(pairs)
     try:
         return TrainConfig(**values)
     except ConfigError as exc:
         # A rejected value is named by its line when the config is valid
         # with that one key left at its default.
+        origin = dict(zip(values, (where for where, _ in pairs)))
         culprits = [key for key in values if _valid({k: v for k, v in values.items() if k != key})]
-        where = f"line {lines[culprits[0]]}: bad value for {culprits[0]}: " if len(culprits) == 1 else ""
-        raise ConfigError(f"{source}: {where}{exc}") from exc
+        prefix = f"{origin[culprits[0]]}: bad value for {culprits[0]}: " if len(culprits) == 1 else f"{source}: "
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _valid(values: dict[str, object]) -> bool:

@@ -20,9 +20,11 @@ artifacts describe; a run with no completed epoch writes none. Every other
 package error is a broken contract and propagates. numpy's floating-point
 warnings are silenced in the epoch loop: divergence is detected by the
 finiteness checks.
-Sweeps run one value per row and keep going past a diverged run or a value
-that validation or the data geometry rejects, marking the row failed; any
-other package error propagates as it does from ``run_train``.
+Sweeps set any config key to one value per row, parsed as the config file
+parses it, and write the final epochs.csv row of each run. They keep going
+past a diverged run or a value that validation or the data geometry rejects,
+marking the row failed; any other package error propagates as it does from
+``run_train``.
 
 Run artifacts (fixed layout, deterministic bytes for a fixed config):
     config.resolved   the full effective config, reparseable
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses as L
-from .config import TrainConfig, resolved_text, with_overrides
+from .config import TrainConfig, _format_value, parse_overrides, resolved_text, with_overrides
 from .data import (
     Dataset,
     ViewAugmenter,
@@ -67,7 +69,6 @@ from .errors import (
     TrainingDivergedError,
 )
 from .model import (
-    ArchSpec,
     NetworkParams,
     forward,
     init_params,
@@ -266,7 +267,7 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
         raise ConfigError("run_train: emission requested but out_dir is empty")
     train, test, counts = build_datasets(cfg)
     seeds = _derive_seeds(cfg.seed)
-    params = init_params(ArchSpec(**{f.name: getattr(cfg, f.name) for f in fields(ArchSpec)}), seeds["init"])
+    params = init_params(cfg.arch, seeds["init"])
     nodes = [node for _, node in params.named_parameters()]
     # The checkpoint of the last completed epoch: its parameter arrays (sgd_step
     # replaces arrays and never writes into them, so no copies) and the
@@ -372,49 +373,46 @@ def emit_outputs(result: RunResult, out_dir: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 # sweeps
 
-_SWEEP_ACCURACY = ("many", "medium", "few", "overall")
-SWEEP_CSV_HEADER = ",".join(["param", "value", "status", *(f"acc_{c}" for c in _SWEEP_ACCURACY)])
-_SWEEPABLE = ("gamma", "alpha", "beta")
+SWEEP_CSV_HEADER = "param,value,status," + EPOCH_CSV_HEADER
 
 
 @dataclass
 class SweepRow:
+    """One swept value and the final epoch of its run; no epoch when the
+    value was rejected or its run diverged."""
+
     param: str
-    value: float
-    status: str  # "ok" or "failed"
-    accuracy: GroupAccuracy | None
+    value: object
+    log: EpochLog | None
+
+    @property
+    def status(self) -> str:
+        return "failed" if self.log is None else "ok"
 
     def csv_row(self) -> str:
-        if self.accuracy is None:
-            accs = ["nan"] * len(_SWEEP_ACCURACY)
-        else:
-            accs = [f"{getattr(self.accuracy, c):.9g}" for c in _SWEEP_ACCURACY]
-        return ",".join([self.param, f"{self.value:.9g}", self.status, *accs])
+        cells = self.log.csv_row() if self.log is not None else ",".join("nan" for _ in EPOCH_CSV_HEADER.split(","))
+        return ",".join([self.param, _format_value(self.value), self.status, cells])
 
 
-def sweep(cfg: TrainConfig, param: str, values: list[float]) -> list[SweepRow]:
-    """Run one training per value of gamma, alpha, or beta; shared seeds.
+def sweep(cfg: TrainConfig, param: str, values: list[str]) -> list[SweepRow]:
+    """Run one training per value text of any config key; shared seeds.
 
-    A diverged run, or a value rejected by validation (ConfigError,
-    DomainError) or by degenerate geometry (DegenerateInputError), produces
-    a row marked failed and the sweep continues; every other package error
-    propagates.
+    An unknown key or a value text the config parser rejects raises before
+    any training. A diverged run, or a value rejected by validation
+    (ConfigError, DomainError) or by degenerate geometry
+    (DegenerateInputError), produces a row marked failed and the sweep
+    continues; every other package error propagates.
     """
-    if param not in _SWEEPABLE:
-        raise ConfigError(f"sweep: param must be one of {_SWEEPABLE}, got {param!r}")
-    if not values:
+    parsed = [parse_overrides([f"{param}={text}"])[param] for text in values]
+    if not parsed:
         raise ConfigError("sweep: need at least one value")
     rows: list[SweepRow] = []
-    for value in values:
+    for value in parsed:
         try:
-            one = with_overrides(cfg, **{param: float(value)}, out_dir="")
-            result = run_train(one, emit=False)
-            if result.diverged or not result.logs:
-                rows.append(SweepRow(param, float(value), "failed", None))
-            else:
-                rows.append(SweepRow(param, float(value), "ok", result.final_accuracy))
+            result = run_train(with_overrides(cfg, **{param: value}), emit=False)
+            rows.append(SweepRow(param, value, None if result.diverged or not result.logs else result.logs[-1]))
         except (ConfigError, DomainError, DegenerateInputError):
-            rows.append(SweepRow(param, float(value), "failed", None))
+            rows.append(SweepRow(param, value, None))
     return rows
 
 

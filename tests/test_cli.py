@@ -1,12 +1,16 @@
 """End-to-end command-line checks, run in-process through main()."""
 
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from collapselab.cli import main
+import collapselab.harness as harness
+from collapselab.cli import _build_parser, main
+from collapselab.config import parse_overrides
+from collapselab.harness import EPOCH_CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,7 +43,7 @@ def trained_artifacts(tmp_path_factory):
     cfg = base / "run.cfg"
     cfg.write_text(TINY_CONFIG)
     out = base / "artifacts"
-    code = main(["train", "--config", str(cfg), "--out", str(out)])
+    code = main(["train", "--config", str(cfg), f"out_dir={out}"])
     assert code == 0
     return out
 
@@ -58,19 +62,32 @@ class TestTrain:
 
     def test_mode_and_seed_overrides(self, tiny_config, tmp_path, capsys):
         out_dir = tmp_path / "ce_run"
-        code = main(
-            ["train", "--config", str(tiny_config), "--mode", "ce", "--seed", "5", "--out", str(out_dir)]
-        )
+        code = main(["train", "--config", str(tiny_config), "mode=ce", "seed=5", f"out_dir={out_dir}"])
         assert code == 0
         resolved = (out_dir / "config.resolved").read_text()
         assert "mode = ce" in resolved
         assert "seed = 5" in resolved
 
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            (["seed5"], "'seed5': expected 'key = value'"),
+            (["seed=1", "seed=2"], "'seed=2': duplicate key 'seed'"),
+            (["lr=0"], "lr must be > 0"),
+            # '#' starts a comment, so config.resolved would reparse this as '{tmp}/a'
+            (["out_dir={tmp}/a#1"], "out_dir must not hold '#'"),
+        ],
+    )
+    def test_rejected_override_exits_two(self, tiny_config, tmp_path, pairs, message, capsys):
+        code = main(["train", "--config", str(tiny_config), *(p.format(tmp=tmp_path) for p in pairs)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_divergence_before_first_epoch_exits_two(self, tmp_path, capsys):
         path = tmp_path / "blowup.cfg"
         path.write_text(TINY_CONFIG + "lr = 1e12\n")
         out_dir = tmp_path / "blowup"
-        code = main(["train", "--config", str(path), "--out", str(out_dir)])
+        code = main(["train", "--config", str(path), f"out_dir={out_dir}"])
         err = capsys.readouterr().err
         assert code == 2
         assert "diverged before completing the first epoch" in err
@@ -145,7 +162,7 @@ class TestMetrics:
         cfg = tmp_path / "diverging.cfg"
         cfg.write_text(base + extra)
         run_dir = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 2
+        assert main(["train", "--config", str(cfg), f"out_dir={run_dir}"]) == 2
         report = json.loads((run_dir / "report.json").read_text())
         assert report["diverged"] and report["epochs_completed"] == 1
         _assert_metrics_reproduce_report(run_dir, tmp_path / "metrics")
@@ -286,11 +303,49 @@ class TestSweep:
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("param,value,status")
-        assert len(lines) == 3
-        assert all(",ok," in line for line in lines[1:])
+        assert lines[0] == "param,value,status," + EPOCH_CSV_HEADER
+        assert [line.split(",")[:4] for line in lines[1:]] == [["gamma", "1.0", "ok", "3"], ["gamma", "2.0", "ok", "3"]]
 
     def test_bad_values_exit_two(self, tiny_config, tmp_path, capsys):
         code = main(["sweep", "--config", str(tiny_config), "--param", "gamma", "--values", "2.0,oops"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unknown_param_exits_two_before_training(self, tiny_config, monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained before checking its key")
+
+        monkeypatch.setattr(harness, "run_train", no_training)
+        code = main(["sweep", "--config", str(tiny_config), "--param", "learning_rate", "--values", "0.1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: 'learning_rate=0.1': unknown key 'learning_rate'")
+
+    @pytest.mark.parametrize(
+        "args,values",
+        [
+            (["--param", "disable_p2p_mu", "--values", "false,true"], ["false", "true"]),
+            (["--param", "mode", "--values", "ce,allnc", "beta=1"], ["ce", "allnc"]),
+        ],
+        ids=["ablation", "balanced"],
+    )
+    def test_paper_tables_are_one_command(self, tiny_config, tmp_path, capsys, args, values):
+        out = tmp_path / "table.csv"
+        assert main(["sweep", "--config", str(tiny_config), *args, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "param,value,status," + EPOCH_CSV_HEADER
+        assert [line.split(",")[1:3] for line in lines[1:]] == [[v, "ok"] for v in values]
+
+
+def _readme_commands() -> list[str]:
+    """The ``collapselab ...`` lines of the README's quick-start block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Quick start", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("collapselab ")]
+
+
+def test_readme_quick_start_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 6
+    for command in commands:
+        args = _build_parser().parse_args(shlex.split(command)[1:])
+        parse_overrides(getattr(args, "overrides", []))

@@ -2,7 +2,14 @@
 
 import pytest
 
-from collapselab.config import TrainConfig, parse_config_file, parse_config_text, resolved_text, with_overrides
+from collapselab.config import (
+    TrainConfig,
+    parse_config_file,
+    parse_config_text,
+    parse_overrides,
+    resolved_text,
+    with_overrides,
+)
 from collapselab.errors import ConfigError
 
 
@@ -43,6 +50,42 @@ def test_round_trip_through_resolved_text():
 def test_round_trip_preserves_float_precision():
     cfg = with_overrides(TrainConfig(), lr=0.1 + 1e-17, weight_decay=1.0 / 3.0)
     assert parse_config_text(resolved_text(cfg)) == cfg
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("out_dir", "runs/a#1"), ("train_csv", "a.csv\nseed = 5"), ("test_csv", "b.csv\r"), ("out_dir", " runs")],
+)
+def test_text_values_that_would_not_round_trip_are_rejected(field, value):
+    # config.resolved would reparse '#' as a comment, split a line break
+    # into another line, and strip surrounding spaces
+    with pytest.raises(ConfigError, match=f"{field} must not hold"):
+        with_overrides(TrainConfig(dataset="csv", train_csv="a.csv", test_csv="b.csv"), **{field: value})
+
+
+def test_overrides_parse_like_config_lines():
+    assert parse_overrides(["mode=ce", "hidden_dims=32,16", "disable_hycon=yes", " beta = 2 "]) == {
+        "mode": "ce",
+        "hidden_dims": (32, 16),
+        "disable_hycon": True,
+        "beta": 2.0,
+    }
+    assert parse_overrides(["out_dir=runs/a=b"]) == {"out_dir": "runs/a=b"}
+    assert parse_overrides([]) == {}
+
+
+@pytest.mark.parametrize(
+    "pairs,message",
+    [
+        (["seed5"], "^'seed5': expected 'key = value'"),
+        (["sead=5"], "^'sead=5': unknown key 'sead'"),
+        (["seed=1", "seed=2"], "^'seed=2': duplicate key 'seed'"),
+        (["seed=five"], "^'seed=five': bad value for seed"),
+    ],
+)
+def test_overrides_reject_and_name_the_pair(pairs, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_overrides(pairs)
 
 
 def test_unknown_key_names_line():

@@ -361,10 +361,10 @@ class TestEmission:
 class TestSweep:
     def test_continues_past_failures(self):
         cfg = with_overrides(TINY, t_max=2)
-        rows = sweep(cfg, "beta", [1.0, 1e9, 3.0])
+        rows = sweep(cfg, "beta", ["1", "1e9", "3"])
         assert [r.status for r in rows] == ["ok", "failed", "ok"]
-        assert rows[1].accuracy is None
-        assert rows[0].accuracy.overall > 0.3
+        assert rows[1].log is None
+        assert rows[0].log.accuracy.overall > 0.3
 
     @pytest.mark.parametrize("error", [ConfigError, DomainError, DegenerateInputError])
     def test_rejected_value_marks_row_failed(self, monkeypatch, error):
@@ -372,7 +372,7 @@ class TestSweep:
             raise error("rejected inside the run")
 
         monkeypatch.setattr(harness, "run_train", raise_error)
-        rows = sweep(TINY, "gamma", [2.0])
+        rows = sweep(TINY, "gamma", ["2"])
         assert [r.status for r in rows] == ["failed"]
 
     @pytest.mark.parametrize("error", [ContractError, ShapeError, EvaluationError])
@@ -382,18 +382,32 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "run_train", raise_error)
         with pytest.raises(error, match="inside the run"):
-            sweep(TINY, "gamma", [2.0])
+            sweep(TINY, "gamma", ["2"])
 
     def test_rejects_unknown_param_and_empty_values(self):
-        with pytest.raises(ConfigError):
-            sweep(TINY, "lr", [0.1])
+        with pytest.raises(ConfigError, match="unknown key 'learning_rate'"):
+            sweep(TINY, "learning_rate", ["0.1"])
         with pytest.raises(ConfigError):
             sweep(TINY, "gamma", [])
 
+    def test_rejects_a_bad_value_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained before checking every value")
+
+        monkeypatch.setattr(harness, "run_train", no_training)
+        with pytest.raises(ConfigError, match="'disable_gbbn=maybe': bad value for disable_gbbn"):
+            sweep(TINY, "disable_gbbn", ["false", "maybe"])
+
+    def test_sweeps_any_key(self):
+        rows = sweep(with_overrides(TINY, t_max=1), "mode", ["ce", "allnc"])
+        assert [(r.value, r.status) for r in rows] == [("ce", "ok"), ("allnc", "ok")]
+        assert rows[0].log.loss_hycon == 0.0 and rows[1].log.loss_hycon != 0.0
+
     def test_csv_output(self, tmp_path):
-        rows = sweep(with_overrides(TINY, t_max=1), "gamma", [2.0])
+        rows = sweep(with_overrides(TINY, t_max=1), "gamma", ["2", "0"])
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == SWEEP_CSV_HEADER
-        assert lines[1].startswith("gamma,2,ok,")
+        assert lines[0] == SWEEP_CSV_HEADER == "param,value,status," + EPOCH_CSV_HEADER
+        assert lines[1] == "gamma,2.0,ok," + rows[0].log.csv_row()
+        assert lines[2] == "gamma,0.0,failed," + ",".join(["nan"] * len(EPOCH_CSV_HEADER.split(",")))

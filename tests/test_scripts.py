@@ -1,36 +1,27 @@
 """The repository's helper scripts, run as a user runs them."""
 
-import os
+import hashlib
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+from collapselab.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 TINY = str(ROOT / "configs" / "tiny.config")
 
 
-def _demo(script: str, *args: str) -> subprocess.CompletedProcess:
-    """Run one demo script with the package importable from this checkout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+def _artifact_digest(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args], capture_output=True, text=True, env=env
+        [sys.executable, str(ROOT / "scripts" / "artifact_digest.py"), *args], capture_output=True, text=True
     )
-
-
-def _artifact_digest(*args: str) -> str:
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "artifact_digest.py"), *args],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return done.stdout
 
 
 def test_artifact_digest_lists_every_file_and_repeats():
-    first = _artifact_digest(str(ROOT / "configs" / "tiny.config"), "t_max=1")
+    done = _artifact_digest(str(ROOT / "configs" / "tiny.config"), "t_max=1")
+    assert done.returncode == 0, done.stderr
+    first = done.stdout
     lines = first.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     paths = [line.split("  ", 1)[1] for line in lines]
@@ -46,29 +37,27 @@ def test_artifact_digest_lists_every_file_and_repeats():
         "weights.csv",
     }
     assert "params/manifest.json" in paths
-    assert _artifact_digest(str(ROOT / "configs" / "tiny.config"), "t_max=1") == first
+    assert _artifact_digest(str(ROOT / "configs" / "tiny.config"), "t_max=1").stdout == first
 
 
 def test_artifact_digest_reports_a_rejected_config_like_the_cli():
-    done = _demo("artifact_digest.py", TINY, "mean_radius=0")
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert done.stderr.startswith("error:") and "mean_radius" in done.stderr
-    assert "Traceback" not in done.stderr
+    for pair, named in [("mean_radius=0", "mean_radius"), ("seed5", "'seed5'")]:
+        done = _artifact_digest(TINY, pair)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:") and named in done.stderr
+        assert "Traceback" not in done.stderr
 
 
-def test_compare_modes_takes_beta_and_seed_from_the_config():
-    done = _demo("compare_modes.py", "--config", TINY)
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[:2] == ["training mode=ce beta=3 seed=0 ...", "training mode=allnc beta=3 seed=0 ..."]
-    assert lines[3].split() == ["metric", "ce", "allnc"]
-
-
-def test_collapse_sweep_reports_errors_like_the_cli():
-    # the default betas end at 100, which starves the tiny config's tail
-    done = _demo("collapse_sweep.py", "--config", TINY)
-    assert done.returncode == 2
-    assert [line.split()[0] for line in done.stdout.splitlines()] == ["beta", "1", "10"]
-    assert done.stderr.startswith("error: long_tail_counts: beta 100")
-    assert "Traceback" not in done.stderr
+def test_train_overrides_write_the_bytes_artifact_digest_prints(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", TINY, "mode=ce", "batch_size=3", f"out_dir={out}"]) == 0
+    lines = []
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        rel = path.relative_to(out).as_posix()
+        data = path.read_bytes()
+        if rel == "config.resolved":
+            assert f"out_dir = {out}\n".encode() in data
+            data = data.replace(f"out_dir = {out}\n".encode(), b"")
+        lines.append(f"{hashlib.sha256(data).hexdigest()}  {rel}\n")
+    assert "".join(lines) == _artifact_digest(TINY, "mode=ce", "batch_size=3").stdout
