@@ -7,16 +7,16 @@ decays over epochs (frozen to a constant when the schedule is disabled). In
 ce mode a step is a plain cross-entropy update on the raw batch; the other
 loss columns log zero.
 
-After every epoch the full training set is pushed through the encoder in
-evaluation form (no augmentation) for a collapse report, and a balanced test
+After every epoch the full training set is pushed through ``model.encode``
+(no augmentation, no graph) for a collapse report, and a balanced test
 split is scored overall and per class-size group. Groups follow the head
 count n_max: Many > 0.2*n_max, Few <= 0.04*n_max, Medium between.
 
-A non-finite loss or gradient, or a degenerate input (a zero vector to
-normalize) in a step or in the epoch's collapse report, ends the run as
-diverged. The run keeps one checkpoint, its last completed epoch: the
-parameters and the features its report was computed from, which the
-artifacts describe; a run with no completed epoch writes none. Every other
+A non-finite loss or gradient, or a degenerate input (a vector to normalize
+whose norm is zero or overflows) in a step or in the epoch's collapse report,
+ends the run as diverged. The run keeps one checkpoint, its last completed
+epoch: the parameters and the features its report was computed from, which
+the artifacts describe; a run with no completed epoch writes none. Every other
 package error is a broken contract and propagates. numpy's floating-point
 warnings are silenced in the epoch loop: divergence is detected by the
 finiteness checks.
@@ -70,6 +70,7 @@ from .errors import (
 )
 from .model import (
     NetworkParams,
+    encode,
     forward,
     init_params,
     save_params,
@@ -200,8 +201,15 @@ def build_datasets(cfg: TrainConfig) -> tuple[Dataset, Dataset, np.ndarray]:
 
 
 def evaluate(params: NetworkParams, test: Dataset, train_counts: np.ndarray) -> GroupAccuracy:
-    """Score a balanced split: overall and per-group accuracy."""
-    predicted = np.argmax(forward(params, test.x).logits.data, axis=1)
+    """Score a balanced split: overall and per-group accuracy.
+
+    The logits are the classifier applied to ``encode``'s features, computed
+    as ``ad.linear`` computes them, so the predictions are bit for bit those
+    of ``forward``'s logits; no graph is built and no head runs.
+    """
+    logits = encode(params, test.x) @ np.ascontiguousarray(params.classifier_w.data.T)
+    logits += params.classifier_b.data
+    predicted = np.argmax(logits, axis=1)
     correct = predicted == test.y
     groups = class_groups(train_counts)
     per_group = []
@@ -265,6 +273,8 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
         emit = bool(cfg.out_dir)
     if emit and not cfg.out_dir:
         raise ConfigError("run_train: emission requested but out_dir is empty")
+    if emit and Path(cfg.out_dir).exists() and not Path(cfg.out_dir).is_dir():
+        raise ConfigError(f"run_train: out_dir {cfg.out_dir} exists and is not a directory")
     train, test, counts = build_datasets(cfg)
     seeds = _derive_seeds(cfg.seed)
     params = init_params(cfg.arch, seeds["init"])
@@ -308,7 +318,7 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
                     for c in LOSS_COLUMNS:
                         sums[c] += stats[c]
                     n_batches += 1
-                feats = forward(params, train.x).features.data
+                feats = encode(params, train.x)
                 report = nc_report(
                     feats, train.y, params.classifier_w.data, params.classifier_b.data, cfg.num_classes
                 )
@@ -346,7 +356,10 @@ def write_report(out: Path, report: NCReport, **extra) -> None:
 def emit_outputs(result: RunResult, out_dir: str | Path) -> Path:
     """Write the full artifact set for one run; returns the directory."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"emit_outputs: cannot create out_dir {out}: {exc}") from exc
 
     (out / "config.resolved").write_text(resolved_text(result.config), encoding="utf-8")
 

@@ -9,6 +9,12 @@ sharing is literal. The forward pass exposes everything the losses need:
     h        = proj2(z)            predictor head (affine, relu, affine)
     logits   = features @ W^T + b  linear classifier, near-zero init
 
+``encode`` runs the same encoder in plain numpy and returns the features
+array alone, bit for bit ``forward(params, x).features.data``. The per-epoch
+diagnostics read only features and logits of whole splits: ``forward`` would
+also run both heads and keep every layer's output alive for a ``backward``
+that never comes, so they use ``encode``; training steps use ``forward``.
+
 The optimizer is SGD with momentum and L2 weight decay folded into the
 velocity: v <- m*v + g + wd*theta; theta <- theta - lr*v, applied uniformly
 to every trainable array. The caller holds the optimizer state as a
@@ -157,6 +163,21 @@ def forward(params: NetworkParams, x: Array) -> ForwardOut:
 
     logits = ad.linear(feats, params.classifier_w, params.classifier_b)
     return ForwardOut(features=feats, z=z, h=h, logits=logits)
+
+
+def encode(params: NetworkParams, x: Array) -> np.ndarray:
+    """``forward(params, x).features.data`` without the graph or the heads.
+    Each layer makes one new array and adds its bias and applies relu in
+    place, computing what ``ad.linear`` and ``ad.relu`` compute, so the
+    result is bit for bit the same. Neither ``x`` nor a parameter is written."""
+    a = ad.as_tensor(x)
+    if a.ndim != 2 or a.shape[1] != params.arch.input_dim:
+        raise ShapeError(f"encode: input shape {a.shape} vs input_dim {params.arch.input_dim}")
+    for w, b in params.encoder:
+        a = a @ np.ascontiguousarray(w.data.T)
+        a += b.data
+        np.maximum(a, 0.0, out=a)
+    return a
 
 
 # ---------------------------------------------------------------------------

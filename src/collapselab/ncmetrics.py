@@ -94,17 +94,18 @@ def centered_pairwise_cosines(vectors: np.ndarray, center: np.ndarray) -> np.nda
     """Cosine matrix of the rows after subtracting ``center`` from each.
 
     Returns a symmetric (K, K) matrix with unit diagonal. A row that equals
-    the center has no direction; that raises with the offending row index.
+    the center has no direction, and a row whose norm is not finite (it
+    overflowed, or holds inf or NaN) has none that can be computed; either
+    raises with the offending row index.
     """
     v = np.asarray(vectors, dtype=np.float64) - np.asarray(center, dtype=np.float64)
     if v.ndim != 2:
         raise ShapeError(f"centered_pairwise_cosines: need (K, d) rows, got {v.shape}")
     norms = np.linalg.norm(v, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateInputError(
-            f"centered_pairwise_cosines: centered row {int(zero[0])} is zero"
-        )
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+    if bad.size:
+        k = int(bad[0])
+        raise DegenerateInputError(f"centered_pairwise_cosines: centered row {k} has norm {norms[k]}")
     unit = v / norms[:, None]
     cos = unit @ unit.T
     np.fill_diagonal(cos, 1.0)
@@ -140,7 +141,8 @@ def self_duality_delta(weights: np.ndarray, stats: ClassStats) -> float:
     Stacks classifier rows into A and centered class means into B (one class
     per row, same order), then returns ||A/||A||_F - B/||B||_F||_F. Scale
     invariant in both arguments; 0 iff the two stacks are positively
-    proportional. Requires every class present.
+    proportional. Requires every class present; a zero or non-finite
+    norm of either stack raises.
     """
     w = np.asarray(weights, dtype=np.float64)
     if not stats.complete:
@@ -150,10 +152,9 @@ def self_duality_delta(weights: np.ndarray, stats: ClassStats) -> float:
     centered = stats.mu - stats.mu_g
     wn = np.linalg.norm(w)
     mn = np.linalg.norm(centered)
-    if wn == 0.0:
-        raise DegenerateInputError("self_duality_delta: zero classifier matrix")
-    if mn == 0.0:
-        raise DegenerateInputError("self_duality_delta: zero centered-mean matrix")
+    for name, norm in (("classifier", wn), ("centered-mean", mn)):
+        if norm == 0.0 or not np.isfinite(norm):
+            raise DegenerateInputError(f"self_duality_delta: {name} matrix has Frobenius norm {norm}")
     return float(np.linalg.norm(w / wn - centered / mn))
 
 

@@ -188,9 +188,15 @@ class TestRunTrain:
         assert all(log.eta == 0.25 for log in result.logs)
 
     def test_divergence_flagged_not_raised(self):
-        result = run_train(with_overrides(TINY, mode="ce", lr=1e6, t_max=4), emit=False)
-        assert result.diverged
-        assert len(result.logs) < 4
+        # in allnc mode at this rate the first epoch's features overflow the
+        # collapse report's norms: that epoch is not completed either
+        for cfg in (with_overrides(TINY, mode="ce", lr=1e6, t_max=4), with_overrides(TINY, lr=1e6)):
+            result = run_train(cfg, emit=False)
+            assert result.diverged
+            assert len(result.logs) < cfg.t_max
+            for log in result.logs:
+                for column in ("nc1", "std_cos_mu", "std_cos_w", "delta"):
+                    assert np.isfinite(getattr(log.report, column)), (cfg.mode, log.epoch, column)
 
     def test_degenerate_report_keeps_completed_epochs(self, tmp_path):
         # epoch 5 kills every relu, so its collapse report sees all-zero features
@@ -234,6 +240,19 @@ class TestRunTrain:
         with pytest.raises(error, match="inside the step"):
             run_train(with_overrides(TINY, mode=mode, t_max=2), emit=False)
 
+    @pytest.mark.parametrize("mode", ["allnc", "ce"])
+    def test_graph_forward_sees_only_training_batches(self, monkeypatch, mode):
+        rows = []
+        graph_forward = harness.forward
+
+        def recording_forward(params, x):
+            rows.append(len(x))
+            return graph_forward(params, x)
+
+        monkeypatch.setattr(harness, "forward", recording_forward)
+        run_train(with_overrides(TINY, mode=mode, t_max=2), emit=False)
+        assert rows and max(rows) <= TINY.batch_size
+
     def test_frozen_bias_stays_zero(self):
         result = run_train(with_overrides(TINY, t_max=2, freeze_classifier_bias=True), emit=False)
         np.testing.assert_array_equal(result.params.classifier_b.data, 0.0)
@@ -248,6 +267,15 @@ class TestEvaluate:
         np.testing.assert_array_equal(class_groups(counts), 0)
         assert not np.isnan(acc.many)
         assert np.isnan(acc.medium) and np.isnan(acc.few)
+
+    def test_scores_the_argmax_of_the_graph_logits(self, tiny_run, tiny_splits):
+        _, test, _ = tiny_splits
+        predicted = np.argmax(harness.forward(tiny_run.params, test.x).logits.data, axis=1)
+        # one class per group, so each group's accuracy is that class's
+        acc = evaluate(tiny_run.params, test, np.array([100, 10, 4]))
+        per_class = [np.mean(predicted[test.y == k] == k) for k in range(3)]
+        assert acc.overall == np.mean(predicted == test.y)
+        assert [acc.many, acc.medium, acc.few] == per_class
 
     def test_imbalanced_counts_fill_every_group(self, tiny_run, tiny_splits):
         # same predictions, steeper profile: every group gets classes
@@ -356,6 +384,23 @@ class TestEmission:
         monkeypatch.setattr(harness, "build_datasets", no_training)
         with pytest.raises(ConfigError, match="out_dir"):
             run_train(TINY, emit=True)
+
+    def test_out_dir_naming_a_file_rejected_before_training(self, monkeypatch, tmp_path):
+        def no_training(cfg):
+            raise AssertionError("run_train built its datasets before checking out_dir")
+
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        monkeypatch.setattr(harness, "build_datasets", no_training)
+        with pytest.raises(ConfigError, match="not a directory"):
+            run_train(with_overrides(TINY, out_dir=str(taken)))
+        assert taken.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [taken]
+
+    def test_emit_reports_an_uncreatable_out_dir(self, tiny_run, tmp_path):
+        (tmp_path / "taken").write_text("")
+        with pytest.raises(ConfigError, match="taken"):
+            emit_outputs(tiny_run, tmp_path / "taken" / "run")
 
 
 class TestSweep:

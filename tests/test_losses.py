@@ -1,7 +1,5 @@
 """Loss functions: CE variants, two-view alignment, Gram matching, schedule."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -442,8 +440,7 @@ class TestStepGraphSize:
 
     def _step_inputs(self, rng):
         cfg = TrainConfig()
-        arch = ArchSpec(**{f.name: getattr(cfg, f.name) for f in fields(ArchSpec)})
-        params = init_params(arch, seed=0)
+        params = init_params(cfg.arch, seed=0)
         y = np.arange(64) % cfg.num_classes
         x1, x2 = rng.standard_normal((2, 64, cfg.input_dim))
         return cfg, params, x1, x2, y

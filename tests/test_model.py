@@ -1,16 +1,20 @@
 """Network init, forward stack, SGD, and parameter snapshots."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import collapselab.autodiff as ad
+from collapselab.config import parse_config_file
 from collapselab.errors import ConfigError, ContractError, ShapeError, TrainingDivergedError
+from collapselab.harness import build_datasets
 from collapselab.losses import mean_cross_entropy
 from collapselab.model import (
     ArchSpec,
     NetworkParams,
+    encode,
     forward,
     init_params,
     load_params,
@@ -18,6 +22,7 @@ from collapselab.model import (
     sgd_step,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 SMALL = ArchSpec(input_dim=6, num_classes=3, hidden_dims=(8,), feature_dim=5, proj_dim=4, predictor_hidden=4)
 
 
@@ -88,10 +93,38 @@ class TestForward:
 
     def test_input_validation(self):
         params = init_params(SMALL, seed=3)
-        with pytest.raises(ShapeError):
-            forward(params, np.ones((7, 5)))
-        with pytest.raises(ShapeError):
-            forward(params, np.ones(6))
+        for run in (forward, encode):
+            with pytest.raises(ShapeError, match="input shape"):
+                run(params, np.ones((7, 5)))
+            with pytest.raises(ShapeError, match="input shape"):
+                run(params, np.ones(6))
+
+    @pytest.mark.parametrize("config", ["default", "tiny"])
+    def test_encode_is_bitwise_forward_features_on_config_splits(self, config):
+        cfg = parse_config_file(ROOT / "configs" / f"{config}.config")
+        train, test, _ = build_datasets(cfg)
+        params = init_params(cfg.arch, seed=1)
+        for x in (train.x, test.x):
+            assert np.array_equal(encode(params, x), forward(params, x).features.data), x.shape
+
+    def test_encode_is_bitwise_forward_features_on_odd_inputs(self, rng):
+        params = init_params(SMALL, seed=6)
+        with_nan = rng.standard_normal((4, 6))
+        with_nan[2, 3] = np.nan
+        for x in (rng.standard_normal((1, 6)), np.asfortranarray(rng.standard_normal((9, 6))), with_nan):
+            want = forward(params, x).features.data
+            assert np.array_equal(encode(params, x), want, equal_nan=True)
+        assert np.all(np.isnan(encode(params, with_nan)[2]))
+        assert np.all(np.isfinite(np.delete(encode(params, with_nan), 2, axis=0)))
+
+    def test_encode_writes_into_neither_input_nor_parameters(self, rng):
+        params = init_params(SMALL, seed=6)
+        x = rng.standard_normal((5, 6))
+        before = [x.copy()] + [node.data.copy() for _, node in params.named_parameters()]
+        encode(params, x)
+        after = [x] + [node.data for _, node in params.named_parameters()]
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b)
 
     def test_full_stack_gradient_matches_finite_differences(self, rng):
         params = init_params(SMALL, seed=4)

@@ -118,6 +118,14 @@ class TestCenteredCosines:
         with pytest.raises(DegenerateInputError, match="row 1"):
             centered_pairwise_cosines(rows, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [1e160, np.inf, np.nan])
+    def test_row_without_finite_norm_raises_with_index(self, bad):
+        rows = np.array([[1.0, 0.0], [bad, 0.5], [2.0, 1.0]])
+        # 1e160 is finite, but its square overflows: the norm is inf, and
+        # its unit vector would read 0, a perfect right angle to every row
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegenerateInputError, match="row 1"):
+            centered_pairwise_cosines(rows, np.zeros(2))
+
 
 class TestStdCosines:
     def test_known_spread(self):
@@ -192,6 +200,15 @@ class TestDelta:
         with pytest.raises(DegenerateInputError):
             self_duality_delta(np.zeros((3, 4)), s)
 
+    def test_overflowing_norms_rejected(self, rng):
+        w = rng.standard_normal((3, 4))
+        s = self._stats(w)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DegenerateInputError, match="classifier"):
+                self_duality_delta(1e160 * w, s)
+            with pytest.raises(DegenerateInputError, match="centered-mean"):
+                self_duality_delta(w, self._stats(1e160 * w))
+
     def test_incomplete_stats_rejected(self, rng):
         x = rng.standard_normal((4, 3))
         s = class_stats(x, np.array([0, 0, 1, 1]), 3)
@@ -263,6 +280,12 @@ class TestReport:
         assert rep.ncc_agreement == 1.0
         off = rep.icpa_mu[np.triu_indices(10, k=1)]
         assert np.max(np.abs(off - np.degrees(np.arccos(-1 / 9)))) < 1e-6
+
+    def test_overflowing_features_raise_not_collapse(self, rng):
+        x, y = _cloud(rng, [6, 5, 4])
+        w = rng.standard_normal((3, 5))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegenerateInputError):
+            nc_report(1e160 * x, y, w, None, 3)
 
     def test_weights_row_count_checked(self, rng):
         x, y = _cloud(rng, [5, 5])
