@@ -226,10 +226,15 @@ def _is_float(cell: str) -> bool:
 
 
 def integer_labels(path: str | Path, raw: np.ndarray) -> np.ndarray:
-    """A parsed label column as int64; ParseError names the first non-integer row."""
+    """A parsed label column as int64; ParseError names the first row whose
+    label is not an integer, or is one that int64 cannot hold (inf, 1e30)."""
     fractional = np.flatnonzero(raw != np.round(raw))
     if fractional.size:
         raise ParseError(f"{path}: non-integer label in data row {int(fractional[0]) + 1}")
+    huge = np.flatnonzero(~(np.abs(raw) < 2.0**63))
+    if huge.size:
+        k = int(huge[0])
+        raise ParseError(f"{path}: label {raw[k]:g} in data row {k + 1} is out of the int64 range")
     return raw.astype(np.int64)
 
 

@@ -60,9 +60,12 @@ def make_etf(dim: int, num_classes: int, seed: int = 0) -> EtfFrame:
     A seeded Gaussian matrix is orthonormalized by QR (signs fixed so the
     result is unique), then the centering projector I - (1/C) 11^T and the
     scale sqrt(C/(C-1)) turn the orthonormal columns into the simplex frame.
-    Deterministic: the same seed yields bit-identical vectors.
+    Deterministic: the same seed yields bit-identical vectors; a negative
+    seed is rejected.
     """
     q, c = int(dim), int(num_classes)
+    if seed < 0:
+        raise DomainError(f"make_etf: seed must be >= 0, got {seed}")
     if c < 2:
         raise DomainError(f"make_etf: need at least 2 classes, got {c}")
     if q < c:

@@ -186,6 +186,9 @@ def build_datasets(cfg: TrainConfig) -> tuple[Dataset, Dataset, np.ndarray]:
             raise ConfigError(
                 f"csv feature width {train.dim}/{test.dim} does not match input_dim {cfg.input_dim}"
             )
+        top = max(int(train.y.max()), int(test.y.max()))
+        if top >= cfg.num_classes:
+            raise ConfigError(f"csv label {top} is out of range for num_classes {cfg.num_classes}")
         counts = train.counts(cfg.num_classes)
         if np.any(counts < 1):
             raise ConfigError("csv training data is missing at least one class")
@@ -211,10 +214,10 @@ def evaluate(params: NetworkParams, test: Dataset, train_counts: np.ndarray) -> 
     logits += params.classifier_b.data
     predicted = np.argmax(logits, axis=1)
     correct = predicted == test.y
-    groups = class_groups(train_counts)
+    sample_groups = class_groups(train_counts)[test.y]
     per_group = []
     for g in (0, 1, 2):
-        members = np.isin(test.y, np.flatnonzero(groups == g))
+        members = sample_groups == g
         per_group.append(float(np.mean(correct[members])) if members.any() else float("nan"))
     return GroupAccuracy(
         overall=float(np.mean(correct)), many=per_group[0], medium=per_group[1], few=per_group[2]

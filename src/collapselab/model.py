@@ -14,6 +14,11 @@ array alone, bit for bit ``forward(params, x).features.data``. The per-epoch
 diagnostics read only features and logits of whole splits: ``forward`` would
 also run both heads and keep every layer's output alive for a ``backward``
 that never comes, so they use ``encode``; training steps use ``forward``.
+``encode`` writes every hidden layer into a scratch array that the
+parameters own, one per layer position, kept at the largest row count seen:
+a whole-split array that is freed goes back to the operating system, and
+the next epoch would fault its pages in again. Only the returned features
+are a new array.
 
 The optimizer is SGD with momentum and L2 weight decay folded into the
 velocity: v <- m*v + g + wd*theta; theta <- theta - lr*v, applied uniformly
@@ -26,7 +31,7 @@ graphs built before a step stay valid.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +80,8 @@ class NetworkParams:
     classifier_w: Node
     classifier_b: Node
     arch: ArchSpec
+    # encode's hidden-layer outputs by layer position; see encode
+    _scratch: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def named_parameters(self) -> list[tuple[str, Node]]:
         out: list[tuple[str, Node]] = []
@@ -167,14 +174,27 @@ def forward(params: NetworkParams, x: Array) -> ForwardOut:
 
 def encode(params: NetworkParams, x: Array) -> np.ndarray:
     """``forward(params, x).features.data`` without the graph or the heads.
-    Each layer makes one new array and adds its bias and applies relu in
-    place, computing what ``ad.linear`` and ``ad.relu`` compute, so the
-    result is bit for bit the same. Neither ``x`` nor a parameter is written."""
+    Each layer multiplies into an array, then adds its bias and applies relu
+    in place, computing what ``ad.linear`` and ``ad.relu`` compute, so the
+    result is bit for bit the same. Hidden layers write into ``params``'
+    scratch array for their position (the first rows of it, grown when a
+    larger split comes), so consecutive layers never share memory; the last
+    layer makes a new array, which the caller may keep across later calls.
+    Neither ``x`` nor a parameter is written."""
     a = ad.as_tensor(x)
     if a.ndim != 2 or a.shape[1] != params.arch.input_dim:
         raise ShapeError(f"encode: input shape {a.shape} vs input_dim {params.arch.input_dim}")
-    for w, b in params.encoder:
-        a = a @ np.ascontiguousarray(w.data.T)
+    n = a.shape[0]
+    last = len(params.encoder) - 1
+    for i, (w, b) in enumerate(params.encoder):
+        wt = np.ascontiguousarray(w.data.T)
+        if i < last:
+            buf = params._scratch.get(i)
+            if buf is None or buf.shape[0] < n:
+                buf = params._scratch[i] = np.empty((n, wt.shape[1]))
+            a = np.matmul(a, wt, out=buf[:n])
+        else:
+            a = a @ wt
         a += b.data
         np.maximum(a, 0.0, out=a)
     return a

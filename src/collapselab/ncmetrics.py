@@ -25,6 +25,7 @@ keys of a run's ``report.json``, in file order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -55,7 +56,12 @@ class ClassStats:
 
 
 def class_stats(features: np.ndarray, labels: np.ndarray, num_classes: int) -> ClassStats:
-    """Class means, global mean, and counts for a labeled feature batch."""
+    """Class means, global mean, and counts for a labeled feature batch.
+
+    One stable sort by label gathers each class into a contiguous block that
+    keeps its rows in their original order, so each block's mean is bit for
+    bit the mean of that class's rows picked out by a mask.
+    """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     c = int(num_classes)
@@ -70,9 +76,11 @@ def class_stats(features: np.ndarray, labels: np.ndarray, num_classes: int) -> C
     if y.min() < 0 or y.max() >= c:
         raise ContractError(f"class_stats: labels outside [0, {c})")
     counts = np.bincount(y, minlength=c).astype(np.int64)
+    grouped = x[np.argsort(y, kind="stable")]
+    ends = np.cumsum(counts)
     mu = np.full((c, x.shape[1]), np.nan)
     for k in np.flatnonzero(counts):
-        mu[k] = x[y == k].mean(axis=0)
+        mu[k] = grouped[ends[k] - counts[k] : ends[k]].mean(axis=0)
     return ClassStats(mu=mu, mu_g=x.mean(axis=0), counts=counts)
 
 
@@ -112,6 +120,15 @@ def centered_pairwise_cosines(vectors: np.ndarray, center: np.ndarray) -> np.nda
     return cos
 
 
+@functools.cache
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly-upper-triangle indices of a (k, k) matrix; cached, so read-only."""
+    pairs = np.triu_indices(k, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def std_of_pairwise_cosines(cos: np.ndarray) -> float:
     """Population standard deviation of the strictly-upper-triangle cosines.
 
@@ -121,7 +138,7 @@ def std_of_pairwise_cosines(cos: np.ndarray) -> float:
     m = np.asarray(cos, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"std_of_pairwise_cosines: need a square matrix, got {m.shape}")
-    pairs = m[np.triu_indices(m.shape[0], k=1)]
+    pairs = m[_upper_pairs(m.shape[0])]
     if pairs.size == 0:
         return 0.0
     return float(np.std(pairs))
@@ -180,13 +197,12 @@ def ncc_agreement(
         b = np.asarray(bias, dtype=np.float64)
         if b.shape != (w.shape[0],):
             raise ShapeError(f"ncc_agreement: bias shape {b.shape} vs {w.shape[0]} classes")
-        logits = logits + b
+        logits += b
     classifier_pick = np.argmax(logits, axis=1)
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * x @ stats.mu.T
-        + np.sum(stats.mu * stats.mu, axis=1)[None, :]
-    )
+    # d2 = |x|^2 - 2 x.mu + |mu|^2, in the same order of operations, in place
+    d2 = 2.0 * x @ stats.mu.T
+    np.subtract(np.sum(x * x, axis=1)[:, None], d2, out=d2)
+    d2 += np.sum(stats.mu * stats.mu, axis=1)[None, :]
     center_pick = np.argmin(d2, axis=1)
     return float(np.mean(classifier_pick == center_pick))
 

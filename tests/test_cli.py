@@ -241,21 +241,26 @@ class TestMetrics:
         assert err.startswith("error:") and "bin.csv" in err and "UTF-8" in err
 
     def test_non_integer_label_exit_two(self, trained_artifacts, tmp_path, capsys):
-        lines = (trained_artifacts / "features.csv").read_text().splitlines()
-        cells = lines[2].split(",")
-        lines[2] = ",".join(cells[:-1] + ["2.5"])
-        bad = tmp_path / "fractional.csv"
-        bad.write_text("\n".join(lines) + "\n")
-        code = main(
-            [
-                "metrics",
-                "--features", str(bad),
-                "--weights", str(trained_artifacts / "weights.csv"),
-                "--out", str(tmp_path / "m"),
-            ]
-        )
-        assert code == 2
-        assert "non-integer label in data row 2" in capsys.readouterr().err
+        for label, message in [
+            ("2.5", "non-integer label in data row 2"),
+            ("inf", "label inf in data row 2 is out of the int64 range"),
+            ("1e30", "label 1e+30 in data row 2 is out of the int64 range"),
+        ]:
+            lines = (trained_artifacts / "features.csv").read_text().splitlines()
+            cells = lines[2].split(",")
+            lines[2] = ",".join(cells[:-1] + [label])
+            bad = tmp_path / "fractional.csv"
+            bad.write_text("\n".join(lines) + "\n")
+            code = main(
+                [
+                    "metrics",
+                    "--features", str(bad),
+                    "--weights", str(trained_artifacts / "weights.csv"),
+                    "--out", str(tmp_path / "m"),
+                ]
+            )
+            assert code == 2
+            assert message in capsys.readouterr().err
 
     def test_width_mismatch_exit_two(self, trained_artifacts, tmp_path, capsys):
         bad = tmp_path / "w.csv"
@@ -290,9 +295,15 @@ class TestEtf:
         assert np.linalg.norm(first) == pytest.approx(1.0, abs=1e-9)
 
     def test_impossible_frame_exits_two(self, capsys):
-        code = main(["etf", "--dim", "2", "--classes", "5"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        for args, message in [
+            (["--dim", "2", "--classes", "5"], "cannot hold"),
+            (["--dim", "3", "--classes", "3", "--seed", "-1"], "seed must be >= 0"),
+        ]:
+            code = main(["etf", *args])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error:") and message in err
+            assert "Traceback" not in err
 
 
 class TestSweep:

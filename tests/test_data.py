@@ -229,6 +229,11 @@ class TestCsv:
         path.write_text("1.0,2.0,0.5\n")
         with pytest.raises(ParseError, match="non-integer label"):
             load_csv(path)
+        # beyond int64: rejected before the cast, which would warn and wrap
+        for label in ("inf", "-inf", "1e30", "-1e30"):
+            path.write_text(f"1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,{label}\n")
+            with pytest.raises(ParseError, match="data row 3 is out of the int64 range"):
+                load_csv(path)
 
     def test_non_contiguous_labels_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -31,7 +31,7 @@ from collapselab.harness import (
     write_sweep_csv,
 )
 from collapselab.losses import eta
-from collapselab.model import load_params
+from collapselab.model import encode, load_params
 
 TINY = TrainConfig(
     num_classes=3,
@@ -135,6 +135,18 @@ class TestBuildDatasets:
         with pytest.raises(ConfigError, match="missing"):
             build_datasets(cfg)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_csv_label_beyond_num_classes_rejected(self, tmp_path, split):
+        splits = dict(zip(("train", "test"), build_datasets(TINY)))
+        splits[split].y[-1] = TINY.num_classes
+        for name, dataset in splits.items():
+            save_csv(dataset, tmp_path / f"{name}.csv")
+        cfg = with_overrides(
+            TINY, dataset="csv", train_csv=str(tmp_path / "train.csv"), test_csv=str(tmp_path / "test.csv")
+        )
+        with pytest.raises(ConfigError, match="label 3 is out of range"):
+            build_datasets(cfg)
+
 
 class TestRunTrain:
     def test_one_log_per_epoch(self, tiny_run):
@@ -208,6 +220,10 @@ class TestRunTrain:
         for (_, kept), (_, want) in zip(result.params.named_parameters(), short.params.named_parameters()):
             np.testing.assert_array_equal(kept.data, want.data)
         np.testing.assert_array_equal(load_csv(out / "features.csv").x, short.features.x)
+        # the checkpoint's features are its own array: no later encoder pass wrote into them
+        train = build_datasets(TINY)[0]
+        for run in (result, short):
+            assert np.array_equal(run.features.x, encode(run.params, train.x))
 
     def test_divergence_raises_no_numpy_warning(self):
         with warnings.catch_warnings():
@@ -282,6 +298,16 @@ class TestEvaluate:
         acc = evaluate(tiny_run.params, tiny_splits[1], np.array([100, 10, 4]))
         for v in (acc.many, acc.medium, acc.few):
             assert not np.isnan(v)
+        # group members picked by label lookup, as np.isin over each group's classes picks them
+        test = tiny_splits[1]
+        correct = np.argmax(harness.forward(tiny_run.params, test.x).logits.data, axis=1) == test.y
+        for counts in ([100, 10, 4], [100, 30, 4], [4, 100, 30], [30, 30, 30]):
+            groups = class_groups(np.array(counts))
+            acc = evaluate(tiny_run.params, test, np.array(counts))
+            for g, got in enumerate([acc.many, acc.medium, acc.few]):
+                members = np.isin(test.y, np.flatnonzero(groups == g))
+                want = np.mean(correct[members]) if members.any() else np.nan
+                assert np.array_equal(got, want, equal_nan=True), (counts, g)
 
     def test_balanced_training_gives_nan_medium_and_few(self, tiny_run, tiny_splits):
         acc = evaluate(tiny_run.params, tiny_splits[1], np.full(3, 30))

@@ -24,6 +24,8 @@ from collapselab.model import (
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL = ArchSpec(input_dim=6, num_classes=3, hidden_dims=(8,), feature_dim=5, proj_dim=4, predictor_hidden=4)
+# two hidden layers of one width: encode must not give them one scratch array
+TWIN = ArchSpec(input_dim=6, num_classes=3, hidden_dims=(8, 8), feature_dim=5, proj_dim=4, predictor_hidden=4)
 
 
 class TestInit:
@@ -104,18 +106,29 @@ class TestForward:
         cfg = parse_config_file(ROOT / "configs" / f"{config}.config")
         train, test, _ = build_datasets(cfg)
         params = init_params(cfg.arch, seed=1)
-        for x in (train.x, test.x):
-            assert np.array_equal(encode(params, x), forward(params, x).features.data), x.shape
+        # each result must survive the later calls, on either split
+        splits = (train.x, test.x, train.x)
+        encoded = [encode(params, x) for x in splits]
+        for x, got in zip(splits, encoded):
+            assert np.array_equal(got, forward(params, x).features.data), x.shape
 
     def test_encode_is_bitwise_forward_features_on_odd_inputs(self, rng):
-        params = init_params(SMALL, seed=6)
         with_nan = rng.standard_normal((4, 6))
         with_nan[2, 3] = np.nan
-        for x in (rng.standard_normal((1, 6)), np.asfortranarray(rng.standard_normal((9, 6))), with_nan):
-            want = forward(params, x).features.data
-            assert np.array_equal(encode(params, x), want, equal_nan=True)
-        assert np.all(np.isnan(encode(params, with_nan)[2]))
-        assert np.all(np.isfinite(np.delete(encode(params, with_nan), 2, axis=0)))
+        # row counts 1, 9, 4, 20: two of the splits are larger than any seen before
+        inputs = (
+            rng.standard_normal((1, 6)),
+            np.asfortranarray(rng.standard_normal((9, 6))),
+            with_nan,
+            rng.standard_normal((20, 6)),
+        )
+        for arch in (SMALL, TWIN):
+            params = init_params(arch, seed=6)
+            for x in inputs:
+                want = forward(params, x).features.data
+                assert np.array_equal(encode(params, x), want, equal_nan=True), (arch.hidden_dims, x.shape)
+            assert np.all(np.isnan(encode(params, with_nan)[2]))
+            assert np.all(np.isfinite(np.delete(encode(params, with_nan), 2, axis=0)))
 
     def test_encode_writes_into_neither_input_nor_parameters(self, rng):
         params = init_params(SMALL, seed=6)

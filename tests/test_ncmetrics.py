@@ -48,12 +48,22 @@ class TestClassStats:
         weighted = (s.counts[:, None] * s.mu).sum(axis=0) / s.counts.sum()
         np.testing.assert_allclose(weighted, s.mu_g, atol=1e-12)
 
-    def test_absent_class_is_nan(self):
+    def test_absent_class_is_nan(self, rng):
         x = np.ones((3, 2))
         s = class_stats(x, np.zeros(3, dtype=int), 4)
         assert np.all(np.isnan(s.mu[1]))
         assert not s.complete
         assert list(s.present) == [True, False, False, False]
+        # shuffled labels, class 2 absent: each present mean is bit for bit
+        # the mean of the rows a mask picks out
+        x, y = _cloud(rng, [40, 9, 3])
+        y[y == 2] = 3
+        order = rng.permutation(len(y))
+        x, y = x[order], y[order]
+        s = class_stats(x, y, 4)
+        assert np.all(np.isnan(s.mu[2]))
+        for k in (0, 1, 3):
+            assert np.array_equal(s.mu[k], x[y == k].mean(axis=0)), k
 
     def test_rejects_bad_labels(self):
         x = np.ones((2, 2))
