@@ -427,9 +427,8 @@ def backward(root: Node) -> dict[Node, Array]:
     pending: dict[Node, Array] = {root: np.ones_like(root.data)}
     leaves: dict[Node, Array] = {}
     for node in reversed(order):
-        g = pending.pop(node, None)
-        if g is None:
-            continue
+        # every consumer of a node comes before it, so its gradient is complete
+        g = pending.pop(node)
         if node.requires_grad and not node.parents:
             leaves[node] = g
         for parent, fn in zip(node.parents, node.grad_fns):
@@ -445,13 +444,11 @@ def backward(root: Node) -> dict[Node, Array]:
 # finite-difference verification
 
 
+_FD_STEP = 1e-5  # grad_check's central-difference step
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def grad_check(
-    f: Callable[[], Node],
-    params: Iterable[Node],
-    step: float = 1e-5,
-    tol: float | None = None,
-) -> float:
+def grad_check(f: Callable[[], Node], params: Iterable[Node]) -> float:
     """Compare backward() against central finite differences.
 
     ``f`` rebuilds the scalar loss from the current parameter arrays, so each
@@ -459,9 +456,10 @@ def grad_check(
     gives the parameter a fresh array, as the optimizer does, and the
     original array is put back afterwards even if ``f`` raises; arrays that
     ``f`` captured from the parameter are never written. Returns the max over
-    all coordinates of |analytic - numeric| / max(1, |numeric|); if ``tol``
-    is given, exceeding it raises ContractError naming the worst coordinate.
-    A non-finite evaluation raises EvaluationError, with numpy's warnings off.
+    all coordinates of |analytic - numeric| / max(1, |numeric|), for the
+    caller to compare with its tolerance; NaN when an analytic gradient is
+    NaN, so that no bound passes it. A non-finite evaluation raises
+    EvaluationError, with numpy's warnings off.
     """
     params = list(params)
     loss = f()
@@ -472,7 +470,6 @@ def grad_check(
     grads = backward(loss)
 
     worst = 0.0
-    worst_at = ""
     for k, p in enumerate(params):
         analytic = grads.get(p)
         if analytic is None:
@@ -481,21 +478,18 @@ def grad_check(
         for idx in np.ndindex(base.shape):
             try:
                 p.data = base.copy()
-                p.data[idx] = base[idx] + step
+                p.data[idx] = base[idx] + _FD_STEP
                 f_plus = f().item()
                 p.data = base.copy()
-                p.data[idx] = base[idx] - step
+                p.data[idx] = base[idx] - _FD_STEP
                 f_minus = f().item()
             finally:
                 p.data = base
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise EvaluationError(f"grad_check: non-finite value near param {k} index {idx}")
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * _FD_STEP)
             err = abs(float(analytic[idx]) - numeric) / max(1.0, abs(numeric))
-            if err > worst:
+            if err > worst or np.isnan(err):  # a NaN gradient must not read as a pass
                 worst = err
-                worst_at = f"param {k} index {idx}"
-    if tol is not None and worst > tol:
-        raise ContractError(f"grad_check: max relative error {worst:.3e} at {worst_at} exceeds {tol:.1e}")
     return worst
 

@@ -132,15 +132,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_etf(args: argparse.Namespace) -> int:
     frame = make_etf(args.dim, args.classes, seed=args.seed)
-    gram = frame.gram()
+    gram = frame @ frame.T
     print(f"simplex frame: {args.classes} vectors in R^{args.dim}, seed {args.seed}")
     print("gram matrix:")
     for row in gram:
         print("  " + " ".join(f"{v: .9g}" for v in row))
-    print(f"deviation from target: {etf_deviation(frame.vectors):.3e}")
+    print(f"deviation from target: {etf_deviation(frame):.3e}")
     if args.csv:
         path = Path(args.csv)
-        write_csv(path, [f"dim{i}" for i in range(frame.dim)], frame.vertices, "%.9g")
+        write_csv(path, [f"dim{i}" for i in range(args.dim)], frame, "%.9g")
         print(f"frame written to {path.resolve()}")
     return 0
 

@@ -30,7 +30,7 @@ Schema (types and defaults live on TrainConfig):
   train_csv/test_csv    file paths when dataset = csv
   num_classes, input_dim, n_max, beta, n_test_per_class,
   mean_placement, mean_radius, noise_std, placement_seed
-                        synthetic mixture shape
+                        synthetic mixture shape (placement_seed >= 0)
   view_noise_std, view_mask_prob
                         two-view augmentation strength
   hidden_dims, feature_dim, proj_dim, proj1_hidden, predictor_hidden
@@ -43,7 +43,7 @@ Schema (types and defaults live on TrainConfig):
                         ablation switches (allnc mode only)
   freeze_classifier_bias
                         keep the classifier bias at its initial zeros
-  seed                  master seed; all streams derive from it
+  seed                  master seed (>= 0); all streams derive from it
   out_dir               where run artifacts go (empty = no emission)
 """
 
@@ -117,6 +117,9 @@ class TrainConfig:
             raise ConfigError(f"beta must be >= 1, got {self.beta}")
         if min(self.input_dim, self.n_max, self.n_test_per_class, self.batch_size, self.t_max) < 1:
             raise ConfigError("input_dim, n_max, n_test_per_class, batch_size, t_max must be >= 1")
+        for key in ("seed", "placement_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         self.arch  # ArchSpec checks the widths
         if self.lr <= 0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")

@@ -59,8 +59,7 @@ def class_means(
     "random" uses seeded random unit directions.
     """
     if placement == "etf":
-        means = make_etf(input_dim, num_classes, seed=placement_seed).vertices
-        means = means * radius
+        means = make_etf(input_dim, num_classes, seed=placement_seed) * radius
     else:
         rng = np.random.default_rng(np.random.SeedSequence([placement_seed, 5]))
         raw = rng.standard_normal((num_classes, input_dim))

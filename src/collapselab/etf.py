@@ -5,13 +5,13 @@ products all equal -1/(C-1), the most mutually repelled arrangement C unit
 vectors can reach. Collapsed classifiers and collapsed class means both
 organize into this shape, so the frame doubles as the optimization target
 for the Gram-matching losses and as the ground truth for the geometry
-diagnostics.
+diagnostics. A frame is a (C, d) array with one vector per row, the layout
+of every vector set in the package (class means, classifier rows).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,34 +34,16 @@ def rho_matrix(num_classes: int) -> np.ndarray:
     return target
 
 
-@dataclass(frozen=True)
-class EtfFrame:
-    """A realized simplex ETF.
+def make_etf(dim: int, num_classes: int, seed: int = 0) -> np.ndarray:
+    """A simplex ETF of ``num_classes`` unit vectors in R^dim, as a
+    C-contiguous (num_classes, dim) array with one frame vector per row.
 
-    vectors: (dim, C) matrix whose columns are the frame vectors.
-    """
-
-    vectors: np.ndarray
-    num_classes: int
-    dim: int
-
-    @property
-    def vertices(self) -> np.ndarray:
-        """(C, dim) view with one frame vector per row."""
-        return np.ascontiguousarray(self.vectors.T)
-
-    def gram(self) -> np.ndarray:
-        return self.vectors.T @ self.vectors
-
-
-def make_etf(dim: int, num_classes: int, seed: int = 0) -> EtfFrame:
-    """Construct a simplex ETF of ``num_classes`` unit vectors in R^dim.
-
-    A seeded Gaussian matrix is orthonormalized by QR (signs fixed so the
-    result is unique), then the centering projector I - (1/C) 11^T and the
-    scale sqrt(C/(C-1)) turn the orthonormal columns into the simplex frame.
-    Deterministic: the same seed yields bit-identical vectors; a negative
-    seed is rejected.
+    A seeded Gaussian (dim, C) matrix is orthonormalized by QR (signs fixed
+    so the result is unique), then the centering projector I - (1/C) 11^T
+    and the scale sqrt(C/(C-1)) turn the orthonormal columns into the
+    simplex frame, which is transposed into rows. Its Gram matrix is
+    ``F @ F.T``. Deterministic: the same seed yields bit-identical vectors;
+    a negative seed is rejected.
     """
     q, c = int(dim), int(num_classes)
     if seed < 0:
@@ -78,21 +60,22 @@ def make_etf(dim: int, num_classes: int, seed: int = 0) -> EtfFrame:
     basis = basis * signs
     projector = np.eye(c) - np.full((c, c), 1.0 / c)
     vectors = np.sqrt(c / (c - 1.0)) * basis @ projector
-    return EtfFrame(vectors=vectors, num_classes=c, dim=q)
+    return np.ascontiguousarray(vectors.T)
 
 
 def etf_deviation(vectors: np.ndarray) -> float:
-    """Max |Gram - target| after unit-normalizing the columns.
+    """Max |Gram - target| after unit-normalizing the rows.
 
-    Takes a (dim, C) matrix of column vectors; 0 exactly on a perfect frame.
+    Takes a (C, dim) matrix with one vector per row; 0 exactly on a perfect
+    frame.
     """
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2:
         raise ShapeError(f"etf_deviation: need a 2-d matrix, got shape {v.shape}")
-    c = v.shape[1]
-    norms = np.linalg.norm(v, axis=0)
+    c = v.shape[0]
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise DegenerateInputError(f"etf_deviation: zero column at index {int(zero[0])}")
+        raise DegenerateInputError(f"etf_deviation: zero row at index {int(zero[0])}")
     unit = v / norms
-    return float(np.max(np.abs(unit.T @ unit - rho_matrix(c))))
+    return float(np.max(np.abs(unit @ unit.T - rho_matrix(c))))

@@ -21,12 +21,14 @@ package error is a broken contract and propagates. numpy's floating-point
 warnings are silenced in the epoch loop: divergence is detected by the
 finiteness checks.
 Sweeps set any config key to one value per row, parsed as the config file
-parses it, and write the final epochs.csv row of each run. They keep going
+parses it, and write the final epochs.csv row of each run; each run's
+out_dir is cleared, so a sweep writes no run artifacts. They keep going
 past a diverged run or a value that validation or the data geometry rejects,
 marking the row failed; any other package error propagates as it does from
 ``run_train``.
 
-Run artifacts (fixed layout, deterministic bytes for a fixed config):
+Run artifacts, written when cfg.out_dir is set (fixed layout,
+deterministic bytes for a fixed config):
     config.resolved   the full effective config, reparseable
     epochs.csv        one row per epoch: losses, diagnostics, accuracies
     report.json       final NCReport fields, then diverged, epochs_completed
@@ -247,10 +249,7 @@ def _allnc_step(
         disable_p2p_mu=cfg.disable_p2p_mu,
         disable_p2p_w=cfg.disable_p2p_w,
     )
-    stats = {f"loss_{name}": node.item() for name, node in terms.items()}
-    stats["loss_ce"] = 0.5 * (stats.pop("loss_ce1") + stats.pop("loss_ce2"))
-    stats["loss_re"] = 0.5 * (stats.pop("loss_re1") + stats.pop("loss_re2"))
-    return terms["total"], stats
+    return terms["total"], {f"loss_{name}": node.item() for name, node in terms.items()}
 
 
 def _ce_step(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> tuple[ad.Node, dict[str, float]]:
@@ -262,21 +261,16 @@ def _ce_step(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> tuple[ad.No
     return ce, stats
 
 
-def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
-    """Execute one experiment; optionally emit artifacts to cfg.out_dir.
+def run_train(cfg: TrainConfig) -> RunResult:
+    """Execute one experiment; emit its artifacts to cfg.out_dir if it is set.
 
-    ``emit`` defaults to whether cfg.out_dir is set; a run without a completed
-    epoch has nothing to report and emits nothing. Returns the result with
-    one EpochLog per completed epoch; a non-finite loss or gradient, or a
-    degenerate input, stops training early and marks the result diverged
-    instead of raising, with the parameters put back as they stood after the
-    last completed epoch.
+    A run without a completed epoch has nothing to report and emits nothing.
+    Returns the result with one EpochLog per completed epoch; a non-finite
+    loss or gradient, or a degenerate input, stops training early and marks
+    the result diverged instead of raising, with the parameters put back as
+    they stood after the last completed epoch.
     """
-    if emit is None:
-        emit = bool(cfg.out_dir)
-    if emit and not cfg.out_dir:
-        raise ConfigError("run_train: emission requested but out_dir is empty")
-    if emit and Path(cfg.out_dir).exists() and not Path(cfg.out_dir).is_dir():
+    if cfg.out_dir and Path(cfg.out_dir).exists() and not Path(cfg.out_dir).is_dir():
         raise ConfigError(f"run_train: out_dir {cfg.out_dir} exists and is not a directory")
     train, test, counts = build_datasets(cfg)
     seeds = _derive_seeds(cfg.seed)
@@ -288,7 +282,9 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
     completed = [node.data for node in nodes]
     features = None
     velocity: dict[ad.Node, np.ndarray] = {}
-    trainable = params.trainable(cfg.freeze_classifier_bias)
+    trainable = params.named_parameters()
+    if cfg.freeze_classifier_bias:
+        trainable = [(name, node) for name, node in trainable if name != "classifier.b"]
     class_weights = L.inverse_frequency_weights(counts)
     augmenter = ViewAugmenter(
         noise_std=cfg.view_noise_std,
@@ -337,7 +333,7 @@ def run_train(cfg: TrainConfig, emit: bool | None = None) -> RunResult:
             features = Dataset(feats, train.y)
 
     result = RunResult(config=cfg, params=params, features=features, logs=logs, diverged=diverged)
-    if emit and logs:
+    if cfg.out_dir and logs:
         emit_outputs(result, cfg.out_dir)
     return result
 
@@ -425,7 +421,7 @@ def sweep(cfg: TrainConfig, param: str, values: list[str]) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for value in parsed:
         try:
-            result = run_train(with_overrides(cfg, **{param: value}), emit=False)
+            result = run_train(with_overrides(cfg, **{param: value, "out_dir": ""}))
             rows.append(SweepRow(param, value, None if result.diverged or not result.logs else result.logs[-1]))
         except (ConfigError, DomainError, DegenerateInputError):
             rows.append(SweepRow(param, value, None))

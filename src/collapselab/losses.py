@@ -30,7 +30,7 @@ The pieces:
   from 1 to 0 over training, handing each classification branch from plain
   CE to re-weighted CE plus classifier Gram matching.
 * ``allnc_loss``: the whole two-view objective of one training step, built
-  from the pieces above, with every term returned by name.
+  from the pieces above, with every term a step logs returned by name.
 """
 
 from __future__ import annotations
@@ -319,7 +319,8 @@ def allnc_loss(
     classes neither has a Gram target and p2p_mu is zero. A disabled term is
     the constant zero.
 
-    Returns the nodes ce1, ce2, re1, re2, p2p_w, branch1, branch2, hycon,
+    Returns the nodes of the terms a training step logs: ce and re, each the
+    mean of the two views' batch means, then p2p_w, branch1, branch2, hycon,
     p2p_mu and total.
     """
     zero = ad.constant(0.0)
@@ -340,10 +341,8 @@ def allnc_loss(
         p2p2 = p2p(mu2, True, num_classes=num_classes, center=ad.mean_rows(view2.features))
         p2p_mu = ad.scale(ad.add(p2p1, p2p2), 0.5)
     return {
-        "ce1": ce1,
-        "ce2": ce2,
-        "re1": re1,
-        "re2": re2,
+        "ce": ad.scale(ad.add(ce1, ce2), 0.5),
+        "re": ad.scale(ad.add(re1, re2), 0.5),
         "p2p_w": p2p_w,
         "branch1": branch1,
         "branch2": branch2,

@@ -93,12 +93,6 @@ class NetworkParams:
         out.append(("classifier.b", self.classifier_b))
         return out
 
-    def trainable(self, freeze_classifier_bias: bool = False) -> list[tuple[str, Node]]:
-        pairs = self.named_parameters()
-        if freeze_classifier_bias:
-            pairs = [(n, p) for n, p in pairs if n != "classifier.b"]
-        return pairs
-
 
 @dataclass
 class ForwardOut:

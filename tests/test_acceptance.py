@@ -59,7 +59,7 @@ def matrix() -> Matrix:
     for seed in SEEDS:
         for mode, beta in [("ce", b) for b in BETAS] + [("allnc", 100.0)]:
             cfg = with_overrides(TrainConfig(), mode=mode, beta=beta, seed=seed)
-            result = run_train(cfg, emit=False)
+            result = run_train(cfg)
             assert not result.diverged, f"{mode} beta={beta} seed={seed} diverged"
             rep, acc = result.final_report, result.final_accuracy
             records[(mode, beta, seed)] = RunRecord(
@@ -82,8 +82,9 @@ def test_etf_geometry_and_icpa():
     t0 = time.monotonic()
     for c in (2, 4, 10, 16):
         frame = make_etf(2 * c, c, seed=0)
-        assert etf_deviation(frame.vectors) < 1e-9, f"C={c} frame off target"
-    gram = make_etf(20, 10, seed=0).gram()
+        assert etf_deviation(frame) < 1e-9, f"C={c} frame off target"
+    frame = make_etf(20, 10, seed=0)
+    gram = frame @ frame.T
     angles = np.degrees(np.arccos(np.clip(gram, -1.0, 1.0)))
     off = angles[~np.eye(10, dtype=bool)]
     assert np.max(np.abs(off - 96.379)) < 1e-3
@@ -328,10 +329,10 @@ def test_minority_benefit(matrix):
 def test_nc4_closure(matrix):
     t0 = time.monotonic()
     frame = make_etf(16, 10, seed=0)
-    features = np.repeat(frame.vertices, 5, axis=0)
+    features = np.repeat(frame, 5, axis=0)
     labels = np.repeat(np.arange(10), 5)
     stats = class_stats(features, labels, 10)
-    exact = ncc_agreement(features, frame.vertices, None, stats)
+    exact = ncc_agreement(features, frame, None, stats)
     assert exact == 1.0
 
     for seed in SEEDS:
@@ -368,12 +369,12 @@ def test_schedule_and_plumbing():
         t_max=5,
         seed=0,
     )
-    first = run_train(cfg, emit=False)
+    first = run_train(cfg)
     for log in first.logs:
         parts = log.loss_branch1 + log.loss_branch2 + cfg.alpha * (log.loss_hycon + log.loss_p2p_mu)
         assert abs(log.loss_total - parts) <= 1e-10
 
-    second = run_train(cfg, emit=False)
+    second = run_train(cfg)
     assert [a.csv_row() for a in first.logs] == [b.csv_row() for b in second.logs]
     for (na, pa), (nb, pb) in zip(
         first.params.named_parameters(), second.params.named_parameters()

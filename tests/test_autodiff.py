@@ -340,6 +340,17 @@ def test_backward_deterministic(rng):
     assert np.array_equal(a, b)
 
 
+def test_backward_fails_loudly_on_a_broken_order(rng, monkeypatch):
+    # the diamond x -> gram and x -> transpose -> gram: with the order
+    # reversed, x is popped before either consumer has deposited its share
+    x = ad.param(rng.standard_normal((3, 3)))
+    loss = ad.sum_all(ad.matmul(x, ad.transpose(x)))
+    topo = ad._topo_order
+    monkeypatch.setattr(ad, "_topo_order", lambda root: topo(root)[::-1])
+    with pytest.raises(KeyError):
+        ad.backward(loss)
+
+
 def test_grad_check_raises_on_nonfinite():
     x = ad.param(np.array([0.0]))
 
@@ -360,10 +371,20 @@ def test_grad_check_nonfinite_raises_no_numpy_warning():
             ad.grad_check(lambda: ad.sum_all(ad.mul(x, ad.constant(np.array([np.inf])))), [x])
 
 
-def test_grad_check_tol_enforcement(rng):
+def test_grad_check_returns_the_error_for_the_caller_to_bound(rng):
     x = ad.param(rng.standard_normal(3))
-    err = ad.grad_check(lambda: ad.sum_all(ad.square(x)), [x], tol=1e-6)
+    err = ad.grad_check(lambda: ad.sum_all(ad.square(x)), [x])
     assert err < 1e-6
+    # a wrong gradient reads as a large error, not as an exception
+    wrong = ad.grad_check(lambda: ad.Node(x.data.sum(), (x,), (lambda g: 2.0 * g * np.ones(3),), True), [x])
+    assert wrong == pytest.approx(1.0)
+
+
+def test_grad_check_nan_gradient_fails_every_bound():
+    # the first coordinate's error is NaN; later finite ones must not hide it
+    x = ad.param(np.array([1.0, 2.0, 3.0]))
+    err = ad.grad_check(lambda: ad.Node(x.data.sum(), (x,), (lambda g: np.array([np.nan, 1.0, 1.0]) * g,), True), [x])
+    assert np.isnan(err)
 
 
 def test_grad_check_leaves_captured_arrays_alone(rng):

@@ -1,7 +1,10 @@
 """End-to-end command-line checks, run in-process through main()."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,9 @@ import pytest
 import collapselab.harness as harness
 from collapselab.cli import _build_parser, main
 from collapselab.config import parse_overrides
+from collapselab.data import load_csv, read_numeric_csv
 from collapselab.harness import EPOCH_CSV_HEADER
+from collapselab.ncmetrics import nc_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,6 +81,8 @@ class TestTrain:
             (["lr=0"], "lr must be > 0"),
             # '#' starts a comment, so config.resolved would reparse this as '{tmp}/a'
             (["out_dir={tmp}/a#1"], "out_dir must not hold '#'"),
+            (["seed=-1"], "seed must be >= 0, got -1"),
+            (["placement_seed=-1", "mean_placement=random"], "placement_seed must be >= 0, got -1"),
         ],
     )
     def test_rejected_override_exits_two(self, tiny_config, tmp_path, pairs, message, capsys):
@@ -262,6 +269,47 @@ class TestMetrics:
             assert code == 2
             assert message in capsys.readouterr().err
 
+    def test_weights_without_bias_column(self, trained_artifacts, tmp_path):
+        # exactly d columns: the classifier rows alone, scored without a bias
+        lines = (trained_artifacts / "weights.csv").read_text().splitlines()
+        wpath = tmp_path / "w.csv"
+        wpath.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
+        out = tmp_path / "m"
+        code = main(
+            [
+                "metrics",
+                "--features", str(trained_artifacts / "features.csv"),
+                "--weights", str(wpath),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        features = load_csv(trained_artifacts / "features.csv")
+        _, w = read_numeric_csv(wpath)
+        want = nc_report(features.x, features.y, w, None, w.shape[0])
+        got = json.loads((out / "report.json").read_text())
+        assert got == json.loads(json.dumps(want.to_dict()))
+        # the angles of the rows do not involve the bias
+        assert (out / "icpa_w.csv").read_bytes() == (trained_artifacts / "icpa_w.csv").read_bytes()
+
+    def test_bias_beside_wrong_width_weights_exit_two(self, trained_artifacts, tmp_path, capsys):
+        # weights.csv keeps its bias column, so beside --bias it is d+1 wide
+        lines = (trained_artifacts / "weights.csv").read_text().splitlines()
+        bpath = tmp_path / "b.csv"
+        bpath.write_text("\n".join(line.rsplit(",", 1)[1] for line in lines[1:]) + "\n")
+        code = main(
+            [
+                "metrics",
+                "--features", str(trained_artifacts / "features.csv"),
+                "--weights", str(trained_artifacts / "weights.csv"),
+                "--bias", str(bpath),
+                "--out", str(tmp_path / "m"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "7 columns do not match feature dim 6" in err
+
     def test_width_mismatch_exit_two(self, trained_artifacts, tmp_path, capsys):
         bad = tmp_path / "w.csv"
         bad.write_text("1.0,2.0\n3.0,4.0\n")
@@ -317,6 +365,15 @@ class TestSweep:
         assert lines[0] == "param,value,status," + EPOCH_CSV_HEADER
         assert [line.split(",")[:4] for line in lines[1:]] == [["gamma", "1.0", "ok", "3"], ["gamma", "2.0", "ok", "3"]]
 
+    def test_negative_seed_writes_a_failed_row(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["sweep", "--config", str(tiny_config), "--param", "seed", "--values", "0,-1", "--out", str(out), "t_max=1"]
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[:4] for line in lines[1:]] == [["seed", "0", "ok", "1"], ["seed", "-1", "failed", "nan"]]
+
     def test_bad_values_exit_two(self, tiny_config, tmp_path, capsys):
         code = main(["sweep", "--config", str(tiny_config), "--param", "gamma", "--values", "2.0,oops"])
         assert code == 2
@@ -360,3 +417,24 @@ def test_readme_quick_start_commands_parse():
     for command in commands:
         args = _build_parser().parse_args(shlex.split(command)[1:])
         parse_overrides(getattr(args, "overrides", []))
+
+
+def test_module_runs_as_a_process(tmp_path):
+    # the installed entry point aside, `python -m collapselab.cli` is the CLI
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "collapselab.cli", *args], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+
+    done = run("etf", "--dim", "4", "--classes", "3")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("simplex frame: 3 vectors in R^4, seed 0\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("seed = -1\n")
+    done = run("train", "--config", str(bad))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "seed" in done.stderr
+    assert "Traceback" not in done.stderr

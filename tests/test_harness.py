@@ -51,7 +51,7 @@ TINY = TrainConfig(
 
 @pytest.fixture(scope="module")
 def tiny_run():
-    return run_train(TINY, emit=False)
+    return run_train(TINY)
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +167,7 @@ class TestRunTrain:
         assert tiny_run.final_accuracy.overall > 0.9
 
     def test_byte_identical_rerun(self, tiny_run):
-        again = run_train(TINY, emit=False)
+        again = run_train(TINY)
         for a, b in zip(tiny_run.logs, again.logs):
             assert a.csv_row() == b.csv_row()
         np.testing.assert_array_equal(
@@ -175,7 +175,7 @@ class TestRunTrain:
         )
 
     def test_ce_mode_logs_only_ce(self):
-        result = run_train(with_overrides(TINY, mode="ce", t_max=2), emit=False)
+        result = run_train(with_overrides(TINY, mode="ce", t_max=2))
         for log in result.logs:
             assert log.loss_re == log.loss_hycon == log.loss_p2p_mu == log.loss_p2p_w == 0.0
             assert log.loss_total == log.loss_ce == log.loss_branch1
@@ -190,20 +190,18 @@ class TestRunTrain:
         ],
     )
     def test_ablation_zeroes_column(self, switch, column):
-        result = run_train(with_overrides(TINY, t_max=2, **{switch: True}), emit=False)
+        result = run_train(with_overrides(TINY, t_max=2, **{switch: True}))
         assert all(getattr(log, column) == 0.0 for log in result.logs)
 
     def test_disable_gbbn_pins_eta(self):
-        result = run_train(
-            with_overrides(TINY, t_max=3, disable_gbbn=True, fixed_eta=0.25), emit=False
-        )
+        result = run_train(with_overrides(TINY, t_max=3, disable_gbbn=True, fixed_eta=0.25))
         assert all(log.eta == 0.25 for log in result.logs)
 
     def test_divergence_flagged_not_raised(self):
         # in allnc mode at this rate the first epoch's features overflow the
         # collapse report's norms: that epoch is not completed either
         for cfg in (with_overrides(TINY, mode="ce", lr=1e6, t_max=4), with_overrides(TINY, lr=1e6)):
-            result = run_train(cfg, emit=False)
+            result = run_train(cfg)
             assert result.diverged
             assert len(result.logs) < cfg.t_max
             for log in result.logs:
@@ -216,7 +214,7 @@ class TestRunTrain:
         result = run_train(with_overrides(TINY, mode="ce", lr=0.3, out_dir=str(out)))
         assert result.diverged
         assert len(result.logs) == 4
-        short = run_train(with_overrides(TINY, mode="ce", lr=0.3, t_max=4), emit=False)
+        short = run_train(with_overrides(TINY, mode="ce", lr=0.3, t_max=4))
         for (_, kept), (_, want) in zip(result.params.named_parameters(), short.params.named_parameters()):
             np.testing.assert_array_equal(kept.data, want.data)
         np.testing.assert_array_equal(load_csv(out / "features.csv").x, short.features.x)
@@ -228,7 +226,7 @@ class TestRunTrain:
     def test_divergence_raises_no_numpy_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            result = run_train(with_overrides(TINY, mode="ce", lr=1e6, t_max=4), emit=False)
+            result = run_train(with_overrides(TINY, mode="ce", lr=1e6, t_max=4))
         assert result.diverged
 
     @pytest.mark.parametrize("mode,loss", [("allnc", "allnc_loss"), ("ce", "mean_cross_entropy")])
@@ -254,7 +252,7 @@ class TestRunTrain:
 
         monkeypatch.setattr(L, loss, raise_error)
         with pytest.raises(error, match="inside the step"):
-            run_train(with_overrides(TINY, mode=mode, t_max=2), emit=False)
+            run_train(with_overrides(TINY, mode=mode, t_max=2))
 
     @pytest.mark.parametrize("mode", ["allnc", "ce"])
     def test_graph_forward_sees_only_training_batches(self, monkeypatch, mode):
@@ -266,11 +264,11 @@ class TestRunTrain:
             return graph_forward(params, x)
 
         monkeypatch.setattr(harness, "forward", recording_forward)
-        run_train(with_overrides(TINY, mode=mode, t_max=2), emit=False)
+        run_train(with_overrides(TINY, mode=mode, t_max=2))
         assert rows and max(rows) <= TINY.batch_size
 
     def test_frozen_bias_stays_zero(self):
-        result = run_train(with_overrides(TINY, t_max=2, freeze_classifier_bias=True), emit=False)
+        result = run_train(with_overrides(TINY, t_max=2, freeze_classifier_bias=True))
         np.testing.assert_array_equal(result.params.classifier_b.data, 0.0)
 
 
@@ -403,14 +401,6 @@ class TestEmission:
         again = load_params(emitted / "params")
         np.testing.assert_array_equal(again.classifier_w.data, tiny_run.params.classifier_w.data)
 
-    def test_emit_requires_out_dir(self, monkeypatch):
-        def no_training(cfg):
-            raise AssertionError("run_train built its datasets before checking out_dir")
-
-        monkeypatch.setattr(harness, "build_datasets", no_training)
-        with pytest.raises(ConfigError, match="out_dir"):
-            run_train(TINY, emit=True)
-
     def test_out_dir_naming_a_file_rejected_before_training(self, monkeypatch, tmp_path):
         def no_training(cfg):
             raise AssertionError("run_train built its datasets before checking out_dir")
@@ -468,6 +458,12 @@ class TestSweep:
         monkeypatch.setattr(harness, "run_train", no_training)
         with pytest.raises(ConfigError, match="'disable_gbbn=maybe': bad value for disable_gbbn"):
             sweep(TINY, "disable_gbbn", ["false", "maybe"])
+
+    def test_writes_no_artifacts(self, tmp_path):
+        out = tmp_path / "run"
+        rows = sweep(with_overrides(TINY, t_max=1, out_dir=str(out)), "gamma", ["2"])
+        assert [r.status for r in rows] == ["ok"]
+        assert not out.exists()
 
     def test_sweeps_any_key(self):
         rows = sweep(with_overrides(TINY, t_max=1), "mode", ["ce", "allnc"])

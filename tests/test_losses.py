@@ -226,11 +226,11 @@ class TestClassMeanMatrix:
 class TestP2P:
     def test_exact_frame_raw_rows(self):
         frame = make_etf(8, 5, seed=0)
-        assert p2p(ad.constant(frame.vertices), False).item() < 1e-18
+        assert p2p(ad.constant(frame), False).item() < 1e-18
 
     def test_exact_frame_centered_normalized(self):
         frame = make_etf(8, 5, seed=1)
-        rows = 2.5 * frame.vertices + 0.7  # scale and shift; tilde mode undoes both
+        rows = 2.5 * frame + 0.7  # scale and shift; tilde mode undoes both
         assert p2p(ad.constant(rows), True).item() < 1e-18
 
     def test_orthonormal_two_rows_exact_half(self):
@@ -239,7 +239,7 @@ class TestP2P:
 
     def test_subset_rows_full_frame_target(self):
         frame = make_etf(8, 4, seed=2)
-        sub = ad.constant(frame.vertices[:2])
+        sub = ad.constant(frame[:2])
         # against the 4-class target the exact sub-frame scores zero
         assert p2p(sub, False, num_classes=4).item() < 1e-18
         # against a 2-class target (cosine -1) it does not
@@ -318,7 +318,7 @@ class TestBranchAndTotal:
         frame = make_etf(6, 4, seed=3)
         logits = ad.constant(rng.standard_normal((8, 4)))
         y = rng.integers(0, 4, size=8)
-        got = branch_loss(logits, y, 0.5, np.ones(4), ad.constant(frame.vertices)).item()
+        got = branch_loss(logits, y, 0.5, np.ones(4), ad.constant(frame)).item()
         assert got == pytest.approx(mean_cross_entropy(logits, y).item(), abs=1e-12)
 
     def test_shared_p2p_node_used(self, rng):
@@ -389,6 +389,12 @@ class TestAllncLoss:
         pm = ad.scale(ad.add(pm[0], pm[1]), 0.5)
         want = total_loss(b1, b2, hy, pm, 0.7).item()
         terms = self._terms(params, (v1, v2), y, w)
+        # exactly the terms a training step logs
+        assert list(terms) == ["ce", "re", "p2p_w", "branch1", "branch2", "hycon", "p2p_mu", "total"]
+        ce = [mean_cross_entropy(v.logits, y).item() for v in (v1, v2)]
+        re = [mean_reweighted_ce(v.logits, y, w).item() for v in (v1, v2)]
+        assert terms["ce"].item() == 0.5 * (ce[0] + ce[1])
+        assert terms["re"].item() == 0.5 * (re[0] + re[1])
         assert terms["total"].item() == want
         assert terms["branch1"].item() == b1.item()
         assert terms["hycon"].item() == hy.item()

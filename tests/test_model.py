@@ -10,7 +10,7 @@ import collapselab.autodiff as ad
 from collapselab.config import parse_config_file
 from collapselab.errors import ConfigError, ContractError, ShapeError, TrainingDivergedError
 from collapselab.harness import build_datasets
-from collapselab.losses import mean_cross_entropy
+from collapselab.losses import hycon_batch, mean_cross_entropy
 from collapselab.model import (
     ArchSpec,
     NetworkParams,
@@ -149,6 +149,26 @@ class TestForward:
             return mean_cross_entropy(forward(params, x).logits, y)
 
         assert ad.grad_check(build, nodes) < 1e-4
+
+    def test_two_layer_projection_gradient_matches_finite_differences(self, rng):
+        params = init_params(ArchSpec(**{**SMALL.__dict__, "proj1_hidden": 6}), seed=4)
+        x1, x2 = (np.abs(rng.standard_normal((5, 6))) + 0.3 for _ in range(2))
+        y = np.array([0, 1, 2, 0, 1])
+        targets = [ad.constant(forward(params, x).z.data.copy()) for x in (x1, x2)]
+        # the inner relu of the projection is live: some units pass, some do not
+        (w0, b0), _ = params.proj1
+        pre = encode(params, x1) @ w0.data.T + b0.data
+        assert np.any(pre > 0) and np.any(pre < 0)
+        assert np.abs(pre).min() > 1e-3
+
+        def build():
+            v1, v2 = forward(params, x1), forward(params, x2)
+            return hycon_batch(v1.h, v2.h, v1.z, v2.z, y, target_z1=targets[0], target_z2=targets[1])
+
+        nodes = [p for _, p in params.named_parameters()]
+        grads = ad.backward(build())
+        assert all(np.any(grads[p] != 0.0) for layer in params.proj1 for p in layer)
+        assert ad.grad_check(build, nodes) < 1e-5
 
     def test_weight_sharing_accumulates_gradients(self, rng):
         params = init_params(SMALL, seed=5)

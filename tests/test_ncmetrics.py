@@ -108,7 +108,7 @@ class TestNC1:
 class TestCenteredCosines:
     def test_etf_rows_hit_target(self):
         frame = make_etf(16, 10, seed=0)
-        cos = centered_pairwise_cosines(frame.vertices, np.zeros(16))
+        cos = centered_pairwise_cosines(frame, np.zeros(16))
         off = cos[np.triu_indices(10, k=1)]
         np.testing.assert_allclose(off, -1.0 / 9.0, atol=1e-9)
         np.testing.assert_allclose(np.diag(cos), 1.0)
@@ -159,14 +159,14 @@ class TestStdCosines:
 
     def test_equiangular_input_gives_zero(self):
         frame = make_etf(8, 5, seed=2)
-        cos = centered_pairwise_cosines(frame.vertices, np.zeros(8))
+        cos = centered_pairwise_cosines(frame, np.zeros(8))
         assert std_of_pairwise_cosines(cos) < 1e-12
 
 
 class TestIcpa:
     def test_etf_angle_for_ten_classes(self):
         frame = make_etf(16, 10, seed=1)
-        cos = centered_pairwise_cosines(frame.vertices, np.zeros(16))
+        cos = centered_pairwise_cosines(frame, np.zeros(16))
         angles = icpa_degrees(cos)
         off = angles[np.triu_indices(10, k=1)]
         assert np.max(np.abs(off - np.degrees(np.arccos(-1 / 9)))) < 1e-6
@@ -281,9 +281,9 @@ class TestReport:
     def test_collapsed_input_reproduces_targets(self):
         # features sitting exactly on ETF vertices with the matching classifier
         frame = make_etf(16, 10, seed=4)
-        x = np.repeat(frame.vertices, 3, axis=0)
+        x = np.repeat(frame, 3, axis=0)
         y = np.repeat(np.arange(10), 3)
-        rep = nc_report(x, y, frame.vertices, None, 10)
+        rep = nc_report(x, y, frame, None, 10)
         assert rep.nc1 < 1e-28
         assert rep.std_cos_mu < 1e-9 and rep.std_cos_w < 1e-9
         assert rep.delta < 1e-9
