@@ -49,6 +49,7 @@ VARIANTS = [
     (TINY, ("lr=30",)),
     ("configs/default.config", ("t_max=3",)),
     ("configs/default.config", ("t_max=3", "mode=ce")),
+    (TINY, ("freeze_classifier_bias=true",)),
 ]
 
 

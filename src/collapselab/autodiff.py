@@ -14,6 +14,10 @@ Gradient semantics worth knowing before reading the ops:
   because the traversal never visits them.
 * ``relu`` uses the subgradient 0 at exactly 0 (the mask is ``x > 0``). Its
   forward is ``np.maximum(x, 0)``, so a NaN input stays NaN.
+* ``cosine_alignment`` gives a zero row cosine 0: it divides a zero operand
+  or target row by 1 in place of its zero norm. A zero operand row gets the
+  gradient ``-t / count`` toward its unit target ``t``; a zero target row
+  sends its operand none. ``l2_normalize_rows`` raises on a zero row.
 * ``linear``, ``softmax_cross_entropy_rows``, ``cosine_alignment`` and
   ``gram_mse`` are fused ops: each is one node that reproduces a chain of
   simpler ops to the last bit, forward and backward, on the gradient of
@@ -299,18 +303,12 @@ def mean_rows(x: Node) -> Node:
 # norms and normalization
 
 
-def _unit_rows(x: Array, op: str) -> tuple[Array, Array]:
-    """(x / norms, norms) along the last axis of a (d,) or (N, d) array.
-
-    The norms are np.linalg.norm's own arithmetic, without its dispatch.
-    """
+def _row_norms(x: Array, op: str) -> Array:
+    """Norms along the last axis of a (d,) or (N, d) array, kept as an axis,
+    with np.linalg.norm's own arithmetic, without its dispatch."""
     if x.ndim not in (1, 2):
         raise ShapeError(f"{op}: need a 1-d or 2-d operand, got {x.shape}")
-    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateInputError(f"{op}: zero vector at row {int(zero[0])}")
-    return x / norms, norms
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
 
 
 def _unit_rows_back(y: Array, norms: Array, g: Array) -> Array:
@@ -322,7 +320,11 @@ def _unit_rows_back(y: Array, norms: Array, g: Array) -> Array:
 def l2_normalize_rows(x: Node) -> Node:
     """Unit normalization along the last axis of a (d,) vector or each row of
     an (N, d) matrix. The gradient projects out the radial part."""
-    y, norms = _unit_rows(x.data, "l2_normalize_rows")
+    norms = _row_norms(x.data, "l2_normalize_rows")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateInputError(f"l2_normalize_rows: zero vector at row {int(zero[0])}")
+    y = x.data / norms
     return _op(y, (x,), (lambda g: _unit_rows_back(y, norms, g),))
 
 
@@ -331,17 +333,24 @@ def cosine_alignment(a1: Node, b1: Node, t1: Array, a2: Node, b2: Node, t2: Arra
     node, the cosines taken along the last axis of equal (d,) or (N, d)
     operands; a scalar node.
 
-    t1 and t2 are constant arrays, unit-normalized here in numpy. Forward and
-    backward are bit for bit the chain of l2_normalize_rows, rowwise_dot,
-    add, mean_all and neg.
+    t1 and t2 are constant arrays, unit-normalized here in numpy. On inputs
+    without a zero row, forward and backward are bit for bit the chain of
+    l2_normalize_rows, rowwise_dot, add, mean_all and neg; a zero row, which
+    the chain rejects, has cosine 0 (see the module docstring).
     """
     for operand in (b1.data, a2.data, b2.data, t1, t2):
         if operand.shape != a1.shape:
             raise ShapeError(f"cosine_alignment: shapes differ, {operand.shape} vs {a1.shape}")
-    u1, _ = _unit_rows(t1, "cosine_alignment")
-    u2, _ = _unit_rows(t2, "cosine_alignment")
+
+    def unit_rows(x: Array) -> tuple[Array, Array]:
+        norms = _row_norms(x, "cosine_alignment")
+        norms[norms == 0.0] = 1.0
+        return x / norms, norms
+
+    u1, _ = unit_rows(t1)
+    u2, _ = unit_rows(t2)
     nodes = (a1, b1, a2, b2)
-    units = [_unit_rows(n.data, "cosine_alignment") for n in nodes]
+    units = [unit_rows(n.data) for n in nodes]
     targets = (u1, u1, u2, u2)
     cos = [np.einsum("...i,...i->...", y, t) for (y, _), t in zip(units, targets)]
     total = (cos[0] + cos[1]) + (cos[2] + cos[3])

@@ -97,6 +97,8 @@ def _load_weights(weights_path: str, bias_path: str | None, feature_dim: int):
             raise ParseError(
                 f"{weights_path}: {w.shape[1]} columns do not match feature dim {feature_dim}"
             )
+        if bias.shape[0] != w.shape[0]:
+            raise ParseError(f"{bias_path}: {bias.shape[0]} rows do not match {w.shape[0]} classifier rows")
         return w, bias
     if w.shape[1] == feature_dim + 1:
         return w[:, :-1], w[:, -1]

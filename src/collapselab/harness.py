@@ -15,11 +15,13 @@ count n_max: Many > 0.2*n_max, Few <= 0.04*n_max, Medium between.
 A non-finite loss or gradient, or a degenerate input (a vector to normalize
 whose norm is zero or overflows) in a step or in the epoch's collapse report,
 ends the run as diverged. The run keeps one checkpoint, its last completed
-epoch: the parameters and the features its report was computed from, which
-the artifacts describe; a run with no completed epoch writes none. Every other
-package error is a broken contract and propagates. numpy's floating-point
-warnings are silenced in the epoch loop: divergence is detected by the
-finiteness checks.
+epoch: ``params.theta``, which a step replaces and never writes into, and the
+features its report was computed from, which the artifacts describe; a run
+with no completed epoch writes none. Every other package error is a broken
+contract and propagates. numpy's floating-point warnings are silenced in the
+epoch loop: divergence is detected by the finiteness checks. A frozen
+classifier bias has its gradient dropped: it starts at exact zeros, which
+weight decay leaves at 0.0.
 Sweeps set any config key to one value per row, parsed as the config file
 parses it, and write the final epochs.csv row of each run; each run's
 out_dir is cleared, so a sweep writes no run artifacts. They keep going
@@ -275,16 +277,9 @@ def run_train(cfg: TrainConfig) -> RunResult:
     train, test, counts = build_datasets(cfg)
     seeds = _derive_seeds(cfg.seed)
     params = init_params(cfg.arch, seeds["init"])
-    nodes = [node for _, node in params.named_parameters()]
-    # The checkpoint of the last completed epoch: its parameter arrays (sgd_step
-    # replaces arrays and never writes into them, so no copies) and the
-    # features its report was computed from.
-    completed = [node.data for node in nodes]
+    completed = params.theta
     features = None
-    velocity: dict[ad.Node, np.ndarray] = {}
-    trainable = params.named_parameters()
-    if cfg.freeze_classifier_bias:
-        trainable = [(name, node) for name, node in trainable if name != "classifier.b"]
+    velocity = np.zeros_like(params.theta)
     class_weights = L.inverse_frequency_weights(counts)
     augmenter = ViewAugmenter(
         noise_std=cfg.view_noise_std,
@@ -313,7 +308,9 @@ def run_train(cfg: TrainConfig) -> RunResult:
                             f"run_train: non-finite loss at epoch {epoch}, batch {n_batches + 1}"
                         )
                     grads = ad.backward(total)
-                    sgd_step(trainable, grads, velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
+                    if cfg.freeze_classifier_bias:
+                        grads.pop(params.classifier_b, None)
+                    velocity = sgd_step(params, grads, velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
                     for c in LOSS_COLUMNS:
                         sums[c] += stats[c]
                     n_batches += 1
@@ -322,14 +319,13 @@ def run_train(cfg: TrainConfig) -> RunResult:
                     feats, train.y, params.classifier_w.data, params.classifier_b.data, cfg.num_classes
                 )
             except (TrainingDivergedError, DegenerateInputError):
-                for node, data in zip(nodes, completed):
-                    node.data = data
+                params.set_theta(completed)
                 diverged = True
                 break
             accuracy = evaluate(params, test, counts)
             means = {c: sums[c] / n_batches for c in LOSS_COLUMNS}
             logs.append(EpochLog(epoch=epoch, eta=eta_value, **means, report=report, accuracy=accuracy))
-            completed = [node.data for node in nodes]
+            completed = params.theta
             features = Dataset(feats, train.y)
 
     result = RunResult(config=cfg, params=params, features=features, logs=logs, diverged=diverged)

@@ -9,23 +9,19 @@ sharing is literal. The forward pass exposes everything the losses need:
     h        = proj2(z)            predictor head (affine, relu, affine)
     logits   = features @ W^T + b  linear classifier, near-zero init
 
-``encode`` runs the same encoder in plain numpy and returns the features
-array alone, bit for bit ``forward(params, x).features.data``. The per-epoch
-diagnostics read only features and logits of whole splits: ``forward`` would
-also run both heads and keep every layer's output alive for a ``backward``
-that never comes, so they use ``encode``; training steps use ``forward``.
-``encode`` writes every hidden layer into a scratch array that the
-parameters own, one per layer position, kept at the largest row count seen:
-a whole-split array that is freed goes back to the operating system, and
-the next epoch would fault its pages in again. Only the returned features
-are a new array.
+``encode`` runs the same encoder in plain numpy, bit for bit
+``forward(params, x).features.data``, with no heads and no graph kept alive
+for a ``backward`` that never comes: the per-epoch diagnostics use it,
+training steps use ``forward``. Its hidden layers write into scratch arrays
+the parameters own, one per layer position and kept at the largest row count
+seen, so no whole-split array goes back to the operating system each epoch.
 
-The optimizer is SGD with momentum and L2 weight decay folded into the
-velocity: v <- m*v + g + wd*theta; theta <- theta - lr*v, applied uniformly
-to every trainable array. The caller holds the optimizer state as a
-``velocity`` dict keyed by parameter node and passes lr, momentum and weight
-decay to every ``sgd_step``. Parameter arrays are replaced, never mutated, so
-graphs built before a step stay valid.
+All parameters live in one read-only float64 vector, ``NetworkParams.theta``;
+each parameter node's array is a view of its slice, and ``set_theta`` is the
+one way to replace it. ``sgd_step`` is SGD with momentum and L2 weight decay
+folded into the velocity, on the whole vector: v <- m*v + g + wd*theta;
+theta <- theta - lr*v. It makes a new theta and never writes into the old,
+so graphs built before a step stay valid and an old theta is a checkpoint.
 """
 
 from __future__ import annotations
@@ -72,7 +68,8 @@ class ArchSpec:
 @dataclass
 class NetworkParams:
     """All trainable nodes, grouped by role. Layers are (W, b) with W shaped
-    (out, in), so the classifier is (C, d) with one row per class."""
+    (out, in), so the classifier is (C, d) with one row per class. ``theta``
+    holds every parameter, flattened in ``named_parameters`` order."""
 
     encoder: list[tuple[Node, Node]]
     proj1: list[tuple[Node, Node]]
@@ -80,8 +77,25 @@ class NetworkParams:
     classifier_w: Node
     classifier_b: Node
     arch: ArchSpec
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
     # encode's hidden-layer outputs by layer position; see encode
     _scratch: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.set_theta(np.concatenate([node.data.ravel() for _, node in self.named_parameters()]))
+
+    def set_theta(self, theta: np.ndarray) -> None:
+        """Keep ``theta``, a float64 vector of every parameter, without a copy:
+        mark it read-only and make each parameter node's array a view of its slice."""
+        named = self.named_parameters()
+        if theta.dtype != np.float64 or theta.shape != (sum(p.data.size for _, p in named),):
+            raise ShapeError(f"set_theta: not a float64 vector of every parameter: {theta.dtype} {theta.shape}")
+        theta.flags.writeable = False
+        start = 0
+        for _, p in named:
+            p.data = theta[start : start + p.data.size].reshape(p.shape)
+            start += p.data.size
+        self.theta = theta
 
     def named_parameters(self) -> list[tuple[str, Node]]:
         out: list[tuple[str, Node]] = []
@@ -120,17 +134,13 @@ def init_params(arch: ArchSpec, seed: int) -> NetworkParams:
         b = ad.param(np.zeros(fan_out))
         return w, b
 
-    encoder: list[tuple[Node, Node]] = []
     widths = (arch.input_dim, *arch.hidden_dims, arch.feature_dim)
-    for fi, fo in zip(widths[:-1], widths[1:]):
-        encoder.append(layer(fi, fo, 2.0))
+    encoder = [layer(fi, fo, 2.0) for fi, fo in zip(widths[:-1], widths[1:])]
 
-    proj1: list[tuple[Node, Node]] = []
     if arch.proj1_hidden > 0:
-        proj1.append(layer(arch.feature_dim, arch.proj1_hidden, 2.0))
-        proj1.append(layer(arch.proj1_hidden, arch.proj_dim, 1.0))
+        proj1 = [layer(arch.feature_dim, arch.proj1_hidden, 2.0), layer(arch.proj1_hidden, arch.proj_dim, 1.0)]
     else:
-        proj1.append(layer(arch.feature_dim, arch.proj_dim, 1.0))
+        proj1 = [layer(arch.feature_dim, arch.proj_dim, 1.0)]
 
     proj2 = [
         layer(arch.proj_dim, arch.predictor_hidden, 2.0),
@@ -199,36 +209,25 @@ def encode(params: NetworkParams, x: Array) -> np.ndarray:
 
 
 def sgd_step(
-    named_params: list[tuple[str, Node]],
+    params: NetworkParams,
     grads: dict[Node, Array],
-    velocity: dict[Node, Array],
+    velocity: np.ndarray,
     lr: float,
     momentum: float,
     weight_decay: float,
-) -> None:
-    """v <- m*v + g + wd*theta; theta <- theta - lr*v, for every parameter.
-
-    ``velocity`` is the caller's optimizer state, one buffer per parameter
-    node, filled on first use. Parameters absent from ``grads`` get an
-    exact-zero gradient (still decay). A non-finite gradient aborts with the
-    parameter's name before anything is modified, so the previous state stays
-    intact.
-    """
-    updates: list[tuple[Node, Array]] = []
-    for name, p in named_params:
-        g = grads.get(p)
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"sgd_step: non-finite gradient for {name}")
-        updates.append((p, g))
-    for p, g in updates:
-        v = velocity.get(p)
-        if v is None:
-            v = np.zeros_like(p.data)
-        v = momentum * v + g + weight_decay * p.data
-        velocity[p] = v
-        p.data = p.data - lr * v
+) -> np.ndarray:
+    """v <- m*v + g + wd*theta; theta <- theta - lr*v; returns the new v.
+    A parameter absent from ``grads`` gets an exact-zero gradient (still
+    decays); a non-finite gradient raises, naming its parameter, before
+    theta is replaced. Neither theta nor ``velocity`` is ever written."""
+    named = params.named_parameters()
+    g = np.concatenate([grads[p].ravel() if p in grads else np.zeros(p.data.size) for _, p in named])
+    if not np.isfinite(g).all():
+        bad = next(name for name, p in named if p in grads and not np.isfinite(grads[p]).all())
+        raise TrainingDivergedError(f"sgd_step: non-finite gradient for {bad}")
+    velocity = momentum * velocity + g + weight_decay * params.theta
+    params.set_theta(params.theta - lr * velocity)
+    return velocity
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +270,17 @@ def load_params(snapshot_dir: str | Path) -> NetworkParams:
     )
     params = init_params(arch, seed=0)
     by_name = dict(params.named_parameters())
-    listed = {entry["name"] for entry in manifest["params"]}
-    if listed != set(by_name):
+    entries = {entry["name"]: entry for entry in manifest["params"]}
+    if set(entries) != set(by_name):
         raise ContractError("load_params: manifest parameter names do not match the architecture")
-    for entry in manifest["params"]:
-        arr = np.load(snap / entry["file"])
-        node = by_name[entry["name"]]
-        if list(arr.shape) != entry["shape"] or arr.shape != node.shape:
-            raise ShapeError(f"load_params: shape mismatch for {entry['name']}")
-        node.data = np.ascontiguousarray(arr, dtype=np.float64)
+    arrays = []
+    for name, node in by_name.items():
+        path = snap / entries[name]["file"]
+        if not path.is_file():
+            raise ContractError(f"load_params: missing array file {path}")
+        arr = np.load(path)
+        if list(arr.shape) != entries[name]["shape"] or arr.shape != node.shape:
+            raise ShapeError(f"load_params: shape mismatch for {name}")
+        arrays.append(arr.ravel())
+    params.set_theta(np.concatenate(arrays, dtype=np.float64))
     return params

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import collapselab.autodiff as ad
-from collapselab.errors import ContractError, EvaluationError, ShapeError
+from collapselab.errors import ContractError, DegenerateInputError, EvaluationError, ShapeError
 
 # one label per row of the (4, 6) operands below
 ONEHOT_4x6 = np.eye(6)[[0, 3, 5, 3]]
@@ -263,6 +263,9 @@ def _gram_chain(v, target):
 
 
 def test_cosine_alignment_is_bitwise_its_chain(rng):
+    # Gaussian rows are never zero: on these inputs the fused node and the
+    # chain must agree bit for bit; a zero row is the one input where they
+    # part (the chain raises, the node gives cosine 0)
     for shape in ALIGNMENT_SHAPES:
         nodes = [ad.param(rng.standard_normal(shape)) for _ in range(4)]
         t1, t2 = rng.standard_normal(shape), rng.standard_normal(shape)
@@ -294,6 +297,25 @@ def test_sub_is_bitwise_add_neg(rng, b_shape):
     for x, y in zip(_grads_under(fused, g, (a, b)), _grads_under(chain, g, (a, b))):
         assert np.array_equal(x, y)
     assert ad.grad_check(lambda: ad.sum_all(ad.square(ad.sub(a, b))), [a, b]) < 1e-6
+
+
+def test_cosine_alignment_zero_row_has_cosine_zero():
+    t1 = np.array([[3.0, 4.0], [0.0, 1.0]])  # unit rows (0.6, 0.8) and (0, 1)
+    t2 = np.array([[0.0, 0.0], [1.0, 0.0]])  # a zero target row
+    a1 = ad.param(np.array([[0.0, 0.0], [0.0, 5.0]]))  # a zero operand row
+    b1 = ad.param(np.array([[2.0, 0.0], [0.0, 2.0]]))
+    a2 = ad.param(np.array([[1.0, 0.0], [3.0, 0.0]]))
+    b2 = ad.param(np.array([[0.0, 7.0], [0.0, 1.0]]))
+    out = ad.cosine_alignment(a1, b1, t1, a2, b2, t2)
+    # row cosines: a1 (0, 1), b1 (0.6, 1), a2 (0, 1), b2 (0, 0); rows sum to 0.6 and 3
+    assert out.item() == -(0.6 + 3.0) / 2
+    grads = ad.backward(out)
+    # the zero operand row is pulled toward its unit target: -t / count
+    assert np.array_equal(grads[a1][0], [-0.3, -0.4])
+    # the zero target row sends its operands nothing
+    assert np.array_equal(grads[a2][0], [0.0, 0.0]) and np.array_equal(grads[b2][0], [0.0, 0.0])
+    with pytest.raises(DegenerateInputError, match="row 0"):
+        ad.l2_normalize_rows(a1)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (5,)], ids=["rows", "one_sample"])

@@ -310,6 +310,25 @@ class TestMetrics:
         assert code == 2
         assert err.startswith("error:") and "7 columns do not match feature dim 6" in err
 
+    @pytest.mark.parametrize("drop_class", [None, 2], ids=["all-classes", "class-2-absent"])
+    def test_bias_row_count_mismatch_exit_two(self, trained_artifacts, tmp_path, capsys, drop_class):
+        # three classifier rows beside a seven-row bias column
+        lines = (trained_artifacts / "weights.csv").read_text().splitlines()
+        wpath, bpath, fpath = tmp_path / "w.csv", tmp_path / "b.csv", tmp_path / "f.csv"
+        wpath.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines[1:]) + "\n")
+        bpath.write_text("0.5\n" * 7)
+        features = (trained_artifacts / "features.csv").read_text().splitlines()
+        keep = [row for row in features[1:] if float(row.rsplit(",", 1)[1]) != drop_class]
+        fpath.write_text("\n".join([features[0], *keep]) + "\n")
+        out = tmp_path / "m"
+        code = main(
+            ["metrics", "--features", str(fpath), "--weights", str(wpath), "--bias", str(bpath), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {bpath}: 7 rows do not match 3 classifier rows")
+        assert not out.exists()
+
     def test_width_mismatch_exit_two(self, trained_artifacts, tmp_path, capsys):
         bad = tmp_path / "w.csv"
         bad.write_text("1.0,2.0\n3.0,4.0\n")

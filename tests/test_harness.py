@@ -2,13 +2,14 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import collapselab.harness as harness
 import collapselab.losses as L
-from collapselab.config import TrainConfig, parse_config_text, with_overrides
+from collapselab.config import TrainConfig, parse_config_file, parse_config_text, with_overrides
 from collapselab.data import load_csv, save_csv
 from collapselab.errors import (
     ConfigError,
@@ -33,6 +34,7 @@ from collapselab.harness import (
 from collapselab.losses import eta
 from collapselab.model import encode, load_params
 
+ROOT = Path(__file__).resolve().parent.parent
 TINY = TrainConfig(
     num_classes=3,
     input_dim=8,
@@ -266,6 +268,14 @@ class TestRunTrain:
         monkeypatch.setattr(harness, "forward", recording_forward)
         run_train(with_overrides(TINY, mode=mode, t_max=2))
         assert rows and max(rows) <= TINY.batch_size
+
+    @pytest.mark.parametrize("overrides", [{"proj1_hidden": 4}, {"seed": 1}], ids=["proj1_hidden=4", "seed=1"])
+    def test_tiny_config_trains_through_zero_head_rows(self, overrides):
+        # at these settings a dead-relu head row is exactly zero at the first
+        # step; the alignment loss gives it cosine 0 and training goes on
+        cfg = with_overrides(parse_config_file(ROOT / "configs" / "tiny.config"), t_max=2, **overrides)
+        result = run_train(cfg)
+        assert not result.diverged and len(result.logs) == 2
 
     def test_frozen_bias_stays_zero(self):
         result = run_train(with_overrides(TINY, t_max=2, freeze_classifier_bias=True))

@@ -191,12 +191,14 @@ class TestHycon:
             val = hycon_batch(mk(), mk(), mk(), mk(), y).item()
             assert -4.0 - 1e-9 <= val <= 4.0 + 1e-9
 
-    def test_zero_projection_rejected(self):
-        bad = np.ones((2, 3))
-        bad[0] = 0.0
+    def test_zero_projection_has_cosine_zero(self):
+        zero_row = np.ones((2, 3))
+        zero_row[0] = 0.0
         good = ad.constant(np.ones((2, 3)))
-        with pytest.raises(DegenerateInputError):
-            hycon_batch(good, good, ad.constant(bad), good, np.array([0, 1])).item()
+        # sample 0's z1 (target of h2) and its class mean u1 are zero: two of
+        # its four cosines are 0, every other cosine is 1
+        value = hycon_batch(good, good, ad.constant(zero_row), good, np.array([0, 1])).item()
+        assert value == pytest.approx(-(2.0 + 4.0) / 2, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
         a = ad.constant(np.ones((2, 3)))
@@ -268,6 +270,12 @@ class TestP2P:
     def test_center_shape_validated(self):
         with pytest.raises(ShapeError):
             p2p(ad.constant(np.ones((3, 4))), True, center=ad.constant(np.ones(3)))
+
+    def test_row_at_the_center_rejected(self):
+        # unlike the alignment loss, p2p has no cosine for a zero vector
+        rows = ad.constant(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]]))
+        with pytest.raises(DegenerateInputError, match="row 0"):
+            p2p(rows, True, center=ad.constant(np.array([1.0, 0.0])))
 
 
 class TestEta:

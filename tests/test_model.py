@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import collapselab.autodiff as ad
-from collapselab.config import parse_config_file
+from collapselab.config import parse_config_file, with_overrides
 from collapselab.errors import ConfigError, ContractError, ShapeError, TrainingDivergedError
-from collapselab.harness import build_datasets
+from collapselab.harness import build_datasets, run_train
 from collapselab.losses import hycon_batch, mean_cross_entropy
 from collapselab.model import (
     ArchSpec,
@@ -188,52 +188,135 @@ class TestForward:
         np.testing.assert_allclose(both[w0], one[w0] + two[w0], atol=1e-12)
 
 
+def _flat(params, value_of) -> np.ndarray:
+    """One vector in theta's layout: ``value_of(k)`` fills the k-th parameter."""
+    named = params.named_parameters()
+    return np.concatenate([np.full(p.data.size, value_of(k)) for k, (_, p) in enumerate(named)])
+
+
+def _assert_views_theta(params) -> None:
+    """Every parameter array is the read-only view of its slice of theta, in order."""
+    base = params.theta.__array_interface__["data"][0]
+    start = 0
+    for name, p in params.named_parameters():
+        assert np.shares_memory(p.data, params.theta), name
+        assert p.data.__array_interface__["data"][0] == base + 8 * start, name
+        assert not p.data.flags.writeable, name
+        start += p.data.size
+    assert start == params.theta.size
+
+
 class TestSgd:
     def test_hand_computed_two_steps(self):
-        p = ad.param(np.array([1.0]))
-        velocity = {}
-        sgd_step([("p", p)], {p: np.array([2.0])}, velocity, lr=0.1, momentum=0.5, weight_decay=0.1)
-        # v1 = 0.5*0 + 2 + 0.1*1 = 2.1 ; theta = 1 - 0.21 = 0.79
-        np.testing.assert_allclose(p.data, [0.79])
-        np.testing.assert_allclose(velocity[p], [2.1])
-        sgd_step([("p", p)], {p: np.array([1.0])}, velocity, lr=0.1, momentum=0.5, weight_decay=0.1)
-        # v2 = 0.5*2.1 + 1 + 0.079 = 2.129 ; theta = 0.79 - 0.2129
-        np.testing.assert_allclose(p.data, [0.79 - 0.2129])
+        params = init_params(SMALL, seed=0)
+        params.set_theta(np.ones(params.theta.size))
+        # parameter k gets the gradient k, so the layout of every vector shows
+        grads = {p: np.full(p.shape, float(k)) for k, (_, p) in enumerate(params.named_parameters())}
+        v1 = sgd_step(params, grads, np.zeros(params.theta.size), lr=0.1, momentum=0.5, weight_decay=0.1)
+        # v1 = 0.5*0 + k + 0.1*1 ; theta = 1 - 0.1*v1
+        assert np.array_equal(v1, _flat(params, lambda k: 0.5 * 0.0 + k + 0.1 * 1.0))
+        assert np.array_equal(params.theta, 1.0 - 0.1 * v1)
+        theta1 = params.theta
+        halved = {p: g / 2 for p, g in grads.items()}
+        v2 = sgd_step(params, halved, v1, lr=0.1, momentum=0.5, weight_decay=0.1)
+        # v2 = 0.5*v1 + k/2 + 0.1*theta1 ; theta = theta1 - 0.1*v2
+        assert np.array_equal(v2, 0.5 * v1 + _flat(params, lambda k: k / 2) + 0.1 * theta1)
+        assert np.array_equal(params.theta, theta1 - 0.1 * v2)
+        # encoder.0.b is parameter 1: v1 = 1.1, theta = 0.89 ; v2 = 0.55 + 0.5 + 0.089 = 1.139
+        np.testing.assert_allclose(params.encoder[0][1].data, 0.89 - 0.1139)
 
     def test_quadratic_bowl_converges(self, rng):
-        target = rng.standard_normal(6)
-        p = ad.param(np.zeros(6))
-        velocity = {}
+        params = init_params(SMALL, seed=1)
+        before = params.theta.copy()
+        target = rng.standard_normal(params.classifier_w.shape)
+        velocity = np.zeros_like(params.theta)
         for _ in range(500):
-            loss = ad.mean_all(ad.square(ad.sub(p, ad.constant(target))))
-            sgd_step([("p", p)], ad.backward(loss), velocity, lr=0.05, momentum=0.9, weight_decay=0.0)
-        final = float(np.mean((p.data - target) ** 2))
-        assert final < 1e-8
+            loss = ad.mean_all(ad.square(ad.sub(params.classifier_w, ad.constant(target))))
+            velocity = sgd_step(params, ad.backward(loss), velocity, lr=0.5, momentum=0.9, weight_decay=0.0)
+        assert float(np.mean((params.classifier_w.data - target) ** 2)) < 1e-8
+        # every other parameter had no gradient and no decay: not one bit moved
+        others = np.ones(params.theta.size, dtype=bool)
+        others[-SMALL.num_classes * (SMALL.feature_dim + 1) : -SMALL.num_classes] = False
+        assert np.array_equal(params.theta[others], before[others])
 
     def test_missing_grad_still_decays(self):
-        p = ad.param(np.array([2.0]))
-        sgd_step([("p", p)], {}, {}, lr=0.1, momentum=0.0, weight_decay=0.5)
-        np.testing.assert_allclose(p.data, [2.0 - 0.1 * 1.0])
+        params = init_params(SMALL, seed=2)
+        theta0 = params.theta
+        v = sgd_step(params, {}, np.zeros_like(theta0), lr=0.1, momentum=0.0, weight_decay=0.5)
+        assert np.array_equal(v, 0.5 * theta0)
+        assert np.array_equal(params.theta, theta0 - 0.1 * (0.5 * theta0))
 
     def test_nonfinite_gradient_aborts_before_mutation(self):
-        a = ad.param(np.array([1.0]))
-        b = ad.param(np.array([2.0]))
-        velocity = {}
-        grads = {a: np.array([0.5]), b: np.array([np.nan])}
-        with pytest.raises(TrainingDivergedError, match="b"):
-            sgd_step([("a", a), ("b", b)], grads, velocity, lr=0.01, momentum=0.9, weight_decay=5e-3)
-        np.testing.assert_array_equal(a.data, [1.0])
-        np.testing.assert_array_equal(b.data, [2.0])
-        assert velocity == {}
+        params = init_params(SMALL, seed=3)
+        theta0, copy0 = params.theta, params.theta.copy()
+        velocity = np.full(theta0.size, 0.25)
+        grads = {p: np.ones(p.shape) for _, p in params.named_parameters()}
+        grads[params.proj2[1][1]] = np.array([1.0, np.nan, 1.0, 1.0])
+        with pytest.raises(TrainingDivergedError, match=r"proj2\.1\.b"):
+            sgd_step(params, grads, velocity, lr=0.01, momentum=0.9, weight_decay=5e-3)
+        assert params.theta is theta0 and np.array_equal(theta0, copy0)
+        assert np.array_equal(velocity, np.full(theta0.size, 0.25))
+        _assert_views_theta(params)
 
-    def test_step_leaves_old_graph_valid(self):
-        # arrays are replaced, not mutated: a loss built pre-step keeps its value
-        p = ad.param(np.array([3.0]))
-        loss = ad.mean_all(ad.square(p))
-        before = loss.item()
-        sgd_step([("p", p)], {p: np.array([1.0])}, {}, lr=0.5, momentum=0.0, weight_decay=0.0)
+    def test_step_leaves_old_graph_valid(self, rng):
+        # theta is replaced, never written: a loss built pre-step keeps its value
+        params = init_params(SMALL, seed=4)
+        logits = forward(params, rng.standard_normal((5, 6))).logits
+        loss = mean_cross_entropy(logits, np.array([0, 1, 2, 0, 1]))
+        before, old = loss.item(), params.theta
+        kept = old.copy()
+        sgd_step(params, ad.backward(loss), np.zeros_like(old), lr=0.5, momentum=0.0, weight_decay=0.0)
         assert loss.item() == before
-        assert p.data[0] != 3.0
+        assert params.theta is not old and np.array_equal(old, kept)
+        assert not np.array_equal(params.theta, old)
+
+
+class TestTheta:
+    def test_theta_is_read_only(self):
+        params = init_params(SMALL, seed=5)
+        with pytest.raises(ValueError, match="read-only"):
+            params.theta[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            params.classifier_w.data[0, 0] = 1.0
+
+    def test_set_theta_keeps_the_vector_without_copying(self):
+        params = init_params(SMALL, seed=5)
+        theta = np.arange(params.theta.size, dtype=np.float64)
+        params.set_theta(theta)
+        assert params.theta is theta and not theta.flags.writeable
+        assert np.array_equal(params.encoder[0][0].data, np.arange(48.0).reshape(8, 6))
+        _assert_views_theta(params)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: np.zeros(n - 1), lambda n: np.zeros((1, n)), lambda n: np.zeros(n, dtype=np.int64)],
+        ids=["short", "matrix", "int"],
+    )
+    def test_set_theta_rejects_another_layout(self, make):
+        params = init_params(SMALL, seed=5)
+        theta = params.theta
+        with pytest.raises(ShapeError, match="set_theta"):
+            params.set_theta(make(theta.size))
+        assert params.theta is theta
+        _assert_views_theta(params)
+
+    def test_parameters_view_theta_after_init_step_load_and_restore(self, tmp_path):
+        params = init_params(SMALL, seed=6)
+        _assert_views_theta(params)
+        grads = {p: np.ones(p.shape) for _, p in params.named_parameters()}
+        sgd_step(params, grads, np.zeros_like(params.theta), lr=0.1, momentum=0.9, weight_decay=0.1)
+        _assert_views_theta(params)
+        save_params(params, tmp_path / "snap")
+        loaded = load_params(tmp_path / "snap")
+        _assert_views_theta(loaded)
+        assert np.array_equal(loaded.theta, params.theta)
+        # configs/tiny.config at lr=30 diverges in its second epoch: theta goes back to the first's
+        cfg = with_overrides(parse_config_file(ROOT / "configs" / "tiny.config"), lr=30.0)
+        result = run_train(cfg)
+        assert result.diverged and len(result.logs) == 1
+        _assert_views_theta(result.params)
+        # the restored theta is the one the first epoch's features came from
+        assert np.array_equal(encode(result.params, build_datasets(cfg)[0].x), result.features.x)
 
 
 class TestSnapshots:
@@ -271,6 +354,12 @@ class TestSnapshots:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ContractError, match="manifest"):
             load_params(tmp_path)
+
+    def test_missing_array_file_rejected(self, tmp_path):
+        save_params(init_params(SMALL, seed=0), tmp_path / "snap")
+        (tmp_path / "snap" / "proj1_0_b.npy").unlink()
+        with pytest.raises(ContractError, match="proj1_0_b.npy"):
+            load_params(tmp_path / "snap")
 
     def test_loaded_params_train(self, tmp_path, rng):
         # a snapshot is a full restart point: forward and backward still work
