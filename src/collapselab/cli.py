@@ -10,7 +10,8 @@ Four subcommands:
 ``train`` and ``sweep`` take trailing ``key=value`` arguments, each overriding
 one key of the config file with the file's own value syntax.
 
-Exit code 0 on success, 2 on any reported package error.
+Exit code 0 on success; a package error, or an OS error such as an output
+path that cannot be written, prints one ``error:`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .config import parse_config_file, parse_overrides, with_overrides
-from .data import integer_labels, read_numeric_csv, write_csv
+from .data import load_csv, read_numeric_csv, write_csv
 from .errors import CollapseLabError, ParseError
 from .etf import etf_deviation, make_etf
 from .harness import run_train, sweep, write_report, write_sweep_csv
@@ -40,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("overrides", nargs="*", metavar="key=value", help="config overrides")
 
     p_metrics = sub.add_parser("metrics", help="collapse report from exported arrays")
-    p_metrics.add_argument("--features", required=True, help="CSV of feature rows + label column")
+    p_metrics.add_argument("--features", required=True, help="CSV of feature rows + 0-based label column")
     p_metrics.add_argument("--weights", required=True, help="CSV of classifier rows (+ bias column)")
     p_metrics.add_argument("--bias", help="separate one-column bias CSV")
     p_metrics.add_argument("--out", required=True, help="directory for report.json and angle CSVs")
@@ -110,20 +111,12 @@ def _load_weights(weights_path: str, bias_path: str | None, feature_dim: int):
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    _, mat = read_numeric_csv(args.features)
-    if mat.shape[1] < 2:
-        raise ParseError(f"{args.features}: need feature columns plus a label column")
-    features = mat[:, :-1]
-    labels = integer_labels(args.features, mat[:, -1])
-    if labels.min() < 0:
-        raise ParseError(f"{args.features}: negative label")
-    weights, bias = _load_weights(args.weights, args.bias, features.shape[1])
+    features = load_csv(args.features)
+    weights, bias = _load_weights(args.weights, args.bias, features.dim)
     num_classes = weights.shape[0]
-    if labels.max() >= num_classes:
-        raise ParseError(
-            f"{args.features}: label {int(labels.max())} out of range for {num_classes} classifier rows"
-        )
-    report = nc_report(features, labels, weights, bias, num_classes)
+    if features.y.max() >= num_classes:
+        raise ParseError(f"{args.features}: label {features.y.max()} out of range for {num_classes} classifier rows")
+    report = nc_report(features.x, features.y, weights, bias, num_classes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(out, report)
@@ -167,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CollapseLabError as exc:
+    except (CollapseLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,9 @@ center) or receive in arrays (counts that do not match the means).
 Everything is seeded and deterministic; harness-level streams are kept apart
 by namespacing the seed material, and the per-epoch batch shuffle depends
 only on (seed, epoch).
+
+``load_csv`` is the one reader of a labeled table: it keeps the labels as
+written, non-negative integers; ``harness.build_datasets`` sets their base.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ def class_means(
 
 @dataclass
 class Dataset:
-    """Samples plus 0-based contiguous labels."""
+    """Samples plus non-negative integer labels."""
 
     x: np.ndarray
     y: np.ndarray
@@ -224,9 +227,10 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def integer_labels(path: str | Path, raw: np.ndarray) -> np.ndarray:
+def _integer_labels(path: str | Path, raw: np.ndarray) -> np.ndarray:
     """A parsed label column as int64; ParseError names the first row whose
-    label is not an integer, or is one that int64 cannot hold (inf, 1e30)."""
+    label is not an integer, is one that int64 cannot hold (inf, 1e30), or
+    is negative."""
     fractional = np.flatnonzero(raw != np.round(raw))
     if fractional.size:
         raise ParseError(f"{path}: non-integer label in data row {int(fractional[0]) + 1}")
@@ -234,28 +238,24 @@ def integer_labels(path: str | Path, raw: np.ndarray) -> np.ndarray:
     if huge.size:
         k = int(huge[0])
         raise ParseError(f"{path}: label {raw[k]:g} in data row {k + 1} is out of the int64 range")
+    negative = np.flatnonzero(raw < 0)
+    if negative.size:
+        k = int(negative[0])
+        raise ParseError(f"{path}: negative label {raw[k]:g} in data row {k + 1}")
     return raw.astype(np.int64)
 
 
 def load_csv(path: str | Path) -> Dataset:
-    """Load a dataset CSV: d feature columns then one integer label column.
+    """Load a labeled table: d feature columns then one integer label column.
 
-    Labels must be contiguous starting at 0 or 1; 1-based labels are shifted
-    down to 0-based.
+    The labels come back exactly as written, with no base guessed and no
+    class required; ParseError names the first data row whose label is not
+    a non-negative integer.
     """
     _, mat = read_numeric_csv(path)
     if mat.shape[1] < 2:
         raise ParseError(f"{path}: need at least one feature column and one label column")
-    x = mat[:, :-1]
-    y = integer_labels(path, mat[:, -1])
-    uniq = np.unique(y)
-    lo = int(uniq[0])
-    if lo not in (0, 1):
-        raise ParseError(f"{path}: labels must start at 0 or 1, got minimum {lo}")
-    expected = np.arange(lo, lo + uniq.shape[0])
-    if not np.array_equal(uniq, expected):
-        raise ParseError(f"{path}: labels are not contiguous ({uniq.tolist()})")
-    return Dataset(x=x, y=y - lo)
+    return Dataset(x=mat[:, :-1], y=_integer_labels(path, mat[:, -1]))
 
 
 def write_csv(path: str | Path, columns: list[str], matrix: np.ndarray, fmt: str | list[str]) -> None:

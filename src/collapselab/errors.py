@@ -2,9 +2,10 @@
 
 Every error raised on purpose by this package derives from CollapseLabError,
 so callers can catch one base class. The subclasses distinguish the failure
-families that the public contracts promise: shape mismatches, domain
-violations, degenerate inputs, broken preconditions, parse failures with line
-numbers, bad experiment configs, non-finite evaluations, and diverged runs.
+families that the public contracts promise: shape mismatches, degenerate
+inputs, broken preconditions (an argument outside its valid domain among
+them), parse failures with line numbers, bad experiment configs, non-finite
+evaluations, and diverged runs.
 """
 
 
@@ -14,10 +15,6 @@ class CollapseLabError(Exception):
 
 class ShapeError(CollapseLabError, ValueError):
     """Operand dimensions do not line up."""
-
-
-class DomainError(CollapseLabError, ValueError):
-    """A mathematical argument is outside its valid domain."""
 
 
 class DegenerateInputError(CollapseLabError, ValueError):

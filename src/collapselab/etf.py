@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ShapeError
+from .errors import ContractError, DegenerateInputError, ShapeError
 
 
 @functools.cache
@@ -26,7 +26,7 @@ def rho_matrix(num_classes: int) -> np.ndarray:
     """
     c = int(num_classes)
     if c < 2:
-        raise DomainError(f"rho_matrix: need at least 2 classes, got {c}")
+        raise ContractError(f"rho_matrix: need at least 2 classes, got {c}")
     off = -1.0 / (c - 1.0)
     target = np.full((c, c), off)
     np.fill_diagonal(target, 1.0)
@@ -47,9 +47,9 @@ def make_etf(dim: int, num_classes: int, seed: int = 0) -> np.ndarray:
     """
     q, c = int(dim), int(num_classes)
     if seed < 0:
-        raise DomainError(f"make_etf: seed must be >= 0, got {seed}")
+        raise ContractError(f"make_etf: seed must be >= 0, got {seed}")
     if c < 2:
-        raise DomainError(f"make_etf: need at least 2 classes, got {c}")
+        raise ContractError(f"make_etf: need at least 2 classes, got {c}")
     if q < c:
         raise ShapeError(f"make_etf: ambient dim {q} cannot hold {c} orthonormal columns")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

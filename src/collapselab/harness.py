@@ -25,9 +25,9 @@ weight decay leaves at 0.0.
 Sweeps set any config key to one value per row, parsed as the config file
 parses it, and write the final epochs.csv row of each run; each run's
 out_dir is cleared, so a sweep writes no run artifacts. They keep going
-past a diverged run or a value that validation or the data geometry rejects,
-marking the row failed; any other package error propagates as it does from
-``run_train``.
+past a diverged run or a value that the config or its data rejects
+(ConfigError, such as a beta that starves the tail), marking the row
+failed; any other package error propagates as it does from ``run_train``.
 
 Run artifacts, written when cfg.out_dir is set (fixed layout,
 deterministic bytes for a fixed config):
@@ -65,13 +65,7 @@ from .data import (
     save_csv,
     write_csv,
 )
-from .errors import (
-    ConfigError,
-    ContractError,
-    DegenerateInputError,
-    DomainError,
-    TrainingDivergedError,
-)
+from .errors import ConfigError, ContractError, DegenerateInputError, TrainingDivergedError
 from .model import (
     NetworkParams,
     encode,
@@ -181,22 +175,34 @@ def _derive_seeds(seed: int) -> dict[str, int]:
     return {name: int(child.generate_state(1)[0]) for name, child in zip(names, children)}
 
 
-def build_datasets(cfg: TrainConfig) -> tuple[Dataset, Dataset, np.ndarray]:
-    """Training split, balanced test split, and per-class training counts."""
+def build_datasets(cfg: TrainConfig) -> tuple[Dataset, Dataset]:
+    """Training split and test split, with 0-based labels.
+
+    Synthetic data builds a balanced test split. CSV splits keep the rows
+    and labels they hold; the training split alone sets the label base: it
+    must hold every class, so its smallest label, 0 or 1, is subtracted from
+    both splits. The test split may lack classes. A label outside
+    [base, base + num_classes) raises ConfigError naming it as written.
+    """
     if cfg.dataset == "csv":
-        train = load_csv(cfg.train_csv)
-        test = load_csv(cfg.test_csv)
+        paths = (cfg.train_csv, cfg.test_csv)
+        train, test = (load_csv(path) for path in paths)
         if train.dim != cfg.input_dim or test.dim != cfg.input_dim:
-            raise ConfigError(
-                f"csv feature width {train.dim}/{test.dim} does not match input_dim {cfg.input_dim}"
-            )
-        top = max(int(train.y.max()), int(test.y.max()))
-        if top >= cfg.num_classes:
-            raise ConfigError(f"csv label {top} is out of range for num_classes {cfg.num_classes}")
-        counts = train.counts(cfg.num_classes)
-        if np.any(counts < 1):
-            raise ConfigError("csv training data is missing at least one class")
-        return train, test, counts
+            raise ConfigError(f"csv feature width {train.dim}/{test.dim} does not match input_dim {cfg.input_dim}")
+        base = int(train.y.min())
+        if base not in (0, 1):
+            raise ConfigError(f"{cfg.train_csv}: training labels must start at 0 or 1, got minimum {base}")
+        for path, split in zip(paths, (train, test)):
+            split.y -= base
+            outside = split.y[(split.y < 0) | (split.y >= cfg.num_classes)]
+            if outside.size:
+                raise ConfigError(
+                    f"{path}: label {outside[0] + base} is out of range for num_classes "
+                    f"{cfg.num_classes} with training labels starting at {base}"
+                )
+        if np.any(train.counts(cfg.num_classes) < 1):
+            raise ConfigError(f"{cfg.train_csv}: the training split is missing at least one class")
+        return train, test
     seeds = _derive_seeds(cfg.seed)
     means = class_means(cfg.num_classes, cfg.input_dim, cfg.mean_placement, cfg.mean_radius, cfg.placement_seed)
     counts = long_tail_counts(cfg.num_classes, cfg.n_max, cfg.beta)
@@ -204,7 +210,7 @@ def build_datasets(cfg: TrainConfig) -> tuple[Dataset, Dataset, np.ndarray]:
     # Evaluation is always balanced, whatever beta shaped the training split.
     test_counts = np.full(cfg.num_classes, cfg.n_test_per_class, dtype=np.int64)
     test = gen_gaussian_mixture(means, test_counts, cfg.noise_std, seeds["test_data"])
-    return train, test, counts
+    return train, test
 
 
 def evaluate(params: NetworkParams, test: Dataset, train_counts: np.ndarray) -> GroupAccuracy:
@@ -274,7 +280,8 @@ def run_train(cfg: TrainConfig) -> RunResult:
     """
     if cfg.out_dir and Path(cfg.out_dir).exists() and not Path(cfg.out_dir).is_dir():
         raise ConfigError(f"run_train: out_dir {cfg.out_dir} exists and is not a directory")
-    train, test, counts = build_datasets(cfg)
+    train, test = build_datasets(cfg)
+    counts = train.counts(cfg.num_classes)
     seeds = _derive_seeds(cfg.seed)
     params = init_params(cfg.arch, seeds["init"])
     completed = params.theta
@@ -406,9 +413,8 @@ def sweep(cfg: TrainConfig, param: str, values: list[str]) -> list[SweepRow]:
     """Run one training per value text of any config key; shared seeds.
 
     An unknown key or a value text the config parser rejects raises before
-    any training. A diverged run, or a value rejected by validation
-    (ConfigError, DomainError) or by degenerate geometry
-    (DegenerateInputError), produces a row marked failed and the sweep
+    any training. A diverged run, or a value that the config or its data
+    rejects (ConfigError), produces a row marked failed and the sweep
     continues; every other package error propagates.
     """
     parsed = [parse_overrides([f"{param}={text}"])[param] for text in values]
@@ -419,7 +425,7 @@ def sweep(cfg: TrainConfig, param: str, values: list[str]) -> list[SweepRow]:
         try:
             result = run_train(with_overrides(cfg, **{param: value, "out_dir": ""}))
             rows.append(SweepRow(param, value, None if result.diverged or not result.logs else result.logs[-1]))
-        except (ConfigError, DomainError, DegenerateInputError):
+        except ConfigError:
             rows.append(SweepRow(param, value, None))
     return rows
 

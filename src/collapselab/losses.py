@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import ContractError, DomainError, ShapeError
+from .errors import ContractError, ShapeError
 from .etf import rho_matrix
 from .model import ForwardOut
 
@@ -221,7 +221,7 @@ def p2p(
     k = vectors.shape[0]
     c = k if num_classes is None else int(num_classes)
     if c < 2:
-        raise DomainError(f"p2p: target needs at least 2 classes, got {c}")
+        raise ContractError(f"p2p: target needs at least 2 classes, got {c}")
     if k < 2 or k > c:
         raise ContractError(f"p2p: got {k} rows for a {c}-class target")
     v = vectors
@@ -243,9 +243,9 @@ def p2p(
 def eta(t: int, t_max: int, gamma: float) -> float:
     """Curriculum weight 1 - (t/t_max)^gamma: 1 at t=0, 0 at t=t_max."""
     if t_max < 1:
-        raise DomainError(f"eta: t_max must be >= 1, got {t_max}")
+        raise ContractError(f"eta: t_max must be >= 1, got {t_max}")
     if gamma <= 0:
-        raise DomainError(f"eta: gamma must be > 0, got {gamma}")
+        raise ContractError(f"eta: gamma must be > 0, got {gamma}")
     if not 0 <= t <= t_max:
         raise ContractError(f"eta: t={t} outside [0, {t_max}]")
     return 1.0 - (t / t_max) ** float(gamma)
@@ -289,7 +289,7 @@ def branch_loss(
 def total_loss(branch1: Node, branch2: Node, hycon_value: Node, p2p_mu: Node, alpha: float) -> Node:
     """branch1 + branch2 + alpha * (hycon + p2p over class means)."""
     if alpha < 0:
-        raise DomainError(f"total_loss: alpha must be >= 0, got {alpha}")
+        raise ContractError(f"total_loss: alpha must be >= 0, got {alpha}")
     return ad.add(ad.add(branch1, branch2), ad.scale(ad.add(hycon_value, p2p_mu), float(alpha)))
 
 

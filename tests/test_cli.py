@@ -269,6 +269,26 @@ class TestMetrics:
             assert code == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "label,message",
+        [("-1", "negative label -1 in data row 2"), ("3", "label 3 out of range for 3 classifier rows")],
+    )
+    def test_label_outside_the_classifier_rows_exit_two(self, trained_artifacts, tmp_path, capsys, label, message):
+        lines = (trained_artifacts / "features.csv").read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + label
+        bad = tmp_path / "labels.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "metrics",
+                "--features", str(bad),
+                "--weights", str(trained_artifacts / "weights.csv"),
+                "--out", str(tmp_path / "m"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
     def test_weights_without_bias_column(self, trained_artifacts, tmp_path):
         # exactly d columns: the classifier rows alone, scored without a bias
         lines = (trained_artifacts / "weights.csv").read_text().splitlines()
@@ -428,6 +448,26 @@ def _readme_commands() -> list[str]:
     text = (ROOT / "README.md").read_text()
     block = text.split("## Quick start", 1)[1].split("```", 2)[1]
     return [line for line in block.splitlines() if line.startswith("collapselab ")]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "metrics --features {run}/features.csv --weights {run}/weights.csv --out {file}",
+        "sweep --config {config} --param gamma --values 2 --out {dir} t_max=1",
+        "etf --dim 3 --classes 3 --csv {file}/frame.csv",
+    ],
+    ids=["metrics-out-is-a-file", "sweep-out-is-a-directory", "etf-csv-under-a-file"],
+)
+def test_unwritable_output_exits_two(trained_artifacts, tiny_config, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    argv = command.format(run=trained_artifacts, config=tiny_config, file=taken, dir=tmp_path).split()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(taken.parent) in err
+    assert taken.read_text() == "kept\n"
 
 
 def test_readme_quick_start_commands_parse():

@@ -192,12 +192,12 @@ class TestCsv:
         write_csv(path, ["a", "b", "c"], matrix, "%.17g")
         assert path.read_text() == "a,b,c\nnan,-0,4.9406564584124654e-324\ninf,-inf,1.797e+308\n"
 
-    def test_one_based_labels_shift_down(self, tmp_path):
+    def test_labels_kept_as_written(self, tmp_path):
+        # no base is guessed and no class is required: the caller decides both
         path = tmp_path / "d.csv"
-        path.write_text("1.0,2.0,1\n3.0,4.0,2\n5.0,6.0,3\n7.0,8.0,3\n")
-        ds = load_csv(path)
-        np.testing.assert_array_equal(ds.y, [0, 1, 2, 2])
-        np.testing.assert_array_equal(ds.counts(3), [1, 1, 2])
+        for labels in ([1, 2, 3, 3], [2, 0, 2], [4]):
+            path.write_text("".join(f"1.0,{label}\n" for label in labels))
+            np.testing.assert_array_equal(load_csv(path).y, labels)
 
     def test_header_detected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -235,16 +235,10 @@ class TestCsv:
             with pytest.raises(ParseError, match="data row 3 is out of the int64 range"):
                 load_csv(path)
 
-    def test_non_contiguous_labels_rejected(self, tmp_path):
+    def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("1.0,2.0,0\n3.0,4.0,2\n")
-        with pytest.raises(ParseError, match="contiguous"):
-            load_csv(path)
-
-    def test_labels_starting_high_rejected(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("1.0,2.0,2\n3.0,4.0,3\n")
-        with pytest.raises(ParseError, match="start at 0 or 1"):
+        path.write_text("f0,label\n1.0,0\n2.0,-1\n3.0,-2\n")
+        with pytest.raises(ParseError, match="negative label -1 in data row 2"):
             load_csv(path)
 
     def test_needs_two_columns(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from collapselab.errors import DegenerateInputError, DomainError, ShapeError
+from collapselab.errors import ContractError, DegenerateInputError, ShapeError
 from collapselab.etf import etf_deviation, make_etf, rho_matrix
 
 
@@ -41,7 +41,7 @@ def test_rho_matrix_is_cached_read_only(c):
 def test_rho_matrix_needs_two_classes():
     # the cache keeps results, not exceptions: every call raises
     for _ in range(2):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             rho_matrix(1)
 
 

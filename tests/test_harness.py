@@ -10,12 +10,11 @@ import pytest
 import collapselab.harness as harness
 import collapselab.losses as L
 from collapselab.config import TrainConfig, parse_config_file, parse_config_text, with_overrides
-from collapselab.data import load_csv, save_csv
+from collapselab.data import Dataset, load_csv, long_tail_counts, save_csv
 from collapselab.errors import (
     ConfigError,
     ContractError,
     DegenerateInputError,
-    DomainError,
     EvaluationError,
     ShapeError,
     TrainingDivergedError,
@@ -61,6 +60,15 @@ def tiny_splits():
     return build_datasets(TINY)
 
 
+def _csv_config(cfg, tmp_path, train, test, shift=0, **overrides):
+    """``cfg`` reading its splits from CSVs that save_csv writes, every
+    label raised by ``shift``."""
+    paths = {"train_csv": str(tmp_path / "train.csv"), "test_csv": str(tmp_path / "test.csv")}
+    for split, path in zip((train, test), paths.values()):
+        save_csv(Dataset(x=split.x, y=split.y + shift), path)
+    return with_overrides(cfg, dataset="csv", **paths, **overrides)
+
+
 class TestClassGroups:
     def test_reference_partition(self):
         counts = np.array([500, 300, 180, 108, 65, 39, 23, 14, 8, 5])
@@ -83,70 +91,75 @@ class TestClassGroups:
 
 class TestBuildDatasets:
     def test_synthetic_shapes_and_counts(self):
-        train, test, counts = build_datasets(TINY)
-        np.testing.assert_array_equal(train.counts(3), counts)
+        train, test = build_datasets(TINY)
+        counts = train.counts(3)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, long_tail_counts(3, 30, 3.0))
         assert counts[0] == 30
         np.testing.assert_array_equal(test.counts(3), 40)
         assert train.dim == test.dim == 8
 
     def test_deterministic_and_seed_sensitive(self):
-        a, _, _ = build_datasets(TINY)
-        b, _, _ = build_datasets(TINY)
-        c, _, _ = build_datasets(with_overrides(TINY, seed=1))
+        a, _ = build_datasets(TINY)
+        b, _ = build_datasets(TINY)
+        c, _ = build_datasets(with_overrides(TINY, seed=1))
         np.testing.assert_array_equal(a.x, b.x)
         assert not np.allclose(a.x, c.x)
 
     def test_train_and_test_draw_different_noise(self):
-        train, test, _ = build_datasets(with_overrides(TINY, n_test_per_class=30))
+        train, test = build_datasets(with_overrides(TINY, n_test_per_class=30))
         assert not np.array_equal(train.x[:5], test.x[:5])
 
-    def test_csv_route(self, tmp_path):
-        train, test, _ = build_datasets(TINY)
-        save_csv(train, tmp_path / "train.csv")
-        save_csv(test, tmp_path / "test.csv")
-        cfg = with_overrides(
-            TINY, dataset="csv", train_csv=str(tmp_path / "train.csv"), test_csv=str(tmp_path / "test.csv")
-        )
-        tr, te, counts = build_datasets(cfg)
+    def test_csv_route(self, tmp_path, tiny_splits):
+        train, test = tiny_splits
+        tr, te = build_datasets(_csv_config(TINY, tmp_path, train, test))
         np.testing.assert_array_equal(tr.x, train.x)
-        np.testing.assert_array_equal(counts, train.counts(3))
+        np.testing.assert_array_equal(tr.counts(3), train.counts(3))
+        np.testing.assert_array_equal(te.y, test.y)
 
-    def test_csv_width_mismatch_rejected(self, tmp_path):
-        train, test, _ = build_datasets(TINY)
-        save_csv(train, tmp_path / "train.csv")
-        save_csv(test, tmp_path / "test.csv")
-        cfg = with_overrides(
-            TINY,
-            dataset="csv",
-            train_csv=str(tmp_path / "train.csv"),
-            test_csv=str(tmp_path / "test.csv"),
-            input_dim=9,
-        )
+    def test_csv_one_based_training_split_shifts_both_splits(self, tmp_path, tiny_splits):
+        train, test = tiny_splits
+        tr, te = build_datasets(_csv_config(TINY, tmp_path, train, test, shift=1))
+        np.testing.assert_array_equal(tr.y, train.y)
+        np.testing.assert_array_equal(te.y, test.y)
+
+    @pytest.mark.parametrize("absent", [0, 1])
+    def test_csv_test_split_may_lack_a_class(self, tmp_path, tiny_splits, absent):
+        # no base is guessed from the test split: its labels stay as written
+        train, test = tiny_splits
+        keep = test.y != absent
+        cfg = _csv_config(TINY, tmp_path, train, Dataset(x=test.x[keep], y=test.y[keep]))
+        np.testing.assert_array_equal(build_datasets(cfg)[1].y, test.y[keep])
+
+    def test_csv_width_mismatch_rejected(self, tmp_path, tiny_splits):
+        cfg = _csv_config(TINY, tmp_path, *tiny_splits, input_dim=9)
         with pytest.raises(ConfigError, match="input_dim"):
             build_datasets(cfg)
 
-    def test_csv_missing_class_rejected(self, tmp_path):
-        train, test, _ = build_datasets(TINY)
+    def test_csv_missing_class_rejected(self, tmp_path, tiny_splits):
+        train, test = tiny_splits
         keep = train.y != 2
-        part = type(train)(x=train.x[keep], y=train.y[keep])
-        save_csv(part, tmp_path / "train.csv")
-        save_csv(test, tmp_path / "test.csv")
-        cfg = with_overrides(
-            TINY, dataset="csv", train_csv=str(tmp_path / "train.csv"), test_csv=str(tmp_path / "test.csv")
-        )
+        cfg = _csv_config(TINY, tmp_path, Dataset(x=train.x[keep], y=train.y[keep]), test)
         with pytest.raises(ConfigError, match="missing"):
+            build_datasets(cfg)
+
+    def test_csv_training_labels_starting_high_rejected(self, tmp_path, tiny_splits):
+        cfg = _csv_config(TINY, tmp_path, *tiny_splits, shift=2)
+        with pytest.raises(ConfigError, match="start at 0 or 1, got minimum 2"):
+            build_datasets(cfg)
+
+    def test_csv_zero_based_test_beside_one_based_training_rejected(self, tmp_path, tiny_splits):
+        train, test = tiny_splits
+        cfg = _csv_config(TINY, tmp_path, Dataset(x=train.x, y=train.y + 1), test)
+        with pytest.raises(ConfigError, match="test.csv: label 0 is out of range .* starting at 1"):
             build_datasets(cfg)
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_csv_label_beyond_num_classes_rejected(self, tmp_path, split):
         splits = dict(zip(("train", "test"), build_datasets(TINY)))
         splits[split].y[-1] = TINY.num_classes
-        for name, dataset in splits.items():
-            save_csv(dataset, tmp_path / f"{name}.csv")
-        cfg = with_overrides(
-            TINY, dataset="csv", train_csv=str(tmp_path / "train.csv"), test_csv=str(tmp_path / "test.csv")
-        )
-        with pytest.raises(ConfigError, match="label 3 is out of range"):
+        cfg = _csv_config(TINY, tmp_path, splits["train"], splits["test"])
+        with pytest.raises(ConfigError, match=f"{split}.csv: label 3 is out of range"):
             build_datasets(cfg)
 
 
@@ -247,7 +260,7 @@ class TestRunTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode,loss", [("allnc", "allnc_loss"), ("ce", "mean_cross_entropy")])
-    @pytest.mark.parametrize("error", [ShapeError, ContractError, DomainError, EvaluationError])
+    @pytest.mark.parametrize("error", [ShapeError, ContractError, EvaluationError])
     def test_other_package_errors_propagate(self, monkeypatch, mode, loss, error):
         def raise_error(*args, **kwargs):
             raise error("raised inside the step")
@@ -277,6 +290,30 @@ class TestRunTrain:
         result = run_train(cfg)
         assert not result.diverged and len(result.logs) == 2
 
+    def test_csv_splits_reproduce_the_synthetic_run(self, tmp_path):
+        # configs/tiny.config trained on its own splits, saved with labels
+        # 0-based and 1-based, writes the synthetic run's artifacts byte for
+        # byte; only config.resolved names the other dataset
+        def artifacts(cfg, out):
+            run_train(with_overrides(cfg, out_dir=str(out)))
+            files = (p for p in out.rglob("*") if p.is_file() and p.name != "config.resolved")
+            return {p.relative_to(out): p.read_bytes() for p in files}
+
+        cfg = parse_config_file(ROOT / "configs" / "tiny.config")
+        want = artifacts(cfg, tmp_path / "synthetic")
+        assert Path("features.csv") in want and Path("params", "manifest.json") in want
+        for shift in (0, 1):
+            csv_cfg = _csv_config(cfg, tmp_path, *build_datasets(cfg), shift=shift)
+            assert artifacts(csv_cfg, tmp_path / f"csv{shift}") == want, shift
+
+    def test_csv_test_split_without_class_zero_is_scored_on_its_labels(self, tmp_path, tiny_run, tiny_splits):
+        train, test = tiny_splits
+        keep = test.y != 0
+        kept = Dataset(x=test.x[keep], y=test.y[keep])
+        result = run_train(_csv_config(TINY, tmp_path, train, kept))
+        np.testing.assert_equal(vars(result.final_accuracy), vars(evaluate(tiny_run.params, kept, train.counts(3))))
+        assert result.final_accuracy.overall > 0.9
+
     def test_frozen_bias_stays_zero(self):
         result = run_train(with_overrides(TINY, t_max=2, freeze_classifier_bias=True))
         np.testing.assert_array_equal(result.params.classifier_b.data, 0.0)
@@ -284,7 +321,8 @@ class TestRunTrain:
 
 class TestEvaluate:
     def test_trained_params_score_by_group(self, tiny_run, tiny_splits):
-        _, test, counts = tiny_splits
+        train, test = tiny_splits
+        counts = train.counts(3)
         acc = evaluate(tiny_run.params, test, counts)
         assert acc.overall > 0.9
         # counts [30, 17, 10] against a Many threshold of 0.2*30 = 6: all Many
@@ -293,7 +331,7 @@ class TestEvaluate:
         assert np.isnan(acc.medium) and np.isnan(acc.few)
 
     def test_scores_the_argmax_of_the_graph_logits(self, tiny_run, tiny_splits):
-        _, test, _ = tiny_splits
+        test = tiny_splits[1]
         predicted = np.argmax(harness.forward(tiny_run.params, test.x).logits.data, axis=1)
         # one class per group, so each group's accuracy is that class's
         acc = evaluate(tiny_run.params, test, np.array([100, 10, 4]))
@@ -437,7 +475,7 @@ class TestSweep:
         assert rows[1].log is None
         assert rows[0].log.accuracy.overall > 0.3
 
-    @pytest.mark.parametrize("error", [ConfigError, DomainError, DegenerateInputError])
+    @pytest.mark.parametrize("error", [ConfigError])
     def test_rejected_value_marks_row_failed(self, monkeypatch, error):
         def raise_error(*args, **kwargs):
             raise error("rejected inside the run")
@@ -446,7 +484,7 @@ class TestSweep:
         rows = sweep(TINY, "gamma", ["2"])
         assert [r.status for r in rows] == ["failed"]
 
-    @pytest.mark.parametrize("error", [ContractError, ShapeError, EvaluationError])
+    @pytest.mark.parametrize("error", [ContractError, DegenerateInputError, ShapeError, EvaluationError])
     def test_other_package_errors_propagate(self, monkeypatch, error):
         def raise_error(*args, **kwargs):
             raise error("raised inside the run")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import collapselab.autodiff as ad
-from collapselab.errors import ContractError, DegenerateInputError, DomainError, ShapeError
+from collapselab.errors import ContractError, DegenerateInputError, ShapeError
 from collapselab.etf import make_etf
 from collapselab.losses import (
     allnc_loss,
@@ -262,7 +262,7 @@ class TestP2P:
     def test_row_count_validation(self):
         with pytest.raises(ContractError):
             p2p(ad.constant(np.ones((5, 3))), False, num_classes=4)
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             p2p(ad.constant(np.ones((1, 3))), False, num_classes=1)
         with pytest.raises(ShapeError):
             p2p(ad.constant(np.ones(3)), False)
@@ -291,9 +291,9 @@ class TestEta:
             eta(101, 100, 2.0)
         with pytest.raises(ContractError):
             eta(-1, 100, 2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             eta(0, 0, 2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             eta(0, 10, 0.0)
 
     @given(st.integers(1, 1000), st.floats(0.1, 8.0))
@@ -352,7 +352,7 @@ class TestBranchAndTotal:
 
     def test_negative_alpha_rejected(self):
         z = ad.constant(0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             total_loss(z, z, z, z, -1.0)
 
     def test_alpha_zero_silences_alignment_gradients(self, rng):

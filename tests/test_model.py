@@ -104,7 +104,7 @@ class TestForward:
     @pytest.mark.parametrize("config", ["default", "tiny"])
     def test_encode_is_bitwise_forward_features_on_config_splits(self, config):
         cfg = parse_config_file(ROOT / "configs" / f"{config}.config")
-        train, test, _ = build_datasets(cfg)
+        train, test = build_datasets(cfg)
         params = init_params(cfg.arch, seed=1)
         # each result must survive the later calls, on either split
         splits = (train.x, test.x, train.x)
