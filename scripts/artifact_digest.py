@@ -5,12 +5,11 @@ artifact the run writes, so two checkouts can be compared byte for byte.
     python3 scripts/artifact_digest.py configs/tiny.config disable_hycon=true batch_size=3
 
 Each ``key=value`` argument overrides one config key, with the config file's
-own value syntax. The package is imported from this checkout's ``src/``. The
-``out_dir`` line of ``config.resolved`` names the temporary directory, so it
-is left out of that file's digest. Output is one ``<sha256>  <path>`` line per
-file, sorted by path; diff it against the same command run in another
-checkout. A run that writes no artifacts prints nothing. A rejected config
-prints ``error: ...`` and exits 2, as the CLI does.
+own value syntax. The package is imported from this checkout's ``src/``.
+Output is one ``<sha256>  <path>`` line per file, sorted by path; diff it
+against the same command run in another checkout. A run that writes no
+artifacts prints nothing. A rejected config prints ``error: ...`` and exits
+2, as the CLI does.
 
     python3 scripts/artifact_digest.py --golden tests/golden/digests.json
 
@@ -55,16 +54,10 @@ VARIANTS = [
 
 def digests(out_dir: Path) -> list[tuple[str, str]]:
     """(sha256, relative path) of every file under ``out_dir``, by path."""
-    rows = []
-    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
-        rel = path.relative_to(out_dir).as_posix()
-        data = path.read_bytes()
-        if rel == "config.resolved":
-            data = b"".join(
-                line for line in data.splitlines(keepends=True) if not line.startswith(b"out_dir =")
-            )
-        rows.append((hashlib.sha256(data).hexdigest(), rel))
-    return rows
+    return [
+        (hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out_dir).as_posix())
+        for path in sorted(p for p in out_dir.rglob("*") if p.is_file())
+    ]
 
 
 def train_and_digest(config: str, overrides) -> dict:

@@ -3,9 +3,10 @@
 Four subcommands:
 
   train    run one experiment from a config file
-  metrics  recompute the collapse report from exported features/weights
+  metrics  recompute the collapse report from a run's features.csv and weights.csv
   etf      print (and optionally export) a simplex frame and its deviation
-  sweep    train once per value of any config key and tabulate
+  sweep    train once per value of any config key, writing each table row as
+           its run ends
 
 ``train`` and ``sweep`` take trailing ``key=value`` arguments, each overriding
 one key of the config file with the file's own value syntax.
@@ -25,7 +26,7 @@ from .config import parse_config_file, parse_overrides, with_overrides
 from .data import load_csv, read_numeric_csv, write_csv
 from .errors import CollapseLabError, ParseError
 from .etf import etf_deviation, make_etf
-from .harness import run_train, sweep, write_report, write_sweep_csv
+from .harness import run_train, sweep, write_report
 from .ncmetrics import nc_report
 
 
@@ -42,8 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_metrics = sub.add_parser("metrics", help="collapse report from exported arrays")
     p_metrics.add_argument("--features", required=True, help="CSV of feature rows + 0-based label column")
-    p_metrics.add_argument("--weights", required=True, help="CSV of classifier rows (+ bias column)")
-    p_metrics.add_argument("--bias", help="separate one-column bias CSV")
+    p_metrics.add_argument("--weights", required=True, help="a run's weights.csv: classifier rows, bias column last")
     p_metrics.add_argument("--out", required=True, help="directory for report.json and angle CSVs")
 
     p_etf = sub.add_parser("etf", help="construct a simplex frame and check it")
@@ -86,33 +86,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 2 if result.diverged else 0
 
 
-def _load_weights(weights_path: str, bias_path: str | None, feature_dim: int):
-    _, w = read_numeric_csv(weights_path)
-    bias = None
-    if bias_path is not None:
-        _, b = read_numeric_csv(bias_path)
-        if b.ndim != 2 or b.shape[1] != 1:
-            raise ParseError(f"{bias_path}: bias CSV must have exactly one column")
-        bias = b[:, 0]
-        if w.shape[1] != feature_dim:
-            raise ParseError(
-                f"{weights_path}: {w.shape[1]} columns do not match feature dim {feature_dim}"
-            )
-        if bias.shape[0] != w.shape[0]:
-            raise ParseError(f"{bias_path}: {bias.shape[0]} rows do not match {w.shape[0]} classifier rows")
-        return w, bias
-    if w.shape[1] == feature_dim + 1:
-        return w[:, :-1], w[:, -1]
-    if w.shape[1] == feature_dim:
-        return w, None
-    raise ParseError(
-        f"{weights_path}: {w.shape[1]} columns match neither d={feature_dim} nor d+1"
-    )
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
     features = load_csv(args.features)
-    weights, bias = _load_weights(args.weights, args.bias, features.dim)
+    table = read_numeric_csv(args.weights)
+    if table.shape[1] != features.dim + 1:
+        raise ParseError(f"{args.weights}: {table.shape[1]} columns, expected {features.dim} weights and a bias")
+    weights, bias = table[:, :-1], table[:, -1]
     num_classes = weights.shape[0]
     if features.y.max() >= num_classes:
         raise ParseError(f"{args.features}: label {features.y.max()} out of range for {num_classes} classifier rows")
@@ -141,11 +120,9 @@ def _cmd_etf(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = sweep(_load_config(args), args.param, [v for v in args.values.split(",") if v.strip()])
     out = args.out or f"sweep_{args.param}.csv"
-    write_sweep_csv(rows, out)
-    for row in rows:
-        print(row.csv_row())
+    for row in sweep(_load_config(args), args.param, [v for v in args.values.split(",") if v.strip()], out):
+        print(row)
     print(f"table written to {Path(out).resolve()}")
     return 0
 

@@ -5,8 +5,10 @@ ignored. Keys must belong to the schema below (unknown keys are rejected so a
 typo cannot silently fall back to a default), values are coerced to the field
 type, and every field has a default, so an empty file is a valid experiment.
 ``resolved_text`` serializes a config back into the same format with fields
-in schema order; parsing that text reproduces the config exactly, which is
-why a text value may not hold ``#``, a line break or surrounding spaces.
+in schema order, all but ``out_dir``, so a run writes the same bytes wherever
+it writes them; parsing that text reproduces the config with ``out_dir``
+empty, which is why a text value may not hold ``#``, a line break or
+surrounding spaces.
 ``parse_overrides`` reads ``key=value`` command-line pairs with the same
 per-key rules; ``with_overrides`` applies them.
 
@@ -252,8 +254,9 @@ def _format_value(value) -> str:
 
 
 def resolved_text(cfg: TrainConfig) -> str:
-    """Serialize every field in schema order; parses back to an equal config."""
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
+    """Serialize every field but out_dir in schema order; parses back to the
+    config with out_dir empty."""
+    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}" for f in fields(cfg) if f.name != "out_dir"]
     return "\n".join(lines) + "\n"
 
 

@@ -24,6 +24,7 @@ only on (seed, epoch).
 
 ``load_csv`` is the one reader of a labeled table: it keeps the labels as
 written, non-negative integers; ``harness.build_datasets`` sets their base.
+A table's first row is a header only when none of its cells is a number.
 """
 
 from __future__ import annotations
@@ -177,13 +178,15 @@ def _split_line(line: str) -> list[str]:
     return [cell.strip() for cell in line.split(",")]
 
 
-def read_numeric_csv(path: str | Path) -> tuple[list[str] | None, np.ndarray]:
-    """Parse a rectangular numeric CSV, with an optional single header row.
+def read_numeric_csv(path: str | Path) -> np.ndarray:
+    """Parse a rectangular numeric CSV into a float64 matrix.
 
-    Returns (header or None, float64 matrix). Ragged rows, non-numeric cells,
-    and empty files raise ParseError naming the 1-based line number; a file
-    that cannot be opened or is not UTF-8 text raises ParseError naming the
-    path.
+    A first row none of whose cells parses as a number is a header and is
+    skipped; any other first row is data, so a header with a numeric-looking
+    name (``f0,1,label``) is rejected. Ragged rows, non-numeric cells, and
+    files without data rows raise ParseError naming the 1-based line number;
+    a file that cannot be opened or is not UTF-8 text raises ParseError
+    naming the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -193,7 +196,6 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str] | None, np.ndarray]:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     rows: list[list[float]] = []
-    header: list[str] | None = None
     width: int | None = None
     for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -201,12 +203,9 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str] | None, np.ndarray]:
             continue
         cells = _split_line(line)
         if width is None:
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                header = cells
             width = len(cells)
-            continue
+            if not any(_is_float(c) for c in cells):
+                continue
         if len(cells) != width:
             raise ParseError(f"{path}: line {ln}: expected {width} columns, got {len(cells)}")
         try:
@@ -216,7 +215,7 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str] | None, np.ndarray]:
             raise ParseError(f"{path}: line {ln}: non-numeric value {bad!r}") from exc
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return header, np.asarray(rows, dtype=np.float64)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _is_float(cell: str) -> bool:
@@ -252,7 +251,7 @@ def load_csv(path: str | Path) -> Dataset:
     class required; ParseError names the first data row whose label is not
     a non-negative integer.
     """
-    _, mat = read_numeric_csv(path)
+    mat = read_numeric_csv(path)
     if mat.shape[1] < 2:
         raise ParseError(f"{path}: need at least one feature column and one label column")
     return Dataset(x=mat[:, :-1], y=_integer_labels(path, mat[:, -1]))

@@ -23,15 +23,16 @@ epoch loop: divergence is detected by the finiteness checks. A frozen
 classifier bias has its gradient dropped: it starts at exact zeros, which
 weight decay leaves at 0.0.
 Sweeps set any config key to one value per row, parsed as the config file
-parses it, and write the final epochs.csv row of each run; each run's
-out_dir is cleared, so a sweep writes no run artifacts. They keep going
-past a diverged run or a value that the config or its data rejects
-(ConfigError, such as a beta that starves the tail), marking the row
-failed; any other package error propagates as it does from ``run_train``.
+parses it, and write the final epochs.csv row of each run to their table as
+that run ends, so a later error loses no finished row; each run's out_dir
+is cleared, so a sweep writes no run artifacts. They keep going past a
+diverged run or a value that the config or its data rejects (ConfigError,
+such as a beta that starves the tail), marking the row failed; any other
+package error propagates as it does from ``run_train``.
 
 Run artifacts, written when cfg.out_dir is set (fixed layout,
 deterministic bytes for a fixed config):
-    config.resolved   the full effective config, reparseable
+    config.resolved   the full effective config but out_dir, reparseable
     epochs.csv        one row per epoch: losses, diagnostics, accuracies
     report.json       final NCReport fields, then diverged, epochs_completed
                       and final_accuracy (written by ``write_report``)
@@ -272,14 +273,17 @@ def _ce_step(params: NetworkParams, x: np.ndarray, y: np.ndarray) -> tuple[ad.No
 def run_train(cfg: TrainConfig) -> RunResult:
     """Execute one experiment; emit its artifacts to cfg.out_dir if it is set.
 
-    A run without a completed epoch has nothing to report and emits nothing.
+    An out_dir that is, or lies under, an existing file raises ConfigError
+    before training. A run without a completed epoch emits nothing.
     Returns the result with one EpochLog per completed epoch; a non-finite
     loss or gradient, or a degenerate input, stops training early and marks
     the result diverged instead of raising, with the parameters put back as
     they stood after the last completed epoch.
     """
-    if cfg.out_dir and Path(cfg.out_dir).exists() and not Path(cfg.out_dir).is_dir():
-        raise ConfigError(f"run_train: out_dir {cfg.out_dir} exists and is not a directory")
+    if cfg.out_dir:
+        existing = next(p for p in (Path(cfg.out_dir), *Path(cfg.out_dir).parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"run_train: out_dir {cfg.out_dir}: {existing} exists and is not a directory")
     train, test = build_datasets(cfg)
     counts = train.counts(cfg.num_classes)
     seeds = _derive_seeds(cfg.seed)
@@ -391,49 +395,32 @@ def emit_outputs(result: RunResult, out_dir: str | Path) -> Path:
 SWEEP_CSV_HEADER = "param,value,status," + EPOCH_CSV_HEADER
 
 
-@dataclass
-class SweepRow:
-    """One swept value and the final epoch of its run; no epoch when the
-    value was rejected or its run diverged."""
+def sweep(cfg: TrainConfig, param: str, values: list[str], out: str | Path) -> list[str]:
+    """Run one training per value text of any config key, with shared seeds,
+    and write the table to ``out``; returns its rows without the header.
 
-    param: str
-    value: object
-    log: EpochLog | None
-
-    @property
-    def status(self) -> str:
-        return "failed" if self.log is None else "ok"
-
-    def csv_row(self) -> str:
-        cells = self.log.csv_row() if self.log is not None else ",".join("nan" for _ in EPOCH_CSV_HEADER.split(","))
-        return ",".join([self.param, _format_value(self.value), self.status, cells])
-
-
-def sweep(cfg: TrainConfig, param: str, values: list[str]) -> list[SweepRow]:
-    """Run one training per value text of any config key; shared seeds.
-
-    An unknown key or a value text the config parser rejects raises before
-    any training. A diverged run, or a value that the config or its data
-    rejects (ConfigError), produces a row marked failed and the sweep
-    continues; every other package error propagates.
+    An unknown key, a value text the config parser rejects, or an ``out``
+    that cannot be opened raises before any training. Each row is written
+    and flushed as its run ends. A diverged run, or a value that the config
+    or its data rejects (ConfigError), produces a row marked failed and the
+    sweep continues; every other package error propagates, leaving the rows
+    already written.
     """
     parsed = [parse_overrides([f"{param}={text}"])[param] for text in values]
     if not parsed:
         raise ConfigError("sweep: need at least one value")
-    rows: list[SweepRow] = []
-    for value in parsed:
-        try:
-            result = run_train(with_overrides(cfg, **{param: value, "out_dir": ""}))
-            rows.append(SweepRow(param, value, None if result.diverged or not result.logs else result.logs[-1]))
-        except ConfigError:
-            rows.append(SweepRow(param, value, None))
-    return rows
-
-
-def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8") as fh:
+    failed = "failed," + ",".join("nan" for _ in EPOCH_CSV_HEADER.split(","))
+    rows: list[str] = []
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.csv_row() + "\n")
+        for value in parsed:
+            try:
+                result = run_train(with_overrides(cfg, **{param: value, "out_dir": ""}))
+                cells = failed if result.diverged or not result.logs else "ok," + result.logs[-1].csv_row()
+            except ConfigError:
+                cells = failed
+            rows.append(f"{param},{_format_value(value)},{cells}")
+            fh.write(rows[-1] + "\n")
+            fh.flush()
+    return rows

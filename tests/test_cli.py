@@ -13,9 +13,7 @@ import pytest
 import collapselab.harness as harness
 from collapselab.cli import _build_parser, main
 from collapselab.config import parse_overrides
-from collapselab.data import load_csv, read_numeric_csv
 from collapselab.harness import EPOCH_CSV_HEADER
-from collapselab.ncmetrics import nc_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,7 +77,7 @@ class TestTrain:
             (["seed5"], "'seed5': expected 'key = value'"),
             (["seed=1", "seed=2"], "'seed=2': duplicate key 'seed'"),
             (["lr=0"], "lr must be > 0"),
-            # '#' starts a comment, so config.resolved would reparse this as '{tmp}/a'
+            # '#' starts a comment, so a config file would read this as '{tmp}/a'
             (["out_dir={tmp}/a#1"], "out_dir must not hold '#'"),
             (["seed=-1"], "seed must be >= 0, got -1"),
             (["placement_seed=-1", "mean_placement=random"], "placement_seed must be >= 0, got -1"),
@@ -174,29 +172,6 @@ class TestMetrics:
         assert report["diverged"] and report["epochs_completed"] == 1
         _assert_metrics_reproduce_report(run_dir, tmp_path / "metrics")
 
-    def test_separate_bias_file(self, trained_artifacts, tmp_path):
-        # split the combined weights.csv into weights-only plus a bias column
-        lines = (trained_artifacts / "weights.csv").read_text().splitlines()
-        rows = [line.split(",") for line in lines[1:]]
-        wpath = tmp_path / "w.csv"
-        bpath = tmp_path / "b.csv"
-        wpath.write_text("\n".join(",".join(r[:-1]) for r in rows) + "\n")
-        bpath.write_text("\n".join(r[-1] for r in rows) + "\n")
-        out = tmp_path / "m"
-        code = main(
-            [
-                "metrics",
-                "--features", str(trained_artifacts / "features.csv"),
-                "--weights", str(wpath),
-                "--bias", str(bpath),
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        combined = json.loads((out / "report.json").read_text())
-        direct = json.loads((trained_artifacts / "report.json").read_text())
-        assert combined["ncc_agreement"] == pytest.approx(direct["ncc_agreement"], abs=1e-9)
-
     def test_prints_scalar_summary(self, trained_artifacts, tmp_path, capsys):
         code = main(
             [
@@ -289,8 +264,8 @@ class TestMetrics:
         assert code == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
-    def test_weights_without_bias_column(self, trained_artifacts, tmp_path):
-        # exactly d columns: the classifier rows alone, scored without a bias
+    def test_weights_without_bias_column(self, trained_artifacts, tmp_path, capsys):
+        # exactly d columns: metrics reads weights.csv as a run writes it, bias last
         lines = (trained_artifacts / "weights.csv").read_text().splitlines()
         wpath = tmp_path / "w.csv"
         wpath.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
@@ -303,50 +278,8 @@ class TestMetrics:
                 "--out", str(out),
             ]
         )
-        assert code == 0
-        features = load_csv(trained_artifacts / "features.csv")
-        _, w = read_numeric_csv(wpath)
-        want = nc_report(features.x, features.y, w, None, w.shape[0])
-        got = json.loads((out / "report.json").read_text())
-        assert got == json.loads(json.dumps(want.to_dict()))
-        # the angles of the rows do not involve the bias
-        assert (out / "icpa_w.csv").read_bytes() == (trained_artifacts / "icpa_w.csv").read_bytes()
-
-    def test_bias_beside_wrong_width_weights_exit_two(self, trained_artifacts, tmp_path, capsys):
-        # weights.csv keeps its bias column, so beside --bias it is d+1 wide
-        lines = (trained_artifacts / "weights.csv").read_text().splitlines()
-        bpath = tmp_path / "b.csv"
-        bpath.write_text("\n".join(line.rsplit(",", 1)[1] for line in lines[1:]) + "\n")
-        code = main(
-            [
-                "metrics",
-                "--features", str(trained_artifacts / "features.csv"),
-                "--weights", str(trained_artifacts / "weights.csv"),
-                "--bias", str(bpath),
-                "--out", str(tmp_path / "m"),
-            ]
-        )
-        err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error:") and "7 columns do not match feature dim 6" in err
-
-    @pytest.mark.parametrize("drop_class", [None, 2], ids=["all-classes", "class-2-absent"])
-    def test_bias_row_count_mismatch_exit_two(self, trained_artifacts, tmp_path, capsys, drop_class):
-        # three classifier rows beside a seven-row bias column
-        lines = (trained_artifacts / "weights.csv").read_text().splitlines()
-        wpath, bpath, fpath = tmp_path / "w.csv", tmp_path / "b.csv", tmp_path / "f.csv"
-        wpath.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines[1:]) + "\n")
-        bpath.write_text("0.5\n" * 7)
-        features = (trained_artifacts / "features.csv").read_text().splitlines()
-        keep = [row for row in features[1:] if float(row.rsplit(",", 1)[1]) != drop_class]
-        fpath.write_text("\n".join([features[0], *keep]) + "\n")
-        out = tmp_path / "m"
-        code = main(
-            ["metrics", "--features", str(fpath), "--weights", str(wpath), "--bias", str(bpath), "--out", str(out)]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"error: {bpath}: 7 rows do not match 3 classifier rows")
+        assert capsys.readouterr().err == f"error: {wpath}: 6 columns, expected 6 weights and a bias\n"
         assert not out.exists()
 
     def test_width_mismatch_exit_two(self, trained_artifacts, tmp_path, capsys):

@@ -202,9 +202,15 @@ class TestCsv:
     def test_header_detected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,f1,label\n1.0,2.0,0\n")
-        header, mat = read_numeric_csv(path)
-        assert header == ["f0", "f1", "label"]
-        assert mat.shape == (1, 3)
+        np.testing.assert_array_equal(read_numeric_csv(path), [[1.0, 2.0, 0.0]])
+
+    @pytest.mark.parametrize("first", ["1.0,oops,0", "f0,1,label"], ids=["typo", "numeric-looking-header"])
+    def test_first_row_with_a_number_is_data(self, tmp_path, first):
+        # a typo in the first data row is not taken for a header and dropped
+        path = tmp_path / "d.csv"
+        path.write_text(f"{first}\n3.0,4.0,1\n5.0,6.0,1\n")
+        with pytest.raises(ParseError, match="line 1: non-numeric value"):
+            load_csv(path)
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -28,7 +28,6 @@ from collapselab.harness import (
     evaluate,
     run_train,
     sweep,
-    write_sweep_csv,
 )
 from collapselab.losses import eta
 from collapselab.model import encode, load_params
@@ -456,10 +455,20 @@ class TestEmission:
         taken = tmp_path / "taken"
         taken.write_text("kept\n")
         monkeypatch.setattr(harness, "build_datasets", no_training)
-        with pytest.raises(ConfigError, match="not a directory"):
-            run_train(with_overrides(TINY, out_dir=str(taken)))
+        for out_dir in (taken, taken / "run" / "a"):
+            with pytest.raises(ConfigError, match=f"{taken} exists and is not a directory"):
+                run_train(with_overrides(TINY, out_dir=str(out_dir)))
         assert taken.read_text() == "kept\n"
         assert sorted(tmp_path.iterdir()) == [taken]
+
+    def test_config_resolved_is_the_same_in_any_out_dir(self, tmp_path):
+        cfg = parse_config_file(ROOT / "configs" / "tiny.config")
+        texts = []
+        for name in ("a", "b/c"):
+            run_train(with_overrides(cfg, out_dir=str(tmp_path / name)))
+            texts.append((tmp_path / name / "config.resolved").read_bytes())
+        assert texts[0] == texts[1]
+        assert parse_config_text(texts[0].decode()) == cfg
 
     def test_emit_reports_an_uncreatable_out_dir(self, tiny_run, tmp_path):
         (tmp_path / "taken").write_text("")
@@ -467,62 +476,94 @@ class TestEmission:
             emit_outputs(tiny_run, tmp_path / "taken" / "run")
 
 
+def _sweep_cells(row: str) -> dict[str, str]:
+    return dict(zip(SWEEP_CSV_HEADER.split(","), row.split(",")))
+
+
 class TestSweep:
-    def test_continues_past_failures(self):
+    def test_continues_past_failures(self, tmp_path):
         cfg = with_overrides(TINY, t_max=2)
-        rows = sweep(cfg, "beta", ["1", "1e9", "3"])
-        assert [r.status for r in rows] == ["ok", "failed", "ok"]
-        assert rows[1].log is None
-        assert rows[0].log.accuracy.overall > 0.3
+        rows = [_sweep_cells(row) for row in sweep(cfg, "beta", ["1", "1e9", "3"], tmp_path / "t.csv")]
+        assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
+        assert rows[1]["epoch"] == "nan"
+        assert float(rows[0]["acc_overall"]) > 0.3
 
     @pytest.mark.parametrize("error", [ConfigError])
-    def test_rejected_value_marks_row_failed(self, monkeypatch, error):
+    def test_rejected_value_marks_row_failed(self, monkeypatch, tmp_path, error):
         def raise_error(*args, **kwargs):
             raise error("rejected inside the run")
 
         monkeypatch.setattr(harness, "run_train", raise_error)
-        rows = sweep(TINY, "gamma", ["2"])
-        assert [r.status for r in rows] == ["failed"]
+        rows = sweep(TINY, "gamma", ["2"], tmp_path / "t.csv")
+        assert [_sweep_cells(r)["status"] for r in rows] == ["failed"]
 
     @pytest.mark.parametrize("error", [ContractError, DegenerateInputError, ShapeError, EvaluationError])
-    def test_other_package_errors_propagate(self, monkeypatch, error):
+    def test_other_package_errors_propagate(self, monkeypatch, tmp_path, error):
         def raise_error(*args, **kwargs):
             raise error("raised inside the run")
 
         monkeypatch.setattr(harness, "run_train", raise_error)
         with pytest.raises(error, match="inside the run"):
-            sweep(TINY, "gamma", ["2"])
+            sweep(TINY, "gamma", ["2"], tmp_path / "t.csv")
 
-    def test_rejects_unknown_param_and_empty_values(self):
+    def test_finished_rows_survive_a_later_error(self, monkeypatch, tmp_path):
+        trained = []
+
+        def second_run_breaks(cfg):
+            if trained:
+                raise ContractError("raised inside the second run")
+            trained.append(cfg)
+            return run_train(cfg)
+
+        monkeypatch.setattr(harness, "run_train", second_run_breaks)
+        path = tmp_path / "t.csv"
+        with pytest.raises(ContractError):
+            sweep(with_overrides(TINY, t_max=1), "gamma", ["2", "3"], path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == SWEEP_CSV_HEADER
+        assert [_sweep_cells(line)["status"] for line in lines[1:]] == ["ok"]
+
+    def test_rejects_unknown_param_and_empty_values(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key 'learning_rate'"):
-            sweep(TINY, "learning_rate", ["0.1"])
+            sweep(TINY, "learning_rate", ["0.1"], tmp_path / "t.csv")
         with pytest.raises(ConfigError):
-            sweep(TINY, "gamma", [])
+            sweep(TINY, "gamma", [], tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
 
-    def test_rejects_a_bad_value_before_training(self, monkeypatch):
+    def test_rejects_a_bad_value_before_training(self, monkeypatch, tmp_path):
         def no_training(*args, **kwargs):
             raise AssertionError("sweep trained before checking every value")
 
         monkeypatch.setattr(harness, "run_train", no_training)
         with pytest.raises(ConfigError, match="'disable_gbbn=maybe': bad value for disable_gbbn"):
-            sweep(TINY, "disable_gbbn", ["false", "maybe"])
+            sweep(TINY, "disable_gbbn", ["false", "maybe"], tmp_path / "t.csv")
+
+    def test_unwritable_table_rejected_before_training(self, monkeypatch, tmp_path):
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained before opening its table")
+
+        monkeypatch.setattr(harness, "run_train", no_training)
+        with pytest.raises(IsADirectoryError):
+            sweep(TINY, "gamma", ["2"], tmp_path)
 
     def test_writes_no_artifacts(self, tmp_path):
         out = tmp_path / "run"
-        rows = sweep(with_overrides(TINY, t_max=1, out_dir=str(out)), "gamma", ["2"])
-        assert [r.status for r in rows] == ["ok"]
+        rows = sweep(with_overrides(TINY, t_max=1, out_dir=str(out)), "gamma", ["2"], tmp_path / "t.csv")
+        assert [_sweep_cells(r)["status"] for r in rows] == ["ok"]
         assert not out.exists()
 
-    def test_sweeps_any_key(self):
-        rows = sweep(with_overrides(TINY, t_max=1), "mode", ["ce", "allnc"])
-        assert [(r.value, r.status) for r in rows] == [("ce", "ok"), ("allnc", "ok")]
-        assert rows[0].log.loss_hycon == 0.0 and rows[1].log.loss_hycon != 0.0
+    def test_sweeps_any_key(self, tmp_path):
+        rows = sweep(with_overrides(TINY, t_max=1), "mode", ["ce", "allnc"], tmp_path / "t.csv")
+        rows = [_sweep_cells(r) for r in rows]
+        assert [(r["value"], r["status"]) for r in rows] == [("ce", "ok"), ("allnc", "ok")]
+        assert float(rows[0]["loss_hycon"]) == 0.0 and float(rows[1]["loss_hycon"]) != 0.0
 
     def test_csv_output(self, tmp_path):
-        rows = sweep(with_overrides(TINY, t_max=1), "gamma", ["2", "0"])
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
+        cfg = with_overrides(TINY, t_max=1)
+        path = tmp_path / "tables" / "sweep.csv"
+        rows = sweep(cfg, "gamma", ["2", "0"], path)
         lines = path.read_text().splitlines()
         assert lines[0] == SWEEP_CSV_HEADER == "param,value,status," + EPOCH_CSV_HEADER
-        assert lines[1] == "gamma,2.0,ok," + rows[0].log.csv_row()
+        assert lines[1:] == rows
+        assert lines[1] == "gamma,2.0,ok," + run_train(with_overrides(cfg, gamma=2.0)).logs[-1].csv_row()
         assert lines[2] == "gamma,0.0,failed," + ",".join(["nan"] * len(EPOCH_CSV_HEADER.split(",")))
