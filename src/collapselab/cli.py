@@ -5,8 +5,8 @@ Four subcommands:
   train    run one experiment from a config file
   metrics  recompute the collapse report from a run's features.csv and weights.csv
   etf      print (and optionally export) a simplex frame and its deviation
-  sweep    train once per value of any config key, writing each table row as
-           its run ends
+  sweep    train once per value of any config key but out_dir, writing each
+           table row as its run ends
 
 ``train`` and ``sweep`` take trailing ``key=value`` arguments, each overriding
 one key of the config file with the file's own value syntax.
@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("overrides", nargs="*", metavar="key=value", help="config overrides")
 
     p_metrics = sub.add_parser("metrics", help="collapse report from exported arrays")
-    p_metrics.add_argument("--features", required=True, help="CSV of feature rows + 0-based label column")
+    p_metrics.add_argument("--features", required=True, help="CSV of feature rows + 0-based label column, a row of every class")
     p_metrics.add_argument("--weights", required=True, help="a run's weights.csv: classifier rows, bias column last")
     p_metrics.add_argument("--out", required=True, help="directory for report.json and angle CSVs")
 
@@ -95,6 +95,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     num_classes = weights.shape[0]
     if features.y.max() >= num_classes:
         raise ParseError(f"{args.features}: label {features.y.max()} out of range for {num_classes} classifier rows")
+    absent = set(range(num_classes)).difference(features.y.tolist())
+    if absent:
+        raise ParseError(f"{args.features}: no row for class {min(absent)} of {num_classes} classifier rows")
     report = nc_report(features.x, features.y, weights, bias, num_classes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

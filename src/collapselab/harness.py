@@ -22,13 +22,13 @@ contract and propagates. numpy's floating-point warnings are silenced in the
 epoch loop: divergence is detected by the finiteness checks. A frozen
 classifier bias has its gradient dropped: it starts at exact zeros, which
 weight decay leaves at 0.0.
-Sweeps set any config key to one value per row, parsed as the config file
-parses it, and write the final epochs.csv row of each run to their table as
-that run ends, so a later error loses no finished row; each run's out_dir
-is cleared, so a sweep writes no run artifacts. They keep going past a
-diverged run or a value that the config or its data rejects (ConfigError,
-such as a beta that starves the tail), marking the row failed; any other
-package error propagates as it does from ``run_train``.
+Sweeps set any config key but out_dir to one value per row, parsed as the
+config file parses it, and write the final epochs.csv row of each run to
+their table as that run ends, so a later error loses no finished row; each
+run's out_dir is cleared, so a sweep writes no run artifacts. They keep
+going past a diverged run or a value that the config or its data rejects
+(ConfigError, such as a beta that starves the tail), marking the row failed;
+any other package error propagates as it does from ``run_train``.
 
 Run artifacts, written when cfg.out_dir is set (fixed layout,
 deterministic bytes for a fixed config):
@@ -396,16 +396,19 @@ SWEEP_CSV_HEADER = "param,value,status," + EPOCH_CSV_HEADER
 
 
 def sweep(cfg: TrainConfig, param: str, values: list[str], out: str | Path) -> list[str]:
-    """Run one training per value text of any config key, with shared seeds,
-    and write the table to ``out``; returns its rows without the header.
+    """Run one training per value text of any config key but out_dir, with
+    shared seeds, and write the table to ``out``; returns its rows without
+    the header.
 
-    An unknown key, a value text the config parser rejects, or an ``out``
-    that cannot be opened raises before any training. Each row is written
-    and flushed as its run ends. A diverged run, or a value that the config
-    or its data rejects (ConfigError), produces a row marked failed and the
-    sweep continues; every other package error propagates, leaving the rows
-    already written.
+    An unknown key, out_dir, a value text the config parser rejects, or an
+    ``out`` that cannot be opened raises before any training. Each row is
+    written and flushed as its run ends. A diverged run, or a value that the
+    config or its data rejects (ConfigError), produces a row marked failed
+    and the sweep continues; every other package error propagates, leaving
+    the rows already written.
     """
+    if param == "out_dir":
+        raise ConfigError("sweep: out_dir cannot be swept, since a sweep writes no run artifacts")
     parsed = [parse_overrides([f"{param}={text}"])[param] for text in values]
     if not parsed:
         raise ConfigError("sweep: need at least one value")

@@ -15,9 +15,8 @@ toward the collapsed geometry. Four families:
   class as the nearest-class-mean rule.
 
 Class means are centered by the global feature mean; classifier rows are
-centered by the mean classifier row. Classes missing from the input are
-flagged absent and excluded, and the report marks itself incomplete (the
-metrics that need every class then hold NaN).
+centered by the mean classifier row. A batch must hold a sample of every
+class, so a report always covers all C classes.
 
 ``nc_report`` gathers all four into an ``NCReport``, whose fields are the
 keys of a run's ``report.json``, in file order.
@@ -37,22 +36,14 @@ from .errors import ContractError, DegenerateInputError, ShapeError
 class ClassStats:
     """Per-class first moments of a feature batch.
 
-    mu:     (C, d) class means; rows of absent classes are NaN.
+    mu:     (C, d) class means.
     mu_g:   (d,) global mean over all samples.
-    counts: (C,) samples per class.
+    counts: (C,) samples per class, each at least 1.
     """
 
     mu: np.ndarray
     mu_g: np.ndarray
     counts: np.ndarray
-
-    @property
-    def present(self) -> np.ndarray:
-        return self.counts > 0
-
-    @property
-    def complete(self) -> bool:
-        return bool(np.all(self.counts > 0))
 
 
 def class_stats(features: np.ndarray, labels: np.ndarray, num_classes: int) -> ClassStats:
@@ -60,7 +51,8 @@ def class_stats(features: np.ndarray, labels: np.ndarray, num_classes: int) -> C
 
     One stable sort by label gathers each class into a contiguous block that
     keeps its rows in their original order, so each block's mean is bit for
-    bit the mean of that class's rows picked out by a mask.
+    bit the mean of that class's rows picked out by a mask. A class with no
+    sample raises.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -76,11 +68,12 @@ def class_stats(features: np.ndarray, labels: np.ndarray, num_classes: int) -> C
     if y.min() < 0 or y.max() >= c:
         raise ContractError(f"class_stats: labels outside [0, {c})")
     counts = np.bincount(y, minlength=c).astype(np.int64)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise ContractError(f"class_stats: class {empty[0]} has no sample")
     grouped = x[np.argsort(y, kind="stable")]
     ends = np.cumsum(counts)
-    mu = np.full((c, x.shape[1]), np.nan)
-    for k in np.flatnonzero(counts):
-        mu[k] = grouped[ends[k] - counts[k] : ends[k]].mean(axis=0)
+    mu = np.stack([grouped[end - n : end].mean(axis=0) for end, n in zip(ends, counts)])
     return ClassStats(mu=mu, mu_g=x.mean(axis=0), counts=counts)
 
 
@@ -158,12 +151,9 @@ def self_duality_delta(weights: np.ndarray, stats: ClassStats) -> float:
     Stacks classifier rows into A and centered class means into B (one class
     per row, same order), then returns ||A/||A||_F - B/||B||_F||_F. Scale
     invariant in both arguments; 0 iff the two stacks are positively
-    proportional. Requires every class present; a zero or non-finite
-    norm of either stack raises.
+    proportional. A zero or non-finite norm of either stack raises.
     """
     w = np.asarray(weights, dtype=np.float64)
-    if not stats.complete:
-        raise ContractError("self_duality_delta: every class must be present")
     if w.shape != stats.mu.shape:
         raise ShapeError(f"self_duality_delta: weights {w.shape} vs means {stats.mu.shape}")
     centered = stats.mu - stats.mu_g
@@ -184,12 +174,10 @@ def ncc_agreement(
     """Fraction of samples where argmax logits == nearest class mean.
 
     Ties on either side resolve to the lowest class index, matching argmax
-    and argmin. Requires every class present in the stats.
+    and argmin.
     """
     x = np.asarray(features, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if not stats.complete:
-        raise ContractError("ncc_agreement: every class must be present")
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"ncc_agreement: features {x.shape} vs weights {w.shape}")
     logits = x @ w.T
@@ -211,9 +199,8 @@ def ncc_agreement(
 class NCReport:
     """One full diagnostic snapshot; its fields are report.json's keys, in order.
 
-    Scalars plus the two (C, C) angle matrices. When some class is absent the
-    report is incomplete: angle rows/cols of absent classes are NaN, and the
-    metrics needing every class (delta, ncc_agreement) are NaN.
+    Five scalars, the class count, and the two (C, C) angle matrices, all
+    over every class.
     """
 
     nc1: float
@@ -222,8 +209,6 @@ class NCReport:
     delta: float
     ncc_agreement: float
     num_classes: int
-    present: list[int]
-    complete: bool
     icpa_mu: np.ndarray
     icpa_w: np.ndarray
 
@@ -240,40 +225,21 @@ def nc_report(
     bias: np.ndarray | None,
     num_classes: int,
 ) -> NCReport:
-    """Assemble the full diagnostic snapshot for one feature batch."""
+    """Assemble the full diagnostic snapshot for a batch holding every class."""
     c = int(num_classes)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape[0] != c:
         raise ShapeError(f"nc_report: weights have {w.shape[0]} rows for {c} classes")
     stats = class_stats(features, labels, c)
-    present = [int(k) for k in np.flatnonzero(stats.present)]
-
     cos_w = centered_pairwise_cosines(w, w.mean(axis=0))
-    icpa_w = icpa_degrees(cos_w)
-    std_w = std_of_pairwise_cosines(cos_w)
-
-    cos_mu_present = centered_pairwise_cosines(stats.mu[stats.present], stats.mu_g)
-    std_mu = std_of_pairwise_cosines(cos_mu_present)
-    icpa_mu = np.full((c, c), np.nan)
-    ix = np.ix_(present, present)
-    icpa_mu[ix] = icpa_degrees(cos_mu_present)
-
-    if stats.complete:
-        delta = self_duality_delta(w, stats)
-        agreement = ncc_agreement(features, w, bias, stats)
-    else:
-        delta = float("nan")
-        agreement = float("nan")
-
+    cos_mu = centered_pairwise_cosines(stats.mu, stats.mu_g)
     return NCReport(
         nc1=nc1_within_class(features, labels, stats),
-        std_cos_mu=std_mu,
-        std_cos_w=std_w,
-        delta=delta,
-        ncc_agreement=agreement,
+        std_cos_mu=std_of_pairwise_cosines(cos_mu),
+        std_cos_w=std_of_pairwise_cosines(cos_w),
+        delta=self_duality_delta(w, stats),
+        ncc_agreement=ncc_agreement(features, w, bias, stats),
         num_classes=c,
-        present=present,
-        complete=stats.complete,
-        icpa_mu=icpa_mu,
-        icpa_w=icpa_w,
+        icpa_mu=icpa_degrees(cos_mu),
+        icpa_w=icpa_degrees(cos_w),
     )

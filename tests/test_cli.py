@@ -264,6 +264,24 @@ class TestMetrics:
         assert code == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
+    def test_class_without_rows_exit_two(self, trained_artifacts, tmp_path, capsys):
+        # the run's own table less its class-2 rows: a report covers every class
+        header, *rows = (trained_artifacts / "features.csv").read_text().splitlines()
+        bad = tmp_path / "two_classes.csv"
+        bad.write_text("\n".join([header] + [r for r in rows if not r.endswith(",2")]) + "\n")
+        out = tmp_path / "m"
+        code = main(
+            [
+                "metrics",
+                "--features", str(bad),
+                "--weights", str(trained_artifacts / "weights.csv"),
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}: no row for class 2 of 3 classifier rows\n"
+        assert not (out / "report.json").exists()
+
     def test_weights_without_bias_column(self, trained_artifacts, tmp_path, capsys):
         # exactly d columns: metrics reads weights.csv as a run writes it, bias last
         lines = (trained_artifacts / "weights.csv").read_text().splitlines()

@@ -416,8 +416,6 @@ class TestEmission:
             "delta",
             "ncc_agreement",
             "num_classes",
-            "present",
-            "complete",
             "icpa_mu",
             "icpa_w",
             "diverged",
@@ -545,6 +543,15 @@ class TestSweep:
         monkeypatch.setattr(harness, "run_train", no_training)
         with pytest.raises(IsADirectoryError):
             sweep(TINY, "gamma", ["2"], tmp_path)
+
+    def test_rejects_out_dir_before_training(self, monkeypatch, tmp_path):
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained over out_dir")
+
+        monkeypatch.setattr(harness, "run_train", no_training)
+        with pytest.raises(ConfigError, match="sweep: out_dir cannot be swept"):
+            sweep(TINY, "out_dir", [str(tmp_path / "a"), str(tmp_path / "b")], tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_writes_no_artifacts(self, tmp_path):
         out = tmp_path / "run"

@@ -40,7 +40,6 @@ class TestClassStats:
         np.testing.assert_allclose(s.mu[0], [1.0, 0.0])
         np.testing.assert_allclose(s.mu[1], [0.0, 4.0])
         np.testing.assert_array_equal(s.counts, [2, 1])
-        assert s.complete
 
     def test_global_mean_is_count_weighted(self, rng):
         x, y = _cloud(rng, [50, 7, 3])
@@ -48,21 +47,22 @@ class TestClassStats:
         weighted = (s.counts[:, None] * s.mu).sum(axis=0) / s.counts.sum()
         np.testing.assert_allclose(weighted, s.mu_g, atol=1e-12)
 
-    def test_absent_class_is_nan(self, rng):
-        x = np.ones((3, 2))
-        s = class_stats(x, np.zeros(3, dtype=int), 4)
-        assert np.all(np.isnan(s.mu[1]))
-        assert not s.complete
-        assert list(s.present) == [True, False, False, False]
-        # shuffled labels, class 2 absent: each present mean is bit for bit
-        # the mean of the rows a mask picks out
+    def test_class_without_sample_rejected(self, rng):
+        # shuffled labels, class 2 absent: the first empty class is named
         x, y = _cloud(rng, [40, 9, 3])
         y[y == 2] = 3
         order = rng.permutation(len(y))
+        with pytest.raises(ContractError, match="class_stats: class 2 has no sample"):
+            class_stats(x[order], y[order], 4)
+
+    def test_means_are_masked_means(self, rng):
+        # shuffled labels: each mean is bit for bit the mean of the rows a
+        # mask picks out
+        x, y = _cloud(rng, [40, 9, 3, 1])
+        order = rng.permutation(len(y))
         x, y = x[order], y[order]
         s = class_stats(x, y, 4)
-        assert np.all(np.isnan(s.mu[2]))
-        for k in (0, 1, 3):
+        for k in range(4):
             assert np.array_equal(s.mu[k], x[y == k].mean(axis=0)), k
 
     def test_rejects_bad_labels(self):
@@ -219,12 +219,6 @@ class TestDelta:
             with pytest.raises(DegenerateInputError, match="centered-mean"):
                 self_duality_delta(w, self._stats(1e160 * w))
 
-    def test_incomplete_stats_rejected(self, rng):
-        x = rng.standard_normal((4, 3))
-        s = class_stats(x, np.array([0, 0, 1, 1]), 3)
-        with pytest.raises(ContractError):
-            self_duality_delta(np.ones((3, 3)), s)
-
 
 class TestNccAgreement:
     def test_exact_means_agree_fully(self, rng):
@@ -255,28 +249,15 @@ class TestReport:
         x, y = _cloud(rng, [25, 10, 5, 3])
         w = rng.standard_normal((4, x.shape[1]))
         rep = nc_report(x, y, w, None, 4)
-        assert rep.complete and rep.present == [0, 1, 2, 3]
         write_report(tmp_path, rep)
         np.testing.assert_equal(json.loads((tmp_path / "report.json").read_text()), rep.to_dict())
 
-    def test_partial_report_round_trip_keeps_nan(self, rng, tmp_path):
-        x, y = _cloud(rng, [10, 10])
-        rep = nc_report(x, y, rng.standard_normal((4, x.shape[1])), None, 4)
-        write_report(tmp_path, rep)
-        raw = json.loads((tmp_path / "report.json").read_text())
-        assert np.isnan(raw["delta"]) and np.isnan(raw["icpa_mu"][3][3])
-        np.testing.assert_equal(raw, rep.to_dict())
-
-    def test_partial_coverage_flags(self, rng):
+    def test_partial_coverage_rejected(self, rng):
+        # samples of classes 0 and 1 only, four classifier rows
         x, y = _cloud(rng, [10, 10])
         w = rng.standard_normal((4, x.shape[1]))
-        rep = nc_report(x, y, w, None, 4)
-        assert not rep.complete
-        assert rep.present == [0, 1]
-        assert np.isnan(rep.delta) and np.isnan(rep.ncc_agreement)
-        assert np.all(np.isnan(rep.icpa_mu[2, :]))
-        assert np.isfinite(rep.std_cos_w)
-        assert np.isfinite(rep.icpa_mu[0, 1])
+        with pytest.raises(ContractError, match="class 2 has no sample"):
+            nc_report(x, y, w, None, 4)
 
     def test_collapsed_input_reproduces_targets(self):
         # features sitting exactly on ETF vertices with the matching classifier
@@ -307,7 +288,8 @@ class TestReport:
 def test_nc1_nonnegative(seed):
     r = np.random.default_rng(seed)
     n = int(r.integers(2, 30))
-    x = r.standard_normal((n, 4))
-    y = r.integers(0, 3, size=n)
+    x = r.standard_normal((n + 3, 4))
+    # one sample of each class first: a batch must hold every class
+    y = np.concatenate([np.arange(3), r.integers(0, 3, size=n)])
     s = class_stats(x, y, 3)
     assert nc1_within_class(x, y, s) >= 0.0
