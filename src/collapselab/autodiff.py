@@ -35,7 +35,9 @@ Gradient semantics worth knowing before reading the ops:
   An input that also feeds other nodes receives the same contributions, but
   ``backward`` may sum them in another order than it would for the chain.
 * ``sub`` is one node, bit for bit ``add(a, neg(b))``. ``l2_normalize_rows``
-  computes its norms with the arithmetic of ``np.linalg.norm``.
+  computes its norms with the arithmetic of ``np.linalg.norm``. Means are a
+  sum divided by the count, which is numpy's ``mean`` arithmetic without
+  its dispatch.
 * ``backward`` walks the graph once in reverse topological order and
   accumulates into each node; the schedule is deterministic given the graph.
 
@@ -269,7 +271,7 @@ def gram_mse(v: Node, target: Array) -> Node:
         g_gram = 2.0 * diff * (float(g) / count)
         return g_gram @ vt.T + np.ascontiguousarray((v.data.T @ g_gram).T)
 
-    return _op(np.asarray((diff * diff).mean()), (v,), (back,))
+    return _op(np.asarray((diff * diff).sum() / count), (v,), (back,))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +286,7 @@ def mean_all(x: Node) -> Node:
     n = x.data.size
     if n == 0:
         raise ContractError("mean_all: empty operand")
-    return _op(np.asarray(x.data.mean()), (x,), (lambda g: np.full(x.shape, float(g) / n),))
+    return _op(np.asarray(x.data.sum() / n), (x,), (lambda g: np.full(x.shape, float(g) / n),))
 
 
 def mean_rows(x: Node) -> Node:
@@ -293,7 +295,7 @@ def mean_rows(x: Node) -> Node:
         raise ShapeError(f"mean_rows: need a non-empty 2-d operand, got {x.shape}")
     n = x.shape[0]
     return _op(
-        x.data.mean(axis=0),
+        x.data.sum(axis=0) / n,
         (x,),
         (lambda g: np.broadcast_to(g / n, x.shape).copy(),),
     )
@@ -303,12 +305,16 @@ def mean_rows(x: Node) -> Node:
 # norms and normalization
 
 
-def _row_norms(x: Array, op: str) -> Array:
-    """Norms along the last axis of a (d,) or (N, d) array, kept as an axis,
-    with np.linalg.norm's own arithmetic, without its dispatch."""
+def _row_norms(x: Array) -> Array:
+    """Norms along the last axis, kept as an axis, with np.linalg.norm's own
+    arithmetic, without its dispatch. Each row's norm is the same whatever
+    the leading axes, so a stack of operands takes one call."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+
+
+def _check_rows(x: Array, op: str) -> None:
     if x.ndim not in (1, 2):
         raise ShapeError(f"{op}: need a 1-d or 2-d operand, got {x.shape}")
-    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
 
 
 def _unit_rows_back(y: Array, norms: Array, g: Array) -> Array:
@@ -320,7 +326,8 @@ def _unit_rows_back(y: Array, norms: Array, g: Array) -> Array:
 def l2_normalize_rows(x: Node) -> Node:
     """Unit normalization along the last axis of a (d,) vector or each row of
     an (N, d) matrix. The gradient projects out the radial part."""
-    norms = _row_norms(x.data, "l2_normalize_rows")
+    _check_rows(x.data, "l2_normalize_rows")
+    norms = _row_norms(x.data)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DegenerateInputError(f"l2_normalize_rows: zero vector at row {int(zero[0])}")
@@ -341,18 +348,17 @@ def cosine_alignment(a1: Node, b1: Node, t1: Array, a2: Node, b2: Node, t2: Arra
     for operand in (b1.data, a2.data, b2.data, t1, t2):
         if operand.shape != a1.shape:
             raise ShapeError(f"cosine_alignment: shapes differ, {operand.shape} vs {a1.shape}")
+    _check_rows(a1.data, "cosine_alignment")
 
-    def unit_rows(x: Array) -> tuple[Array, Array]:
-        norms = _row_norms(x, "cosine_alignment")
-        norms[norms == 0.0] = 1.0
-        return x / norms, norms
-
-    u1, _ = unit_rows(t1)
-    u2, _ = unit_rows(t2)
+    # the six operands are normalized as one stack, row for row the same
+    # arithmetic as one at a time
     nodes = (a1, b1, a2, b2)
-    units = [unit_rows(n.data) for n in nodes]
-    targets = (u1, u1, u2, u2)
-    cos = [np.einsum("...i,...i->...", y, t) for (y, _), t in zip(units, targets)]
+    rows = np.stack([n.data for n in nodes] + [t1, t2])
+    norms = _row_norms(rows)
+    norms[norms == 0.0] = 1.0
+    units = rows / norms
+    targets = (units[4], units[4], units[5], units[5])
+    cos = [np.einsum("...i,...i->...", units[k], t) for k, t in enumerate(targets)]
     total = (cos[0] + cos[1]) + (cos[2] + cos[3])
     count = total.size
     if count == 0:
@@ -362,7 +368,7 @@ def cosine_alignment(a1: Node, b1: Node, t1: Array, a2: Node, b2: Node, t2: Arra
         # every cosine's upstream gradient is the constant -g / count
         return lambda g: _unit_rows_back(y, norms, t * (float(-g) / count))
 
-    return _op(-np.asarray(total.mean()), nodes, [back_fn(y, norms, t) for (y, norms), t in zip(units, targets)])
+    return _op(-np.asarray(total.sum() / count), nodes, [back_fn(units[k], norms[k], t) for k, t in enumerate(targets)])
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,14 @@ def _class_selectors(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
     Returns (present, pool, lookup): pool is (P, N) with row k averaging the
     samples of the k-th present class, and lookup is (N, P) picking each
-    sample's own class mean back out.
+    sample's own class mean back out. Labels are class indices, so one
+    bincount gives what np.unique would, without its sort.
     """
     y = np.asarray(labels)
-    present, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
+    counts = np.bincount(y)
+    present = counts.nonzero()[0]
+    inverse = present.searchsorted(y)
+    counts = counts[present]
     n = y.shape[0]
     p = present.shape[0]
     pool = np.zeros((p, n))
