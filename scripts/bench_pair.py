@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Run the benchmark on a parent commit and on this working tree, in
+alternating runs, and write both sides and their paired ratios as JSON.
+
+    python3 scripts/bench_pair.py --parent HEAD~1 --out BENCH_<n>.json
+
+The parent is checked out with ``git worktree add`` into a temporary
+directory, which is removed again at the end. Each run is one unmodified
+``perfbench/run.py --trace 0`` of its own tree, as a child process, on a
+workload and for the ``run_seconds`` of ``BENCHMARK.json``. Every workload
+there gets ten pairs, the fewest that can back a claimed gain; pair i runs
+the parent first when i is even and the working tree first when it is odd,
+so that a drift of the host's speed falls on both sides alike.
+
+The file records, per workload, each run's end-to-end metrics, its pass
+count (the ``passes`` of ``run.py``'s context line), its wall time and the
+CPU time of its process (the ``RUSAGE_CHILDREN`` delta, so a spinning BLAS
+thread shows as CPU time above the wall time); then, per metric, the paired
+ratios change/parent, their median, the pairs the change won, and the
+quartile distance of the parent's runs. It also records the machine block of
+``run.py``, both commit shas, and whether the working tree had changes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+PAIRS = 10
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py --trace 0`` in ``tree``: its result, context,
+    wall time and child CPU time."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    t0 = time.perf_counter()
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or len(lines) < 2:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
+    context, result = json.loads(lines[-2])["context"], json.loads(lines[-1])
+    return {
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "passes": context["passes"],
+        "wall_s": wall,
+        "cpu_s": cpu,
+        "machine": context["machine"],
+    }
+
+
+def _quartile_distance(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Per metric, the paired comparison of one workload's runs.
+
+    ``runs`` holds dicts with ``side`` ("parent" or "change"), ``pair`` and
+    ``metrics``; a metric counts in a pair only when both sides report it.
+    Every metric is lower-is-better, as in ``BENCHMARK.json``.
+    """
+    by_pair: dict[int, dict[str, dict]] = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+    names = sorted({name for run in runs for name in run["metrics"]})
+    out = {}
+    for name in names:
+        pairs = [
+            (sides["parent"][name], sides["change"][name])
+            for _, sides in sorted(by_pair.items())
+            if all(side in sides and name in sides[side] for side in SIDES)
+        ]
+        if not pairs:
+            continue
+        parent = [p for p, _ in pairs]
+        change = [c for _, c in pairs]
+        ratios = [c / p if p else float("nan") for p, c in pairs]
+        out[name] = {
+            "parent": parent,
+            "change": change,
+            "ratios": ratios,
+            "median_ratio": statistics.median(ratios),
+            "change_wins": sum(c < p for p, c in pairs),
+            "pairs": len(pairs),
+            "parent_median": statistics.median(parent),
+            "change_median": statistics.median(change),
+            "parent_quartile_distance": _quartile_distance(parent),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", default="HEAD", help="commit to compare against (default HEAD)")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    args = ap.parse_args(argv)
+    seconds = bench["run_seconds"]
+
+    parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    change_sha = git("rev-parse", "HEAD")
+    edited = bool(git("status", "--porcelain", "--untracked-files=no"))
+    if parent_sha == change_sha and not edited:
+        ap.error(f"the working tree is {args.parent} itself; pass the commit before it, such as HEAD~1")
+    record = {
+        "parent_sha": parent_sha,
+        "change_sha": change_sha,
+        "change_has_uncommitted_edits": edited,
+        "seed": args.seed,
+        "seconds": seconds,
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_tree = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(parent_tree), parent_sha)
+        try:
+            trees = {"parent": parent_tree, "change": ROOT}
+            for workload in (w["name"] for w in bench["workloads"]):
+                runs = []
+                for pair in range(PAIRS):
+                    for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                        run = run_once(trees[side], workload, args.seed, seconds)
+                        record.setdefault("machine", run.pop("machine"))
+                        runs.append({"side": side, "pair": pair, **run})
+                        print(f"{workload} pair {pair} {side}: {json.dumps(run['metrics'])}", file=sys.stderr)
+                record["workloads"][workload] = {"runs": runs, "summary": summarize(runs)}
+        finally:
+            git("worktree", "remove", "--force", str(parent_tree))
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -4,7 +4,10 @@ The value carrier is a C-contiguous float64 ndarray. Every operation builds a
 fresh Node in a define-by-run graph: the graph is rebuilt on each forward pass
 and parameters persist as leaf nodes between passes. Arrays held by nodes are
 treated as immutable once created; optimizers replace a parameter's array
-rather than mutating it in place.
+rather than mutating it in place. Leaves coerce their values; op outputs are
+not coerced again, as ops compute such arrays from such arrays (numpy's
+scalar for a 0-d result only goes through np.asarray). Work that only the
+gradient needs runs in the backward closure, not on every forward.
 
 Gradient semantics worth knowing before reading the ops:
 
@@ -14,10 +17,12 @@ Gradient semantics worth knowing before reading the ops:
   because the traversal never visits them.
 * ``relu`` uses the subgradient 0 at exactly 0 (the mask is ``x > 0``). Its
   forward is ``np.maximum(x, 0)``, so a NaN input stays NaN.
-* ``cosine_alignment`` gives a zero row cosine 0: it divides a zero operand
-  or target row by 1 in place of its zero norm. A zero operand row gets the
-  gradient ``-t / count`` toward its unit target ``t``; a zero target row
-  sends its operand none. ``l2_normalize_rows`` raises on a zero row.
+* ``l2_normalize_rows`` raises DegenerateInputError on a row whose norm is
+  zero or not finite (a NaN or infinite entry, or squares that overflow);
+  ``cosine_alignment`` raises on a non-finite norm and gives a zero row
+  cosine 0: it divides the row by 1 in place of its zero norm. A zero
+  operand row gets the gradient ``-t / count`` toward its unit target ``t``;
+  a zero target row sends its operand none.
 * ``linear``, ``softmax_cross_entropy_rows``, ``cosine_alignment`` and
   ``gram_mse`` are fused ops: each is one node that reproduces a chain of
   simpler ops to the last bit, forward and backward, on the gradient of
@@ -27,29 +32,31 @@ Gradient semantics worth knowing before reading the ops:
   - ``softmax_cross_entropy_rows``: log-softmax, dot with a one-hot row and
     negation; it subtracts the row maximum before exponentiating, so large
     logits cannot overflow;
-  - ``cosine_alignment``: four ``l2_normalize_rows`` and ``rowwise_dot``
-    pairs against two constant targets, normalized in numpy, then add,
-    ``mean_all`` and ``neg``;
-  - ``gram_mse``: transpose, matmul, subtraction of a constant target,
-    square and ``mean_all``.
+  - ``cosine_alignment``: four ``l2_normalize_rows`` rows each dotted (an
+    einsum over the last axis) with one of two constant targets normalized
+    in numpy, then add, ``mean_all`` and negation;
+  - ``gram_mse``: transpose, matmul, ``sub`` of a constant target, square
+    and ``mean_all``.
   An input that also feeds other nodes receives the same contributions, but
   ``backward`` may sum them in another order than it would for the chain.
-* ``sub`` is one node, bit for bit ``add(a, neg(b))``. ``l2_normalize_rows``
-  computes its norms with the arithmetic of ``np.linalg.norm``. Means are a
-  sum divided by the count, which is numpy's ``mean`` arithmetic without
-  its dispatch.
+* ``sub`` is bit for bit adding the negated operand. ``l2_normalize_rows``
+  computes its norms with the arithmetic of ``np.linalg.norm``. Sums and
+  maxima call ``np.add.reduce`` and ``np.maximum.reduce``, which is
+  ``ndarray.sum`` and ``max`` without their dispatch; a mean is such a sum
+  divided by the count.
 * ``backward`` walks the graph once in reverse topological order and
   accumulates into each node; the schedule is deterministic given the graph.
 
 Broadcasting is deliberately restricted to the one pattern the networks here
 need: adding or subtracting a length-d vector row-wise against an (N, d)
 matrix. Everything else requires exact shape agreement. ``l2_normalize_rows``
-and ``rowwise_dot`` work along the last axis, so one op serves a single (d,)
-vector and each row of an (N, d) matrix.
+and ``cosine_alignment`` work along the last axis, so one op serves a single
+(d,) vector and each row of an (N, d) matrix.
 """
 
 from __future__ import annotations
 
+from math import isfinite, isnan
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -78,11 +85,14 @@ class Node:
     """One vertex of the computation graph.
 
     Fields:
-        data:          float64 ndarray holding the forward value.
+        data:          C-contiguous float64 ndarray holding the forward value.
         parents:       input nodes, in op order.
         grad_fns:      one gradient rule per parent.
         requires_grad: True when some parameter is reachable upstream;
                        backward never descends through a node without it.
+
+    The constructor, which coerces ``data`` with ``as_tensor``, builds the
+    leaves; ops build their outputs with ``_op``, which skips it.
     """
 
     __slots__ = ("data", "parents", "grad_fns", "requires_grad")
@@ -106,7 +116,7 @@ class Node:
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element node, got shape {self.shape}")
-        return float(self.data.reshape(()))
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Node(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -122,42 +132,46 @@ def param(values) -> Node:
     return Node(values, requires_grad=True)
 
 
-def _op(data: Array, parents: Sequence[Node], grad_fns: Sequence[GradFn]) -> Node:
+def _op(data: Array, parents: tuple[Node, ...], grad_fns: tuple[GradFn, ...]) -> Node:
+    """An op's output node, built without ``Node.__init__`` from the op's
+    array, or from the numpy scalar of its 0-d result (see the module docstring)."""
+    node = object.__new__(Node)
+    node.data = data if data.__class__ is np.ndarray else np.asarray(data)
+    node.parents = parents
+    node.grad_fns = grad_fns
     for p in parents:
         if p.requires_grad:
-            return Node(data, parents, grad_fns, requires_grad=True)
-    return Node(data, parents, grad_fns)
+            node.requires_grad = True
+            return node
+    node.requires_grad = False
+    return node
 
 
 # ---------------------------------------------------------------------------
 # elementwise and affine ops
 
 
-def _row_broadcast(a: Node, b: Node, op: str) -> bool:
+def _row_broadcast(a: Array, b: Array, op: str) -> bool:
     """Whether b broadcasts across a's rows; raises on any other mismatch."""
     if a.shape == b.shape:
         return False
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
+    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
         return True
     raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 
 def add(a: Node, b: Node) -> Node:
     """a + b for equal shapes, or (N, d) + (d,) broadcast across rows."""
-    if _row_broadcast(a, b, "add"):
-        return _op(a.data + b.data, (a, b), (lambda g: g, lambda g: g.sum(axis=0)))
+    if _row_broadcast(a.data, b.data, "add"):
+        return _op(a.data + b.data, (a, b), (lambda g: g, lambda g: np.add.reduce(g, axis=0)))
     return _op(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a: Node, b: Node) -> Node:
-    """a - b with the same shape rules as add; bit for bit add(a, neg(b))."""
-    if _row_broadcast(a, b, "sub"):
-        return _op(a.data - b.data, (a, b), (lambda g: g, lambda g: -g.sum(axis=0)))
+    """a - b with the same shape rules as add; bit for bit a plus the negated b."""
+    if _row_broadcast(a.data, b.data, "sub"):
+        return _op(a.data - b.data, (a, b), (lambda g: g, lambda g: -np.add.reduce(g, axis=0)))
     return _op(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
-
-
-def neg(x: Node) -> Node:
-    return _op(-x.data, (x,), (lambda g: -g,))
 
 
 def scale(x: Node, s: float) -> Node:
@@ -168,7 +182,7 @@ def scale(x: Node, s: float) -> Node:
 
 def mul(a: Node, b: Node) -> Node:
     """Elementwise product; shapes must match exactly."""
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     return _op(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
@@ -193,7 +207,7 @@ def matmul(a: Node, b: Node) -> Node:
     """2-d matrix product (m, k) @ (k, n)."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: need 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
     return _op(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
@@ -214,12 +228,12 @@ def linear(x: Node, w: Node, b: Node) -> Node:
     """
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ShapeError(f"linear: need 2-d x and w and 1-d b, got {x.shape}, {w.shape} and {b.shape}")
-    if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
+    if x.data.shape[1] != w.data.shape[1] or w.data.shape[0] != b.data.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
     return _op(
         x.data @ np.ascontiguousarray(w.data.T) + b.data,
         (x, w, b),
-        (lambda g: g @ w.data, lambda g: g.T @ x.data, lambda g: g.sum(axis=0)),
+        (lambda g: g @ w.data, lambda g: g.T @ x.data, lambda g: np.add.reduce(g, axis=0)),
     )
 
 
@@ -231,24 +245,12 @@ def transpose(x: Node) -> Node:
 
 def dot(a: Node, b: Node) -> Node:
     """Inner product of two 1-d vectors; returns a scalar node."""
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
+    if a.data.ndim != 1 or a.data.shape != b.data.shape:
         raise ShapeError(f"dot: need equal-length vectors, got {a.shape} and {b.shape}")
     return _op(
-        np.asarray(a.data @ b.data),
+        a.data @ b.data,
         (a, b),
         (lambda g: float(g) * b.data, lambda g: float(g) * a.data),
-    )
-
-
-def rowwise_dot(a: Node, b: Node) -> Node:
-    """Inner products along the last axis of two equal (d,) or (N, d) operands;
-    returns a scalar or an (N,) node."""
-    if a.data.ndim not in (1, 2) or a.shape != b.shape:
-        raise ShapeError(f"rowwise_dot: need matching 1-d or 2-d shapes, got {a.shape} and {b.shape}")
-    return _op(
-        np.einsum("...i,...i->...", a.data, b.data),
-        (a, b),
-        (lambda g: g[..., None] * b.data, lambda g: g[..., None] * a.data),
     )
 
 
@@ -261,7 +263,7 @@ def gram_mse(v: Node, target: Array) -> Node:
     and the backward keeps the chain's operand layout, g @ (copy of v.T).T
     plus the transpose of v.T @ g, in the order backward sums them.
     """
-    if v.data.ndim != 2 or target.shape != (v.shape[0], v.shape[0]):
+    if v.data.ndim != 2 or target.shape != (v.data.shape[0], v.data.shape[0]):
         raise ShapeError(f"gram_mse: need (K, d) rows and a (K, K) target, got {v.shape} and {target.shape}")
     vt = np.ascontiguousarray(v.data.T)
     diff = v.data @ vt - target
@@ -271,7 +273,7 @@ def gram_mse(v: Node, target: Array) -> Node:
         g_gram = 2.0 * diff * (float(g) / count)
         return g_gram @ vt.T + np.ascontiguousarray((v.data.T @ g_gram).T)
 
-    return _op(np.asarray((diff * diff).sum() / count), (v,), (back,))
+    return _op(np.add.reduce(diff * diff, axis=None) / count, (v,), (back,))
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +281,25 @@ def gram_mse(v: Node, target: Array) -> Node:
 
 
 def sum_all(x: Node) -> Node:
-    return _op(np.asarray(x.data.sum()), (x,), (lambda g: np.full(x.shape, float(g)),))
+    return _op(np.add.reduce(x.data, axis=None), (x,), (lambda g: np.full(x.data.shape, float(g)),))
 
 
 def mean_all(x: Node) -> Node:
     n = x.data.size
     if n == 0:
         raise ContractError("mean_all: empty operand")
-    return _op(np.asarray(x.data.sum() / n), (x,), (lambda g: np.full(x.shape, float(g) / n),))
+    return _op(np.add.reduce(x.data, axis=None) / n, (x,), (lambda g: np.full(x.data.shape, float(g) / n),))
 
 
 def mean_rows(x: Node) -> Node:
     """Column means of an (N, d) matrix; returns a (d,) node."""
-    if x.data.ndim != 2 or x.shape[0] == 0:
+    if x.data.ndim != 2 or x.data.shape[0] == 0:
         raise ShapeError(f"mean_rows: need a non-empty 2-d operand, got {x.shape}")
-    n = x.shape[0]
+    n = x.data.shape[0]
     return _op(
-        x.data.sum(axis=0) / n,
+        np.add.reduce(x.data, axis=0) / n,
         (x,),
-        (lambda g: np.broadcast_to(g / n, x.shape).copy(),),
+        (lambda g: np.broadcast_to(g / n, x.data.shape).copy(),),
     )
 
 
@@ -325,12 +327,13 @@ def _unit_rows_back(y: Array, norms: Array, g: Array) -> Array:
 
 def l2_normalize_rows(x: Node) -> Node:
     """Unit normalization along the last axis of a (d,) vector or each row of
-    an (N, d) matrix. The gradient projects out the radial part."""
+    an (N, d) matrix. The gradient projects out the radial part. A row whose
+    norm is zero or not finite raises DegenerateInputError."""
     _check_rows(x.data, "l2_normalize_rows")
     norms = _row_norms(x.data)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateInputError(f"l2_normalize_rows: zero vector at row {int(zero[0])}")
+    if not (0.0 < norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf):  # a NaN norm fails both
+        bad = int(np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))[0])
+        raise DegenerateInputError(f"l2_normalize_rows: row {bad} has norm {norms.flat[bad]}")
     y = x.data / norms
     return _op(y, (x,), (lambda g: _unit_rows_back(y, norms, g),))
 
@@ -342,33 +345,36 @@ def cosine_alignment(a1: Node, b1: Node, t1: Array, a2: Node, b2: Node, t2: Arra
 
     t1 and t2 are constant arrays, unit-normalized here in numpy. On inputs
     without a zero row, forward and backward are bit for bit the chain of
-    l2_normalize_rows, rowwise_dot, add, mean_all and neg; a zero row, which
-    the chain rejects, has cosine 0 (see the module docstring).
+    l2_normalize_rows, row dots, add, mean_all and negation; a zero row, which
+    the chain rejects, has cosine 0, and a row whose norm is not finite
+    raises DegenerateInputError (see the module docstring).
     """
     for operand in (b1.data, a2.data, b2.data, t1, t2):
-        if operand.shape != a1.shape:
+        if operand.shape != a1.data.shape:
             raise ShapeError(f"cosine_alignment: shapes differ, {operand.shape} vs {a1.shape}")
     _check_rows(a1.data, "cosine_alignment")
-
-    # the six operands are normalized as one stack, row for row the same
-    # arithmetic as one at a time
-    nodes = (a1, b1, a2, b2)
-    rows = np.stack([n.data for n in nodes] + [t1, t2])
-    norms = _row_norms(rows)
-    norms[norms == 0.0] = 1.0
-    units = rows / norms
-    targets = (units[4], units[4], units[5], units[5])
-    cos = [np.einsum("...i,...i->...", units[k], t) for k, t in enumerate(targets)]
-    total = (cos[0] + cos[1]) + (cos[2] + cos[3])
-    count = total.size
+    count = a1.data.shape[0] if a1.data.ndim == 2 else 1
     if count == 0:
         raise ContractError("cosine_alignment: empty operands")
 
-    def back_fn(y: Array, norms: Array, t: Array) -> GradFn:
-        # every cosine's upstream gradient is the constant -g / count
-        return lambda g: _unit_rows_back(y, norms, t * (float(-g) / count))
+    # The six operands are normalized as one stack, and the four cosines are
+    # one einsum over it: row for row the same arithmetic as one at a time.
+    rows = np.array([a1.data, b1.data, a2.data, b2.data, t1, t2])
+    norms = _row_norms(rows)
+    if not norms.max(initial=0.0) < np.inf:  # an infinite or NaN norm; a zero one is cosine 0
+        k, row = divmod(int(np.flatnonzero(~(norms < np.inf))[0]), norms.size // 6)
+        name = ("a1", "b1", "a2", "b2", "t1", "t2")[k]
+        raise DegenerateInputError(f"cosine_alignment: {name} row {row} has norm {norms[k].flat[row]}")
+    norms[norms == 0.0] = 1.0
+    units = rows / norms
+    cos = np.einsum("...i,...i->...", units[:4], units[[4, 4, 5, 5]])
+    total = (cos[0] + cos[1]) + (cos[2] + cos[3])
 
-    return _op(-np.asarray(total.sum() / count), nodes, [back_fn(units[k], norms[k], t) for k, t in enumerate(targets)])
+    def back_fn(k: int) -> GradFn:
+        # every cosine's upstream gradient is the constant -g / count
+        return lambda g: _unit_rows_back(units[k], norms[k], units[4 + k // 2] * (float(-g) / count))
+
+    return _op(-(np.add.reduce(total, axis=None) / count), (a1, b1, a2, b2), tuple(map(back_fn, range(4))))
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +390,14 @@ def softmax_cross_entropy_rows(x: Node, onehot: Array) -> Node:
     in a row makes that row's loss non-finite. The backward is softmax minus
     one-hot, scaled per row, with the rounding of the unfused chain.
     """
-    if x.data.ndim != 2 or onehot.shape != x.shape:
+    if x.data.ndim != 2 or onehot.shape != x.data.shape:
         raise ShapeError(f"softmax_cross_entropy_rows: need equal (N, C) shapes, got {x.shape}, {onehot.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    soft = np.exp(logp)
+    shifted = x.data - np.maximum.reduce(x.data, axis=1, keepdims=True)
+    logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
     def back(g: Array) -> Array:
         g_logp = (-g)[:, None] * onehot
-        return g_logp - soft * g_logp.sum(axis=1, keepdims=True)
+        return g_logp - np.exp(logp) * np.add.reduce(g_logp, axis=1, keepdims=True)
 
     return _op(-np.einsum("ij,ij->i", logp, onehot), (x,), (back,))
 
@@ -445,7 +450,7 @@ def backward(root: Node) -> dict[Node, Array]:
         # every consumer of a node comes before it, so its gradient is complete
         g = pending.pop(node)
         if node.requires_grad and not node.parents:
-            leaves[node] = g
+            leaves[node] = g if g.__class__ is np.ndarray else np.asarray(g)  # a 0-d leaf's may be a scalar
         for parent, fn in zip(node.parents, node.grad_fns):
             if not parent.requires_grad:
                 continue
@@ -500,11 +505,11 @@ def grad_check(f: Callable[[], Node], params: Iterable[Node]) -> float:
                 f_minus = f().item()
             finally:
                 p.data = base
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+            if not (isfinite(f_plus) and isfinite(f_minus)):
                 raise EvaluationError(f"grad_check: non-finite value near param {k} index {idx}")
             numeric = (f_plus - f_minus) / (2.0 * _FD_STEP)
             err = abs(float(analytic[idx]) - numeric) / max(1.0, abs(numeric))
-            if err > worst or np.isnan(err):  # a NaN gradient must not read as a pass
+            if err > worst or isnan(err):  # a NaN gradient must not read as a pass
                 worst = err
     return worst
 

@@ -18,7 +18,7 @@ class ShapeError(CollapseLabError, ValueError):
 
 
 class DegenerateInputError(CollapseLabError, ValueError):
-    """A zero vector was supplied where a direction is required."""
+    """A vector whose norm is zero or not finite was given where a direction is required."""
 
 
 class ContractError(CollapseLabError, ValueError):

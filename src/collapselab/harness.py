@@ -13,9 +13,10 @@ split is scored overall and per class-size group. Groups follow the head
 count n_max: Many > 0.2*n_max, Few <= 0.04*n_max, Medium between.
 
 A non-finite loss or gradient, or a degenerate input (a vector to normalize
-whose norm is zero or overflows) in a step or in the epoch's collapse report,
-ends the run as diverged. The run keeps one checkpoint, its last completed
-epoch: ``params.theta``, which a step replaces and never writes into, and the
+whose norm is not finite, or zero outside the alignment loss, which scores a
+zero row's cosine 0) in a step or in the epoch's collapse report, ends the
+run as diverged. The run keeps one checkpoint, its last completed epoch:
+``params.theta``, which a step replaces and never writes into, and the
 features its report was computed from, which the artifacts describe; a run
 with no completed epoch writes none. Every other package error is a broken
 contract and propagates. numpy's floating-point warnings are silenced in the

@@ -51,19 +51,17 @@ def _onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     y = np.asarray(labels)
     if y.ndim != 1:
         raise ShapeError(f"labels must be 1-d, got shape {y.shape}")
-    if y.size and (y.min() < 0 or y.max() >= num_classes):
+    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= num_classes):
         raise ContractError(f"labels outside [0, {num_classes})")
-    hot = np.zeros((y.shape[0], num_classes))
-    hot[np.arange(y.shape[0]), y] = 1.0
-    return hot
+    return np.eye(num_classes)[y]
 
 
 def cross_entropy_rows(logits: Node, labels: np.ndarray) -> Node:
     """Per-sample cross-entropy of an (N, C) logits node; returns (N,)."""
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy_rows: logits must be (N, C), got {logits.shape}")
-    hot = _onehot(labels, logits.shape[1])
-    if hot.shape[0] != logits.shape[0]:
+    hot = _onehot(labels, logits.data.shape[1])
+    if hot.shape[0] != logits.data.shape[0]:
         raise ShapeError("cross_entropy_rows: labels and logits disagree on N")
     return ad.softmax_cross_entropy_rows(logits, hot)
 
@@ -75,7 +73,7 @@ def mean_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
 
 def mean_reweighted_ce(logits: Node, labels: np.ndarray, class_weights: np.ndarray) -> Node:
     """Batch mean of class_weights[y_i] * CE_i."""
-    return _reweighted_mean(cross_entropy_rows(logits, labels), logits.shape[1], labels, class_weights)
+    return _reweighted_mean(cross_entropy_rows(logits, labels), logits.data.shape[1], labels, class_weights)
 
 
 def _reweighted_mean(rows: Node, num_classes: int, labels: np.ndarray, class_weights: np.ndarray) -> Node:
@@ -84,7 +82,7 @@ def _reweighted_mean(rows: Node, num_classes: int, labels: np.ndarray, class_wei
     if w.ndim != 1 or w.shape[0] != num_classes:
         raise ShapeError(f"mean_reweighted_ce: weights shape {w.shape} vs {num_classes} classes")
     per_sample = ad.constant(w[np.asarray(labels)])
-    return ad.scale(ad.dot(rows, per_sample), 1.0 / rows.shape[0])
+    return ad.scale(ad.dot(rows, per_sample), 1.0 / rows.data.shape[0])
 
 
 def inverse_frequency_weights(counts: np.ndarray) -> np.ndarray:
@@ -117,23 +115,18 @@ def hycon(h1: Node, h2: Node, z1: Node, z2: Node, u1: Node, u2: Node) -> Node:
 def _class_selectors(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Constant matrices for batched class means.
 
-    Returns (present, pool, lookup): pool is (P, N) with row k averaging the
-    samples of the k-th present class, and lookup is (N, P) picking each
-    sample's own class mean back out. Labels are class indices, so one
-    bincount gives what np.unique would, without its sort.
+    Returns (present, pool, lookup): lookup is (N, P), each sample's row of
+    the identity, picking its own class mean back out, and pool is lookup's
+    transpose with row k divided by the k-th present class's count, so it
+    averages that class's samples. Labels are class indices, so one bincount
+    gives what np.unique would, without its sort.
     """
     y = np.asarray(labels)
     counts = np.bincount(y)
     present = counts.nonzero()[0]
     inverse = present.searchsorted(y)
-    counts = counts[present]
-    n = y.shape[0]
-    p = present.shape[0]
-    pool = np.zeros((p, n))
-    pool[inverse, np.arange(n)] = 1.0 / counts[inverse]
-    lookup = np.zeros((n, p))
-    lookup[np.arange(n), inverse] = 1.0
-    return present, pool, lookup
+    lookup = np.eye(present.shape[0])[inverse]
+    return present, np.ascontiguousarray(lookup.T) / counts[present][:, None], lookup
 
 
 def class_mean_matrix(x: Node, labels: np.ndarray) -> tuple[Node, np.ndarray]:
@@ -145,7 +138,7 @@ def class_mean_matrix(x: Node, labels: np.ndarray) -> tuple[Node, np.ndarray]:
     if x.data.ndim != 2:
         raise ShapeError(f"class_mean_matrix: need (N, d) input, got {x.shape}")
     y = np.asarray(labels)
-    if y.shape != (x.shape[0],):
+    if y.shape != (x.data.shape[0],):
         raise ShapeError("class_mean_matrix: labels and rows disagree on N")
     present, pool, _ = _class_selectors(y)
     return ad.matmul(ad.constant(pool), x), present
@@ -175,10 +168,10 @@ def hycon_batch(
     for name, node in (("h1", h1), ("h2", h2), ("z1", z1), ("z2", z2)):
         if node.data.ndim != 2:
             raise ShapeError(f"hycon_batch: {name} must be (N, p), got {node.shape}")
-        if node.shape != h1.shape:
+        if node.data.shape != h1.data.shape:
             raise ShapeError(f"hycon_batch: {name} shape {node.shape} differs from {h1.shape}")
     y = np.asarray(labels)
-    if y.shape != (h1.shape[0],):
+    if y.shape != (h1.data.shape[0],):
         raise ShapeError("hycon_batch: labels and rows disagree on N")
 
     if selectors is None:
@@ -222,7 +215,7 @@ def p2p(
     """
     if vectors.data.ndim != 2:
         raise ShapeError(f"p2p: need (K, d) input, got {vectors.shape}")
-    k = vectors.shape[0]
+    k, d = vectors.data.shape
     c = k if num_classes is None else int(num_classes)
     if c < 2:
         raise ContractError(f"p2p: target needs at least 2 classes, got {c}")
@@ -232,8 +225,8 @@ def p2p(
     if center_and_normalize:
         if center is None:
             center = ad.mean_rows(v)
-        elif center.data.shape != (vectors.shape[1],):
-            raise ShapeError(f"p2p: center shape {center.shape} vs row width {vectors.shape[1]}")
+        elif center.data.shape != (d,):
+            raise ShapeError(f"p2p: center shape {center.shape} vs row width {d}")
         v = ad.l2_normalize_rows(ad.sub(v, center))
     # With k < c the slice keeps ones on the diagonal and -1/(C-1) off it,
     # which is exactly the Gram a subset of the full frame should have.
@@ -267,7 +260,7 @@ def _branch(
         raise ContractError(f"branch loss: eta {eta_value} outside [0, 1]")
     rows = cross_entropy_rows(logits, labels)
     ce = ad.mean_all(rows)
-    re = _reweighted_mean(rows, logits.shape[1], labels, class_weights)
+    re = _reweighted_mean(rows, logits.data.shape[1], labels, class_weights)
     return ce, re, ad.add(ad.scale(ce, eta_value), ad.scale(ad.add(re, p2p_w), 1.0 - eta_value))
 
 

@@ -14,6 +14,22 @@ from collapselab.errors import ContractError, DegenerateInputError, EvaluationEr
 ONEHOT_4x6 = np.eye(6)[[0, 3, 5, 3]]
 
 
+# Reference ops that only tests need, built on the public Node: the unfused
+# chains below compare the fused ops against them.
+def _neg(x):
+    return ad.Node(-x.data, (x,), (lambda g: -g,), x.requires_grad)
+
+
+def _rowwise_dot(a, b):
+    """Inner products along the last axis of two equal (d,) or (N, d) nodes."""
+    return ad.Node(
+        np.einsum("...i,...i->...", a.data, b.data),
+        (a, b),
+        (lambda g: g[..., None] * b.data, lambda g: g[..., None] * a.data),
+        a.requires_grad or b.requires_grad,
+    )
+
+
 def test_constant_has_no_grad_path(rng):
     c = ad.constant(rng.standard_normal(4))
     assert not c.requires_grad
@@ -28,6 +44,91 @@ def test_param_data_is_float64_contiguous():
     p = ad.param([[1, 2], [3, 4]])
     assert p.data.dtype == np.float64
     assert p.data.flags["C_CONTIGUOUS"]
+
+
+# The op-output contract: an op's node holds a C-contiguous float64 ndarray,
+# never a numpy scalar, because ops pass each other's arrays on without
+# coercing them again; so does every gradient backward returns. The cases
+# use the default config's shapes: a 64-row batch, 16 features, 10 classes.
+_N, _D, _C = 64, 16, 10
+
+
+def _p(*shape):
+    """A parameter of that shape, its values fixed by the shape."""
+    return ad.param(np.random.default_rng(len(shape) * 100 + sum(shape)).standard_normal(shape) + 0.5)
+
+
+def _scalar():
+    """A 0-d node on the gradient path, as every loss term is."""
+    return ad.mean_all(_p(3))
+
+
+OP_CASES = {
+    "constant": [lambda: ad.constant(np.arange(12).reshape(3, 4)[:, ::2]), lambda: ad.constant(2)],
+    "param": [lambda: ad.param(np.ones((3, 4)).T), lambda: ad.param(1.5)],
+    # equal shapes, the row-broadcast bias pattern, and two 0-d loss terms
+    "add": [
+        lambda: ad.add(_p(_N, _D), _p(_N, _D)),
+        lambda: ad.add(_p(_N, _D), _p(_D)),
+        lambda: ad.add(_scalar(), _scalar()),
+    ],
+    "sub": [
+        lambda: ad.sub(_p(_N, _D), _p(_N, _D)),
+        lambda: ad.sub(_p(_N, _D), _p(_D)),
+        lambda: ad.sub(_scalar(), _scalar()),
+    ],
+    # the last case is a 0-d leaf, whose gradient numpy would hand back as a scalar
+    "scale": [
+        lambda: ad.scale(_p(_N, _D), 0.5),
+        lambda: ad.scale(_scalar(), 0.5),
+        lambda: ad.scale(ad.param(2.0), 3.0),
+    ],
+    "mul": [lambda: ad.mul(_p(_N, _D), _p(_N, _D)), lambda: ad.mul(_scalar(), _scalar())],
+    "square": [lambda: ad.square(_p(_N, _D)), lambda: ad.square(_scalar())],
+    "relu": [lambda: ad.relu(_p(_N, _D)), lambda: ad.relu(_scalar())],
+    "matmul": [lambda: ad.matmul(_p(_C, _N), _p(_N, _D))],
+    "linear": [lambda: ad.linear(_p(_N, _D), _p(_C, _D), _p(_C))],
+    "transpose": [lambda: ad.transpose(_p(_N, _D))],
+    "dot": [lambda: ad.dot(_p(_N), _p(_N))],
+    "gram_mse": [lambda: ad.gram_mse(_p(_C, _D), np.eye(_C))],
+    "sum_all": [lambda: ad.sum_all(_p(_N, _D)), lambda: ad.sum_all(_scalar())],
+    "mean_all": [lambda: ad.mean_all(_p(_N, _D))],
+    "mean_rows": [lambda: ad.mean_rows(_p(_N, _D))],
+    "l2_normalize_rows": [lambda: ad.l2_normalize_rows(_p(_N, _D)), lambda: ad.l2_normalize_rows(_p(_D))],
+    "cosine_alignment": [
+        lambda: ad.cosine_alignment(_p(_N, _D), _p(_N, _D), _p(_N, _D).data, _p(_N, _D), _p(_N, _D), _p(_N, _D).data),
+        lambda: ad.cosine_alignment(_p(_D), _p(_D), _p(_D).data, _p(_D), _p(_D), _p(_D).data),
+    ],
+    "softmax_cross_entropy_rows": [lambda: ad.softmax_cross_entropy_rows(_p(_N, _C), np.eye(_C)[np.arange(_N) % _C])],
+}
+
+
+def _assert_carrier(arr, op):
+    assert type(arr) is np.ndarray, (op, type(arr))
+    assert arr.dtype == np.float64 and arr.flags["C_CONTIGUOUS"], op
+
+
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+def test_op_outputs_and_gradients_are_contiguous_float64_arrays(op):
+    for build in OP_CASES[op]:
+        out = build()
+        _assert_carrier(out.data, op)
+        if out.requires_grad:
+            upstream = np.random.default_rng(0).standard_normal(out.data.shape)
+            root = out if out.data.ndim == 0 else ad.sum_all(ad.mul(out, ad.constant(upstream)))
+            grads = ad.backward(root)
+            assert grads
+            for g in grads.values():
+                _assert_carrier(g, op)
+
+
+def test_op_cases_cover_every_public_op():
+    public = {
+        name
+        for name, value in vars(ad).items()
+        if callable(value) and not name.startswith("_") and getattr(value, "__module__", None) == ad.__name__
+    }
+    assert public - {"Node", "as_tensor", "backward", "grad_check"} == set(OP_CASES)
 
 
 def test_quadratic_exact_gradient(rng):
@@ -53,8 +154,8 @@ def test_backward_rejects_vector_root(rng):
         lambda x: ad.sum_all(ad.square(ad.softmax_cross_entropy_rows(x, ONEHOT_4x6))),
         lambda x: ad.sum_all(ad.matmul(x, ad.transpose(x))),
         lambda x: ad.sum_all(ad.square(ad.matmul(x, ad.transpose(x)))),
-        lambda x: ad.sum_all(ad.square(ad.rowwise_dot(x, ad.square(x)))),
-        lambda x: ad.rowwise_dot(ad.mean_rows(x), ad.mean_rows(ad.square(x))),
+        lambda x: ad.sum_all(ad.square(_rowwise_dot(x, ad.square(x)))),
+        lambda x: _rowwise_dot(ad.mean_rows(x), ad.mean_rows(ad.square(x))),
         lambda x: ad.sum_all(ad.l2_normalize_rows(ad.mean_rows(ad.square(x)))),
     ],
     ids=[
@@ -252,14 +353,14 @@ GRAM_SHAPES = ((10, 16), (7, 16), (3, 6), (2, 6), (3, 4), (4, 6))
 def _alignment_chain(a1, b1, t1, a2, b2, t2):
     u1 = ad.l2_normalize_rows(ad.constant(t1))
     u2 = ad.l2_normalize_rows(ad.constant(t2))
-    toward_1 = ad.add(ad.rowwise_dot(ad.l2_normalize_rows(a1), u1), ad.rowwise_dot(ad.l2_normalize_rows(b1), u1))
-    toward_2 = ad.add(ad.rowwise_dot(ad.l2_normalize_rows(a2), u2), ad.rowwise_dot(ad.l2_normalize_rows(b2), u2))
-    return ad.neg(ad.mean_all(ad.add(toward_1, toward_2)))
+    toward_1 = ad.add(_rowwise_dot(ad.l2_normalize_rows(a1), u1), _rowwise_dot(ad.l2_normalize_rows(b1), u1))
+    toward_2 = ad.add(_rowwise_dot(ad.l2_normalize_rows(a2), u2), _rowwise_dot(ad.l2_normalize_rows(b2), u2))
+    return _neg(ad.mean_all(ad.add(toward_1, toward_2)))
 
 
 def _gram_chain(v, target):
     gram = ad.matmul(v, ad.transpose(v))
-    return ad.mean_all(ad.square(ad.add(gram, ad.neg(ad.constant(target)))))
+    return ad.mean_all(ad.square(ad.add(gram, _neg(ad.constant(target)))))
 
 
 def test_cosine_alignment_is_bitwise_its_chain(rng):
@@ -292,7 +393,7 @@ def test_sub_is_bitwise_add_neg(rng, b_shape):
     a = ad.param(rng.standard_normal((4, 6)))
     b = ad.param(rng.standard_normal(b_shape))
     g = rng.standard_normal((4, 6))
-    fused, chain = ad.sub(a, b), ad.add(a, ad.neg(b))
+    fused, chain = ad.sub(a, b), ad.add(a, _neg(b))
     assert np.array_equal(fused.data, chain.data)
     for x, y in zip(_grads_under(fused, g, (a, b)), _grads_under(chain, g, (a, b))):
         assert np.array_equal(x, y)
@@ -318,6 +419,21 @@ def test_cosine_alignment_zero_row_has_cosine_zero():
         ad.l2_normalize_rows(a1)
 
 
+def test_cosine_alignment_rejects_a_row_whose_norm_is_not_finite():
+    # the squares of 1e200 overflow: scoring that row's cosine as 0, as for a
+    # zero row, would hide an overflow as a perfect-looking loss term
+    rows = np.array([[1.0, 2.0], [1e200, 1e200]])
+    ok = ad.param(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(DegenerateInputError, match="a2 row 1 has norm inf"):
+            ad.cosine_alignment(ok, ok, ok.data, ad.param(rows), ok, ok.data)
+        with pytest.raises(DegenerateInputError, match="t1 row 0 has norm nan"):
+            ad.cosine_alignment(ok, ok, np.array([[np.nan, 0.0], [1.0, 1.0]]), ok, ok, ok.data)
+        one = ad.param(np.array([1.0, 0.0]))  # one (d,) sample
+        with pytest.raises(DegenerateInputError, match="b1 row 0 has norm inf"):
+            ad.cosine_alignment(one, ad.param(np.array([np.inf, 0.0])), one.data, one, one, one.data)
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (5,)], ids=["rows", "one_sample"])
 def test_cosine_alignment_matches_finite_differences(rng, shape):
     nodes = [ad.param(rng.standard_normal(shape) + 0.5) for _ in range(4)]
@@ -341,6 +457,20 @@ def test_fused_loss_ops_shape_checks():
         ad.gram_mse(rows, np.ones((3, 3)))
     with pytest.raises(ShapeError):
         ad.gram_mse(ad.constant(np.ones(3)), np.ones((1, 1)))
+
+
+def test_l2_normalize_rows_rejects_a_row_whose_norm_is_not_finite():
+    # the squares of 1e200 overflow to an infinite norm, which used to divide
+    # the row to zeros
+    with np.errstate(over="ignore"):
+        with pytest.raises(DegenerateInputError, match="row 0 has norm inf"):
+            ad.l2_normalize_rows(ad.param([[1e200, 1e200], [1.0, 2.0]]))
+        with pytest.raises(DegenerateInputError, match="row 1 has norm nan"):
+            ad.l2_normalize_rows(ad.param([[1.0, 2.0], [np.nan, 1.0]]))
+        with pytest.raises(DegenerateInputError, match="row 0 has norm inf"):
+            ad.l2_normalize_rows(ad.param([np.inf, 1.0]))
+    with pytest.raises(DegenerateInputError, match="row 2 has norm 0.0"):
+        ad.l2_normalize_rows(ad.param([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]))
 
 
 def test_l2_normalize_rows_unit_vector_output(rng):

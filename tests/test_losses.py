@@ -341,6 +341,12 @@ class TestBranchAndTotal:
         with pytest.raises(ContractError):
             branch_loss(logits, y, 1.5, w, cls)
 
+    def test_non_scalar_p2p_node_rejected(self, rng):
+        # a branch loss is a scalar: a (K,) p2p_w must not broadcast into it
+        logits, y, w, cls = self._setup(rng)
+        with pytest.raises(ShapeError):
+            branch_loss(logits, y, 0.3, w, cls, p2p_w=ad.constant(np.ones(4)))
+
     def test_total_additivity_and_alpha(self, rng):
         parts = [ad.constant(float(v)) for v in rng.standard_normal(4)]
         b1, b2, hy, pm = parts

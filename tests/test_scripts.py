@@ -1,6 +1,7 @@
 """The repository's helper scripts, run as a user runs them."""
 
 import hashlib
+import importlib.util
 import re
 import subprocess
 import sys
@@ -57,3 +58,43 @@ def test_train_overrides_write_the_bytes_artifact_digest_prints(tmp_path, capsys
         lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}\n")
     assert "".join(lines) == _artifact_digest(TINY, "mode=ce", "batch_size=3").stdout
     assert "out_dir" not in (out / "config.resolved").read_text()
+
+
+def _bench_pair():
+    spec = importlib.util.spec_from_file_location("bench_pair", ROOT / "scripts" / "bench_pair.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pair_summary_pairs_each_metric_by_pair_index():
+    runs = [
+        {"side": "parent", "pair": 0, "metrics": {"run_s": 10.0, "setup_s": 0.2}},
+        {"side": "change", "pair": 0, "metrics": {"run_s": 8.0, "setup_s": 0.2}},
+        # pair 1 ran the change first; pairing follows the index, not the order
+        {"side": "change", "pair": 1, "metrics": {"run_s": 11.0}},
+        {"side": "parent", "pair": 1, "metrics": {"run_s": 10.0, "setup_s": 0.1}},
+        {"side": "parent", "pair": 2, "metrics": {"run_s": 20.0, "setup_s": 0.4}},
+        {"side": "change", "pair": 2, "metrics": {"run_s": 15.0, "setup_s": 0.1}},
+    ]
+    summary = _bench_pair().summarize(runs)
+    run_s = summary["run_s"]
+    assert run_s["parent"] == [10.0, 10.0, 20.0] and run_s["change"] == [8.0, 11.0, 15.0]
+    assert run_s["ratios"] == [0.8, 1.1, 0.75]
+    assert run_s["median_ratio"] == 0.8 and run_s["change_wins"] == 2 and run_s["pairs"] == 3
+    assert run_s["parent_median"] == 10.0 and run_s["change_median"] == 11.0
+    assert run_s["parent_quartile_distance"] == 5.0  # inclusive quartiles of 10, 10, 20
+    # setup_s is missing on the change side of pair 1, so only pairs 0 and 2 count
+    assert summary["setup_s"]["pairs"] == 2 and summary["setup_s"]["ratios"] == [1.0, 0.25]
+    assert summary["setup_s"]["change_wins"] == 1  # a tie is not a win
+
+
+def test_bench_pair_summary_of_one_pair_has_no_spread():
+    runs = [
+        {"side": "parent", "pair": 0, "metrics": {"run_s": 4.0}},
+        {"side": "change", "pair": 0, "metrics": {"run_s": 2.0}},
+        {"side": "parent", "pair": 1, "metrics": {"run_s": 4.0}},  # its change run is missing
+    ]
+    summary = _bench_pair().summarize(runs)
+    assert summary["run_s"]["pairs"] == 1 and summary["run_s"]["median_ratio"] == 0.5
+    assert summary["run_s"]["parent_quartile_distance"] == 0.0
