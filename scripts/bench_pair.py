@@ -16,8 +16,11 @@ The file records, per workload, each run's end-to-end metrics, its pass
 count (the ``passes`` of ``run.py``'s context line), its wall time and the
 CPU time of its process (the ``RUSAGE_CHILDREN`` delta, so a spinning BLAS
 thread shows as CPU time above the wall time); then, per metric, the paired
-ratios change/parent, their median, the pairs the change won, and the
-quartile distance of the parent's runs. It also records the machine block of
+ratios change/parent, their median, the pairs the change won, the
+quartile distance of the parent's runs, the metric's ``bound`` from
+``BENCHMARK.json``'s ``end_to_end`` list, and ``within_bound``: whether
+the change's median is at most the parent's median times (1 + bound). It
+also records the machine block of
 ``run.py``, both commit shas, and whether the working tree had changes.
 """
 
@@ -76,12 +79,13 @@ def _quartile_distance(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarize(runs: list[dict]) -> dict:
+def summarize(runs: list[dict], bounds: dict[str, float]) -> dict:
     """Per metric, the paired comparison of one workload's runs.
 
     ``runs`` holds dicts with ``side`` ("parent" or "change"), ``pair`` and
     ``metrics``; a metric counts in a pair only when both sides report it.
-    Every metric is lower-is-better, as in ``BENCHMARK.json``.
+    ``bounds`` maps each metric to its relative bound. Every metric is
+    lower-is-better, as in ``BENCHMARK.json``.
     """
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
@@ -99,6 +103,7 @@ def summarize(runs: list[dict]) -> dict:
         parent = [p for p, _ in pairs]
         change = [c for _, c in pairs]
         ratios = [c / p if p else float("nan") for p, c in pairs]
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
         out[name] = {
             "parent": parent,
             "change": change,
@@ -106,9 +111,11 @@ def summarize(runs: list[dict]) -> dict:
             "median_ratio": statistics.median(ratios),
             "change_wins": sum(c < p for p, c in pairs),
             "pairs": len(pairs),
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+            "parent_median": parent_median,
+            "change_median": change_median,
             "parent_quartile_distance": _quartile_distance(parent),
+            "bound": bounds[name],
+            "within_bound": change_median <= parent_median * (1 + bounds[name]),
         }
     return out
 
@@ -121,6 +128,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = ap.parse_args(argv)
     seconds = bench["run_seconds"]
+    bounds = {metric["name"]: metric["bound"] for metric in bench["end_to_end"]}
 
     parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     change_sha = git("rev-parse", "HEAD")
@@ -148,7 +156,7 @@ def main(argv=None) -> int:
                         record.setdefault("machine", run.pop("machine"))
                         runs.append({"side": side, "pair": pair, **run})
                         print(f"{workload} pair {pair} {side}: {json.dumps(run['metrics'])}", file=sys.stderr)
-                record["workloads"][workload] = {"runs": runs, "summary": summarize(runs)}
+                record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, bounds)}
         finally:
             git("worktree", "remove", "--force", str(parent_tree))
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

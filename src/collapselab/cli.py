@@ -3,7 +3,7 @@
 Four subcommands:
 
   train    run one experiment from a config file
-  metrics  recompute the collapse report from a run's features.csv and weights.csv
+  metrics  recompute a run's collapse report from its config.resolved and params/
   etf      print (and optionally export) a simplex frame and its deviation
   sweep    train once per value of any config key but out_dir, writing each
            table row as its run ends
@@ -23,10 +23,11 @@ import sys
 from pathlib import Path
 
 from .config import parse_config_file, parse_overrides, with_overrides
-from .data import load_csv, read_numeric_csv, write_csv
-from .errors import CollapseLabError, ParseError
+from .data import write_csv
+from .errors import CollapseLabError, ContractError
 from .etf import etf_deviation, make_etf
-from .harness import run_train, sweep, write_report
+from .harness import build_datasets, run_train, sweep, write_report
+from .model import encode, load_params
 from .ncmetrics import nc_report
 
 
@@ -41,9 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="flat key=value config file")
     p_train.add_argument("overrides", nargs="*", metavar="key=value", help="config overrides")
 
-    p_metrics = sub.add_parser("metrics", help="collapse report from exported arrays")
-    p_metrics.add_argument("--features", required=True, help="CSV of feature rows + 0-based label column, a row of every class")
-    p_metrics.add_argument("--weights", required=True, help="a run's weights.csv: classifier rows, bias column last")
+    p_metrics = sub.add_parser("metrics", help="recompute a run's collapse report from its snapshot")
+    p_metrics.add_argument("--run", required=True, help="a run's out_dir: config.resolved and params/")
     p_metrics.add_argument("--out", required=True, help="directory for report.json and angle CSVs")
 
     p_etf = sub.add_parser("etf", help="construct a simplex frame and check it")
@@ -87,18 +87,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    features = load_csv(args.features)
-    table = read_numeric_csv(args.weights)
-    if table.shape[1] != features.dim + 1:
-        raise ParseError(f"{args.weights}: {table.shape[1]} columns, expected {features.dim} weights and a bias")
-    weights, bias = table[:, :-1], table[:, -1]
-    num_classes = weights.shape[0]
-    if features.y.max() >= num_classes:
-        raise ParseError(f"{args.features}: label {features.y.max()} out of range for {num_classes} classifier rows")
-    absent = set(range(num_classes)).difference(features.y.tolist())
-    if absent:
-        raise ParseError(f"{args.features}: no row for class {min(absent)} of {num_classes} classifier rows")
-    report = nc_report(features.x, features.y, weights, bias, num_classes)
+    run = Path(args.run)
+    cfg = parse_config_file(run / "config.resolved")
+    params = load_params(run / "params")
+    if params.arch != cfg.arch:
+        raise ContractError(f"{run}: params/ holds {params.arch}, but config.resolved gives {cfg.arch}")
+    train, _ = build_datasets(cfg)
+    # the report run_train computes at the end of each epoch
+    report = nc_report(
+        encode(params, train.x), train.y, params.classifier_w.data, params.classifier_b.data, cfg.num_classes
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(out, report)

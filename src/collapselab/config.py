@@ -240,7 +240,13 @@ def parse_config_file(path: str | Path) -> TrainConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    return parse_config_text(p.read_text(encoding="utf-8"), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{p}: cannot open: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text: {exc.reason}") from exc
+    return parse_config_text(text, source=str(p))
 
 
 def _format_value(value) -> str:

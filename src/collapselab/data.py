@@ -174,19 +174,17 @@ def batches(
 # CSV
 
 
-def _split_line(line: str) -> list[str]:
-    return [cell.strip() for cell in line.split(",")]
-
-
-def read_numeric_csv(path: str | Path) -> np.ndarray:
-    """Parse a rectangular numeric CSV into a float64 matrix.
+def load_csv(path: str | Path) -> Dataset:
+    """Load a labeled table: d feature columns then one integer label column.
 
     A first row none of whose cells parses as a number is a header and is
     skipped; any other first row is data, so a header with a numeric-looking
     name (``f0,1,label``) is rejected. Ragged rows, non-numeric cells, and
     files without data rows raise ParseError naming the 1-based line number;
     a file that cannot be opened or is not UTF-8 text raises ParseError
-    naming the path.
+    naming the path. The labels come back exactly as written, with no base
+    guessed and no class required; ParseError names the first data row whose
+    label is not a non-negative integer.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -201,7 +199,7 @@ def read_numeric_csv(path: str | Path) -> np.ndarray:
         line = raw.strip()
         if not line:
             continue
-        cells = _split_line(line)
+        cells = [cell.strip() for cell in line.split(",")]
         if width is None:
             width = len(cells)
             if not any(_is_float(c) for c in cells):
@@ -215,7 +213,10 @@ def read_numeric_csv(path: str | Path) -> np.ndarray:
             raise ParseError(f"{path}: line {ln}: non-numeric value {bad!r}") from exc
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    if width < 2:
+        raise ParseError(f"{path}: need at least one feature column and one label column")
+    mat = np.asarray(rows, dtype=np.float64)
+    return Dataset(x=mat[:, :-1], y=_integer_labels(path, mat[:, -1]))
 
 
 def _is_float(cell: str) -> bool:
@@ -242,19 +243,6 @@ def _integer_labels(path: str | Path, raw: np.ndarray) -> np.ndarray:
         k = int(negative[0])
         raise ParseError(f"{path}: negative label {raw[k]:g} in data row {k + 1}")
     return raw.astype(np.int64)
-
-
-def load_csv(path: str | Path) -> Dataset:
-    """Load a labeled table: d feature columns then one integer label column.
-
-    The labels come back exactly as written, with no base guessed and no
-    class required; ParseError names the first data row whose label is not
-    a non-negative integer.
-    """
-    mat = read_numeric_csv(path)
-    if mat.shape[1] < 2:
-        raise ParseError(f"{path}: need at least one feature column and one label column")
-    return Dataset(x=mat[:, :-1], y=_integer_labels(path, mat[:, -1]))
 
 
 def write_csv(path: str | Path, columns: list[str], matrix: np.ndarray, fmt: str | list[str]) -> None:

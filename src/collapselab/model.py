@@ -255,32 +255,48 @@ def save_params(params: NetworkParams, out_dir: str | Path) -> Path:
 
 
 def load_params(snapshot_dir: str | Path) -> NetworkParams:
-    """Rebuild a NetworkParams from a snapshot directory; shapes validated."""
+    """Rebuild a NetworkParams from a snapshot directory. A manifest that is
+    not one ``save_params`` could write, or an array file that is not a
+    float64 .npy array of its entry's shape, raises ContractError or
+    ShapeError naming the file."""
     snap = Path(snapshot_dir)
     manifest_path = snap / "manifest.json"
     if not manifest_path.exists():
         raise ContractError(f"load_params: no manifest.json under {snap}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format_version") != SNAPSHOT_VERSION:
-        raise ContractError(f"load_params: unsupported snapshot version {manifest.get('format_version')}")
-    arch_raw = manifest["arch"]
-    arch = ArchSpec(
-        **{f.name: int(arch_raw[f.name]) for f in fields(ArchSpec) if f.name != "hidden_dims"},
-        hidden_dims=tuple(int(d) for d in arch_raw["hidden_dims"]),
-    )
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        version = manifest.get("format_version")
+        if version == SNAPSHOT_VERSION:
+            arch_raw = manifest["arch"]
+            arch = ArchSpec(
+                **{f.name: int(arch_raw[f.name]) for f in fields(ArchSpec) if f.name != "hidden_dims"},
+                hidden_dims=tuple(int(d) for d in arch_raw["hidden_dims"]),
+            )
+            entries = {entry["name"]: (entry["file"], entry["shape"]) for entry in manifest["params"]}
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        # ValueError covers bad JSON, non-UTF-8 bytes, and widths ArchSpec rejects
+        raise ContractError(f"load_params: {manifest_path}: malformed manifest: {exc!r}") from exc
+    if version != SNAPSHOT_VERSION:
+        raise ContractError(f"load_params: unsupported snapshot version {version}")
     params = init_params(arch, seed=0)
     by_name = dict(params.named_parameters())
-    entries = {entry["name"]: entry for entry in manifest["params"]}
     if set(entries) != set(by_name):
         raise ContractError("load_params: manifest parameter names do not match the architecture")
     arrays = []
     for name, node in by_name.items():
-        path = snap / entries[name]["file"]
+        file, shape = entries[name]
+        path = snap / file
         if not path.is_file():
             raise ContractError(f"load_params: missing array file {path}")
-        arr = np.load(path)
-        if list(arr.shape) != entries[name]["shape"] or arr.shape != node.shape:
-            raise ShapeError(f"load_params: shape mismatch for {name}")
+        try:
+            with open(path, "rb") as fh:
+                arr = np.lib.format.read_array(fh)
+        except ValueError as exc:
+            raise ContractError(f"load_params: {path}: not a .npy array: {exc}") from exc
+        if arr.dtype != np.float64:
+            raise ContractError(f"load_params: {path}: dtype {arr.dtype}, expected float64")
+        if list(arr.shape) != shape or arr.shape != node.shape:
+            raise ShapeError(f"load_params: {path}: shape mismatch for {name}")
         arrays.append(arr.ravel())
-    params.set_theta(np.concatenate(arrays, dtype=np.float64))
+    params.set_theta(np.concatenate(arrays))
     return params

@@ -1,8 +1,11 @@
 """End-to-end command-line checks, run in-process through main()."""
 
+import importlib.util
 import json
 import os
+import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +15,15 @@ import pytest
 
 import collapselab.harness as harness
 from collapselab.cli import _build_parser, main
-from collapselab.config import parse_overrides
-from collapselab.harness import EPOCH_CSV_HEADER
+from collapselab.config import parse_config_file, parse_overrides
+from collapselab.data import Dataset, save_csv
+from collapselab.harness import EPOCH_CSV_HEADER, build_datasets
+from test_model import SNAPSHOT_DAMAGE
 
 ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("artifact_digest", ROOT / "scripts" / "artifact_digest.py")
+artifact_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(artifact_digest)
 
 TINY_CONFIG = """
 num_classes = 3
@@ -104,6 +112,14 @@ class TestTrain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--param", "seed", "--values", "0"]], ids=lambda c: c[0])
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"mode = allnc\n\x8c\n")
+        code = main([command[0], "--config", str(path), *command[1:]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("definitely_not_a_key = 1\n")
@@ -130,22 +146,20 @@ class TestTrain:
 
 
 def _assert_metrics_reproduce_report(run_dir, out):
-    """`metrics` on a run's features.csv and weights.csv writes exactly the
-    run's report: every key it writes equal, both angle CSVs byte-equal."""
-    code = main(
-        [
-            "metrics",
-            "--features", str(run_dir / "features.csv"),
-            "--weights", str(run_dir / "weights.csv"),
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
+    """`metrics --run` on a run directory writes exactly the run's report:
+    every key it writes equal, both angle CSVs byte-equal."""
+    assert main(["metrics", "--run", str(run_dir), "--out", str(out)]) == 0
     train_report = json.loads((run_dir / "report.json").read_text())
     redone = json.loads((out / "report.json").read_text())
     np.testing.assert_equal(redone, {key: train_report[key] for key in redone})
     for name in ("icpa_mu.csv", "icpa_w.csv"):
         assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+@pytest.fixture()
+def run_copy(trained_artifacts, tmp_path):
+    """A copy of the trained run directory, free to damage."""
+    return Path(shutil.copytree(trained_artifacts, tmp_path / "run"))
 
 
 class TestMetrics:
@@ -172,146 +186,61 @@ class TestMetrics:
         assert report["diverged"] and report["epochs_completed"] == 1
         _assert_metrics_reproduce_report(run_dir, tmp_path / "metrics")
 
+    @pytest.mark.parametrize("variant", artifact_digest.VARIANTS, ids=lambda v: "-".join((Path(v[0]).stem, *v[1])))
+    def test_golden_variant_matches_its_report(self, tmp_path, capsys, variant):
+        config, overrides = variant
+        run_dir = tmp_path / "run"
+        code = main(["train", "--config", str(ROOT / config), *overrides, f"out_dir={run_dir}"])
+        assert code in (0, 2) and (run_dir / "report.json").is_file()
+        _assert_metrics_reproduce_report(run_dir, tmp_path / "metrics")
+
+    def test_csv_dataset_run_matches_its_report(self, tiny_config, tmp_path, capsys):
+        # 1-based tables: the rebuilt split must take the base the run took
+        for name, split in zip(("train", "test"), build_datasets(parse_config_file(tiny_config))):
+            save_csv(Dataset(split.x, split.y + 1), tmp_path / f"{name}.csv")
+        run_dir = tmp_path / "run"
+        csv_keys = [f"train_csv={tmp_path / 'train.csv'}", f"test_csv={tmp_path / 'test.csv'}"]
+        assert main(["train", "--config", str(tiny_config), "dataset=csv", *csv_keys, f"out_dir={run_dir}"]) == 0
+        _assert_metrics_reproduce_report(run_dir, tmp_path / "metrics")
+
     def test_prints_scalar_summary(self, trained_artifacts, tmp_path, capsys):
-        code = main(
-            [
-                "metrics",
-                "--features", str(trained_artifacts / "features.csv"),
-                "--weights", str(trained_artifacts / "weights.csv"),
-                "--out", str(tmp_path / "m"),
-            ]
-        )
+        code = main(["metrics", "--run", str(trained_artifacts), "--out", str(tmp_path / "m")])
         assert code == 0
         printed = capsys.readouterr().out
         assert '"nc1"' in printed and '"delta"' in printed
 
-    def test_ragged_features_exit_two(self, trained_artifacts, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("1.0,2.0,0\n3.0,4.0\n")
-        code = main(
-            [
-                "metrics",
-                "--features", str(bad),
-                "--weights", str(trained_artifacts / "weights.csv"),
-                "--out", str(tmp_path / "m"),
-            ]
-        )
-        assert code == 2
-        assert "line 2" in capsys.readouterr().err
+    def test_takes_only_run_and_out(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["metrics", "--help"])
+        assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", "--run", "--out"}
 
-    def test_missing_features_exit_two(self, trained_artifacts, tmp_path, capsys):
-        code = main(
-            [
-                "metrics",
-                "--features", str(tmp_path / "missing.csv"),
-                "--weights", str(trained_artifacts / "weights.csv"),
-                "--out", str(tmp_path / "m"),
-            ]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error:") and "missing.csv" in err
-
-    def test_binary_input_exit_two(self, tmp_path, capsys):
-        # 300 random bytes are not UTF-8 text; the reader names the file
-        # instead of letting the decode error escape as a traceback
-        bad = tmp_path / "bin.csv"
-        bad.write_bytes(np.random.default_rng(0).bytes(300))
-        code = main(["metrics", "--features", str(bad), "--weights", str(bad), "--out", str(tmp_path / "m")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error:") and "bin.csv" in err and "UTF-8" in err
-
-    def test_non_integer_label_exit_two(self, trained_artifacts, tmp_path, capsys):
-        for label, message in [
-            ("2.5", "non-integer label in data row 2"),
-            ("inf", "label inf in data row 2 is out of the int64 range"),
-            ("1e30", "label 1e+30 in data row 2 is out of the int64 range"),
-        ]:
-            lines = (trained_artifacts / "features.csv").read_text().splitlines()
-            cells = lines[2].split(",")
-            lines[2] = ",".join(cells[:-1] + [label])
-            bad = tmp_path / "fractional.csv"
-            bad.write_text("\n".join(lines) + "\n")
-            code = main(
-                [
-                    "metrics",
-                    "--features", str(bad),
-                    "--weights", str(trained_artifacts / "weights.csv"),
-                    "--out", str(tmp_path / "m"),
-                ]
-            )
-            assert code == 2
-            assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "label,message",
-        [("-1", "negative label -1 in data row 2"), ("3", "label 3 out of range for 3 classifier rows")],
-    )
-    def test_label_outside_the_classifier_rows_exit_two(self, trained_artifacts, tmp_path, capsys, label, message):
-        lines = (trained_artifacts / "features.csv").read_text().splitlines()
-        lines[2] = lines[2].rsplit(",", 1)[0] + "," + label
-        bad = tmp_path / "labels.csv"
-        bad.write_text("\n".join(lines) + "\n")
-        code = main(
-            [
-                "metrics",
-                "--features", str(bad),
-                "--weights", str(trained_artifacts / "weights.csv"),
-                "--out", str(tmp_path / "m"),
-            ]
-        )
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
-
-    def test_class_without_rows_exit_two(self, trained_artifacts, tmp_path, capsys):
-        # the run's own table less its class-2 rows: a report covers every class
-        header, *rows = (trained_artifacts / "features.csv").read_text().splitlines()
-        bad = tmp_path / "two_classes.csv"
-        bad.write_text("\n".join([header] + [r for r in rows if not r.endswith(",2")]) + "\n")
+    def test_arch_mismatch_names_both_widths(self, run_copy, tmp_path, capsys):
+        resolved = run_copy / "config.resolved"
+        resolved.write_text(resolved.read_text().replace("feature_dim = 6\n", "feature_dim = 7\n"))
         out = tmp_path / "m"
-        code = main(
-            [
-                "metrics",
-                "--features", str(bad),
-                "--weights", str(trained_artifacts / "weights.csv"),
-                "--out", str(out),
-            ]
-        )
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {bad}: no row for class 2 of 3 classifier rows\n"
-        assert not (out / "report.json").exists()
-
-    def test_weights_without_bias_column(self, trained_artifacts, tmp_path, capsys):
-        # exactly d columns: metrics reads weights.csv as a run writes it, bias last
-        lines = (trained_artifacts / "weights.csv").read_text().splitlines()
-        wpath = tmp_path / "w.csv"
-        wpath.write_text("\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n")
-        out = tmp_path / "m"
-        code = main(
-            [
-                "metrics",
-                "--features", str(trained_artifacts / "features.csv"),
-                "--weights", str(wpath),
-                "--out", str(out),
-            ]
-        )
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {wpath}: 6 columns, expected 6 weights and a bias\n"
+        assert main(["metrics", "--run", str(run_copy), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "feature_dim=6" in err and "feature_dim=7" in err
         assert not out.exists()
 
-    def test_width_mismatch_exit_two(self, trained_artifacts, tmp_path, capsys):
-        bad = tmp_path / "w.csv"
-        bad.write_text("1.0,2.0\n3.0,4.0\n")
-        code = main(
-            [
-                "metrics",
-                "--features", str(trained_artifacts / "features.csv"),
-                "--weights", str(bad),
-                "--out", str(tmp_path / "m"),
-            ]
-        )
-        assert code == 2
+    def test_missing_run_exits_two(self, tmp_path, capsys):
+        assert main(["metrics", "--run", str(tmp_path / "nope"), "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "config.resolved" in err
+
+    def test_non_utf8_config_resolved_exits_two(self, run_copy, tmp_path, capsys):
+        (run_copy / "config.resolved").write_bytes(b"mode = allnc\n\x8c\n")
+        assert main(["metrics", "--run", str(run_copy), "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "config.resolved" in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("damage,named", SNAPSHOT_DAMAGE, ids=[d.__name__ for d, _ in SNAPSHOT_DAMAGE])
+    def test_damaged_snapshot_exits_two(self, run_copy, tmp_path, capsys, damage, named):
+        damage(run_copy / "params")
+        assert main(["metrics", "--run", str(run_copy), "--out", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: load_params: ") and named in err
+        assert "Traceback" not in err
 
 
 class TestEtf:
@@ -404,7 +333,7 @@ def _readme_commands() -> list[str]:
 @pytest.mark.parametrize(
     "command",
     [
-        "metrics --features {run}/features.csv --weights {run}/weights.csv --out {file}",
+        "metrics --run {run} --out {file}",
         "sweep --config {config} --param gamma --values 2 --out {dir} t_max=1",
         "etf --dim 3 --classes 3 --csv {file}/frame.csv",
     ],
@@ -429,7 +358,7 @@ def test_readme_quick_start_commands_parse():
         parse_overrides(getattr(args, "overrides", []))
 
 
-def test_module_runs_as_a_process(tmp_path):
+def test_module_runs_as_a_process(trained_artifacts, tmp_path):
     # the installed entry point aside, `python -m collapselab.cli` is the CLI
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 
@@ -448,3 +377,8 @@ def test_module_runs_as_a_process(tmp_path):
     assert done.stdout == ""
     assert done.stderr.startswith("error:") and "seed" in done.stderr
     assert "Traceback" not in done.stderr
+    done = run("metrics", "--run", str(trained_artifacts), "--out", "m")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    redone = json.loads((tmp_path / "m" / "report.json").read_text())
+    assert redone == {k: v for k, v in json.loads((trained_artifacts / "report.json").read_text()).items() if k in redone}

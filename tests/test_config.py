@@ -207,3 +207,8 @@ def test_file_errors_name_the_file(tmp_path):
     path.write_text("nope = 1\n")
     with pytest.raises(ConfigError, match="bad.cfg"):
         parse_config_file(path)
+    path.write_bytes(b"mode = allnc\n\x8c\n")
+    with pytest.raises(ConfigError, match="bad.cfg: not UTF-8 text"):
+        parse_config_file(path)
+    with pytest.raises(ConfigError, match=f"{tmp_path}: cannot open"):
+        parse_config_file(tmp_path)

@@ -11,7 +11,6 @@ from collapselab.data import (
     gen_gaussian_mixture,
     load_csv,
     long_tail_counts,
-    read_numeric_csv,
     save_csv,
     write_csv,
 )
@@ -202,7 +201,9 @@ class TestCsv:
     def test_header_detected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,f1,label\n1.0,2.0,0\n")
-        np.testing.assert_array_equal(read_numeric_csv(path), [[1.0, 2.0, 0.0]])
+        table = load_csv(path)
+        np.testing.assert_array_equal(table.x, [[1.0, 2.0]])
+        np.testing.assert_array_equal(table.y, [0])
 
     @pytest.mark.parametrize("first", ["1.0,oops,0", "f0,1,label"], ids=["typo", "numeric-looking-header"])
     def test_first_row_with_a_number_is_data(self, tmp_path, first):
@@ -216,19 +217,28 @@ class TestCsv:
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0,0\n3.0,4.0\n")
         with pytest.raises(ParseError, match="line 2"):
-            read_numeric_csv(path)
+            load_csv(path)
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0,0\n3.0,oops,1\n")
         with pytest.raises(ParseError, match="line 2.*oops"):
-            read_numeric_csv(path)
+            load_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")
         with pytest.raises(ParseError, match="no data"):
-            read_numeric_csv(path)
+            load_csv(path)
+
+    def test_unreadable_file_names_the_path(self, tmp_path):
+        with pytest.raises(ParseError, match="missing.csv: cannot open"):
+            load_csv(tmp_path / "missing.csv")
+        # 300 random bytes are not UTF-8 text; the decode error does not escape
+        path = tmp_path / "bin.csv"
+        path.write_bytes(np.random.default_rng(0).bytes(300))
+        with pytest.raises(ParseError, match="bin.csv: not UTF-8 text"):
+            load_csv(path)
 
     def test_non_integer_label_rejected(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -319,7 +319,67 @@ class TestTheta:
         assert np.array_equal(encode(result.params, build_datasets(cfg)[0].x), result.features.x)
 
 
+def _edit_manifest(snap: Path, edit) -> None:
+    path = snap / "manifest.json"
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+
+
+def manifest_not_json(snap: Path) -> None:
+    (snap / "manifest.json").write_text("{not json")
+
+
+def arch_width_deleted(snap: Path) -> None:
+    _edit_manifest(snap, lambda raw: raw["arch"].pop("feature_dim"))
+
+
+def arch_width_not_a_number(snap: Path) -> None:
+    _edit_manifest(snap, lambda raw: raw["arch"].update(feature_dim="six"))
+
+
+def params_list_deleted(snap: Path) -> None:
+    _edit_manifest(snap, lambda raw: raw.pop("params"))
+
+
+def array_truncated(snap: Path) -> None:
+    path = snap / "classifier_w.npy"
+    path.write_bytes(path.read_bytes()[:40])
+
+
+def array_float32(snap: Path) -> None:
+    path = snap / "classifier_w.npy"
+    np.save(path, np.load(path).astype(np.float32))
+
+
+def array_in_npz_archive(snap: Path) -> None:
+    path = snap / "classifier_w.npy"
+    with open(path, "rb") as fh:
+        array = np.load(fh)
+    with open(path, "wb") as fh:
+        np.savez(fh, classifier_w=array)
+
+
+# each damage to a save_params snapshot, and the file its error must name
+SNAPSHOT_DAMAGE = [
+    (manifest_not_json, "manifest.json"),
+    (arch_width_deleted, "manifest.json"),
+    (arch_width_not_a_number, "manifest.json"),
+    (params_list_deleted, "manifest.json"),
+    (array_truncated, "classifier_w.npy"),
+    (array_float32, "classifier_w.npy"),
+    (array_in_npz_archive, "classifier_w.npy"),
+]
+
+
 class TestSnapshots:
+    @pytest.mark.parametrize("damage,named", SNAPSHOT_DAMAGE, ids=[d.__name__ for d, _ in SNAPSHOT_DAMAGE])
+    def test_damaged_snapshot_rejected_naming_the_file(self, tmp_path, damage, named):
+        save_params(init_params(SMALL, seed=0), tmp_path / "snap")
+        damage(tmp_path / "snap")
+        with pytest.raises(ContractError, match=f"load_params: {tmp_path / 'snap' / named}: "):
+            load_params(tmp_path / "snap")
+
     def test_round_trip_bitwise(self, tmp_path):
         params = init_params(SMALL, seed=11)
         save_params(params, tmp_path / "snap")

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from collapselab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 TINY = str(ROOT / "configs" / "tiny.config")
+BOUNDS = {"run_s": 0.25, "setup_s": 0.25}
 
 
 def _artifact_digest(*args: str) -> subprocess.CompletedProcess:
@@ -41,9 +43,16 @@ def test_artifact_digest_lists_every_file_and_repeats():
     assert _artifact_digest(str(ROOT / "configs" / "tiny.config"), "t_max=1").stdout == first
 
 
-def test_artifact_digest_reports_a_rejected_config_like_the_cli():
-    for pair, named in [("mean_radius=0", "mean_radius"), ("seed5", "'seed5'")]:
-        done = _artifact_digest(TINY, pair)
+def test_artifact_digest_reports_a_rejected_config_like_the_cli(tmp_path):
+    not_utf8 = tmp_path / "bad.cfg"
+    not_utf8.write_bytes(b"mode = allnc\n\x8c\n")
+    for args, named in [
+        ((TINY, "mean_radius=0"), "mean_radius"),
+        ((TINY, "seed5"), "'seed5'"),
+        ((str(not_utf8),), "not UTF-8 text"),
+        ((str(tmp_path),), "cannot open"),
+    ]:
+        done = _artifact_digest(*args)
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error:") and named in done.stderr
@@ -77,7 +86,7 @@ def test_bench_pair_summary_pairs_each_metric_by_pair_index():
         {"side": "parent", "pair": 2, "metrics": {"run_s": 20.0, "setup_s": 0.4}},
         {"side": "change", "pair": 2, "metrics": {"run_s": 15.0, "setup_s": 0.1}},
     ]
-    summary = _bench_pair().summarize(runs)
+    summary = _bench_pair().summarize(runs, BOUNDS)
     run_s = summary["run_s"]
     assert run_s["parent"] == [10.0, 10.0, 20.0] and run_s["change"] == [8.0, 11.0, 15.0]
     assert run_s["ratios"] == [0.8, 1.1, 0.75]
@@ -95,6 +104,19 @@ def test_bench_pair_summary_of_one_pair_has_no_spread():
         {"side": "change", "pair": 0, "metrics": {"run_s": 2.0}},
         {"side": "parent", "pair": 1, "metrics": {"run_s": 4.0}},  # its change run is missing
     ]
-    summary = _bench_pair().summarize(runs)
+    summary = _bench_pair().summarize(runs, BOUNDS)
     assert summary["run_s"]["pairs"] == 1 and summary["run_s"]["median_ratio"] == 0.5
     assert summary["run_s"]["parent_quartile_distance"] == 0.0
+
+
+def test_bench_pair_summary_says_whether_each_metric_kept_its_bound():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bounds = {metric["name"]: metric["bound"] for metric in bench["end_to_end"]}
+    runs = []
+    for pair in range(3):
+        runs.append({"side": "parent", "pair": pair, "metrics": {"setup_s": 0.04, "run_s": 10.0}})
+        # setup_s 30 % slower, beyond its 25 % bound; run_s 20 % slower, within it
+        runs.append({"side": "change", "pair": pair, "metrics": {"setup_s": 0.052, "run_s": 12.0}})
+    summary = _bench_pair().summarize(runs, bounds)
+    assert summary["setup_s"]["bound"] == 0.25 and summary["setup_s"]["within_bound"] is False
+    assert summary["run_s"]["bound"] == 0.25 and summary["run_s"]["within_bound"] is True
