@@ -4,9 +4,15 @@ alternating runs, and write both sides and their paired ratios as JSON.
 
     python3 scripts/bench_pair.py --parent HEAD~1 --out BENCH_<n>.json
 
-The parent is checked out with ``git worktree add`` into a temporary
-directory, which is removed again at the end. Each run is one unmodified
-``perfbench/run.py --trace 0`` of its own tree, as a child process, on a
+Each side runs from a fresh tree of plain files, and the two trees are
+siblings in one temporary directory, removed again at the end: the
+parent's is its commit as ``git archive`` writes it; the change's is a copy
+of the working tree's tracked files and its untracked files that git does
+not ignore, without the tracked paths deleted from it, so a new module is
+measured. Running one side from the repository itself and the other from
+elsewhere skewed ``run_s`` by a tenth with no code changed. Each run is
+one unmodified ``perfbench/run.py --trace 0`` of its side's tree, as a
+child process, on a
 workload and for the ``run_seconds`` of ``BENCHMARK.json``. Every workload
 there gets ten pairs, the fewest that can back a claimed gain; pair i runs
 the parent first when i is even and the working tree first when it is odd,
@@ -29,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,6 +50,24 @@ PAIRS = 10
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export_parent(sha: str, tree: Path) -> None:
+    """Write commit ``sha``'s files into the new directory ``tree``."""
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True).stdout
+    tree.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+
+
+def copy_working_tree(tree: Path) -> None:
+    """Copy the working tree's tracked and untracked-but-not-ignored files,
+    as they stand, into ``tree``; a tracked path deleted from the working
+    tree is left out."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+    for rel in sorted(set(listed) - {""}):
+        if (ROOT / rel).is_file():
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / rel, tree / rel)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -132,7 +157,7 @@ def main(argv=None) -> int:
 
     parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     change_sha = git("rev-parse", "HEAD")
-    edited = bool(git("status", "--porcelain", "--untracked-files=no"))
+    edited = bool(git("status", "--porcelain"))
     if parent_sha == change_sha and not edited:
         ap.error(f"the working tree is {args.parent} itself; pass the commit before it, such as HEAD~1")
     record = {
@@ -144,21 +169,18 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        parent_tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_tree), parent_sha)
-        try:
-            trees = {"parent": parent_tree, "change": ROOT}
-            for workload in (w["name"] for w in bench["workloads"]):
-                runs = []
-                for pair in range(PAIRS):
-                    for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                        run = run_once(trees[side], workload, args.seed, seconds)
-                        record.setdefault("machine", run.pop("machine"))
-                        runs.append({"side": side, "pair": pair, **run})
-                        print(f"{workload} pair {pair} {side}: {json.dumps(run['metrics'])}", file=sys.stderr)
-                record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, bounds)}
-        finally:
-            git("worktree", "remove", "--force", str(parent_tree))
+        trees = {side: Path(tmp) / side for side in SIDES}
+        export_parent(parent_sha, trees["parent"])
+        copy_working_tree(trees["change"])
+        for workload in (w["name"] for w in bench["workloads"]):
+            runs = []
+            for pair in range(PAIRS):
+                for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                    run = run_once(trees[side], workload, args.seed, seconds)
+                    record.setdefault("machine", run.pop("machine"))
+                    runs.append({"side": side, "pair": pair, **run})
+                    print(f"{workload} pair {pair} {side}: {json.dumps(run['metrics'])}", file=sys.stderr)
+            record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, bounds)}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

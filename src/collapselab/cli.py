@@ -26,9 +26,8 @@ from .config import parse_config_file, parse_overrides, with_overrides
 from .data import write_csv
 from .errors import CollapseLabError, ContractError
 from .etf import etf_deviation, make_etf
-from .harness import build_datasets, run_train, sweep, write_report
-from .model import encode, load_params
-from .ncmetrics import nc_report
+from .harness import build_datasets, collapse_report, run_train, sweep, write_report
+from .model import load_params
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,11 +91,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     params = load_params(run / "params")
     if params.arch != cfg.arch:
         raise ContractError(f"{run}: params/ holds {params.arch}, but config.resolved gives {cfg.arch}")
-    train, _ = build_datasets(cfg)
-    # the report run_train computes at the end of each epoch
-    report = nc_report(
-        encode(params, train.x), train.y, params.classifier_w.data, params.classifier_b.data, cfg.num_classes
-    )
+    _, report = collapse_report(params, build_datasets(cfg)[0], cfg.num_classes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report(out, report)

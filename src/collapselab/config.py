@@ -238,8 +238,6 @@ def _valid(values: dict[str, object]) -> bool:
 
 def parse_config_file(path: str | Path) -> TrainConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:

@@ -35,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ParseError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .etf import make_etf
 
 _BATCH_STREAM = 4  # namespace tag so shuffles never collide with other streams
@@ -177,22 +177,21 @@ def batches(
 def load_csv(path: str | Path) -> Dataset:
     """Load a labeled table: d feature columns then one integer label column.
 
-    A first row none of whose cells parses as a number is a header and is
-    skipped; any other first row is data, so a header with a numeric-looking
-    name (``f0,1,label``) is rejected. Ragged rows, non-numeric cells, and
-    files without data rows raise ParseError naming the 1-based line number;
-    a file that cannot be opened or is not UTF-8 text raises ParseError
-    naming the path. The labels come back exactly as written, with no base
-    guessed and no class required; ParseError names the first data row whose
-    label is not a non-negative integer.
+    Blank lines are skipped, and a first row none of whose cells parses as
+    a number is a header; any other first row is data, so a header with a
+    numeric-looking name (``f0,1,label``) is rejected. A rejected table
+    raises ConfigError naming the path, and the 1-based line of a ragged
+    row or non-numeric cell. The labels come back exactly as written, with
+    no base guessed and no class required; the error names the first data
+    row whose label is not a non-negative integer.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise ParseError(f"{path}: cannot open: {exc.strerror}") from exc
+        raise ConfigError(f"{path}: cannot open: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     rows: list[list[float]] = []
     width: int | None = None
     for ln, raw in enumerate(lines, start=1):
@@ -205,16 +204,16 @@ def load_csv(path: str | Path) -> Dataset:
             if not any(_is_float(c) for c in cells):
                 continue
         if len(cells) != width:
-            raise ParseError(f"{path}: line {ln}: expected {width} columns, got {len(cells)}")
+            raise ConfigError(f"{path}: line {ln}: expected {width} columns, got {len(cells)}")
         try:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             bad = next(c for c in cells if not _is_float(c))
-            raise ParseError(f"{path}: line {ln}: non-numeric value {bad!r}") from exc
+            raise ConfigError(f"{path}: line {ln}: non-numeric value {bad!r}") from exc
     if not rows:
-        raise ParseError(f"{path}: no data rows")
+        raise ConfigError(f"{path}: no data rows")
     if width < 2:
-        raise ParseError(f"{path}: need at least one feature column and one label column")
+        raise ConfigError(f"{path}: need at least one feature column and one label column")
     mat = np.asarray(rows, dtype=np.float64)
     return Dataset(x=mat[:, :-1], y=_integer_labels(path, mat[:, -1]))
 
@@ -228,20 +227,20 @@ def _is_float(cell: str) -> bool:
 
 
 def _integer_labels(path: str | Path, raw: np.ndarray) -> np.ndarray:
-    """A parsed label column as int64; ParseError names the first row whose
+    """A parsed label column as int64; ConfigError names the first row whose
     label is not an integer, is one that int64 cannot hold (inf, 1e30), or
     is negative."""
     fractional = np.flatnonzero(raw != np.round(raw))
     if fractional.size:
-        raise ParseError(f"{path}: non-integer label in data row {int(fractional[0]) + 1}")
+        raise ConfigError(f"{path}: non-integer label in data row {int(fractional[0]) + 1}")
     huge = np.flatnonzero(~(np.abs(raw) < 2.0**63))
     if huge.size:
         k = int(huge[0])
-        raise ParseError(f"{path}: label {raw[k]:g} in data row {k + 1} is out of the int64 range")
+        raise ConfigError(f"{path}: label {raw[k]:g} in data row {k + 1} is out of the int64 range")
     negative = np.flatnonzero(raw < 0)
     if negative.size:
         k = int(negative[0])
-        raise ParseError(f"{path}: negative label {raw[k]:g} in data row {k + 1}")
+        raise ConfigError(f"{path}: negative label {raw[k]:g} in data row {k + 1}")
     return raw.astype(np.int64)
 
 

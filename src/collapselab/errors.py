@@ -4,8 +4,8 @@ Every error raised on purpose by this package derives from CollapseLabError,
 so callers can catch one base class. The subclasses distinguish the failure
 families that the public contracts promise: shape mismatches, degenerate
 inputs, broken preconditions (an argument outside its valid domain among
-them), parse failures with line numbers, bad experiment configs, non-finite
-evaluations, and diverged runs.
+them), bad experiment configs (a data table the config names that cannot be
+read or parsed among them), non-finite evaluations, and diverged runs.
 """
 
 
@@ -23,10 +23,6 @@ class DegenerateInputError(CollapseLabError, ValueError):
 
 class ContractError(CollapseLabError, ValueError):
     """A documented precondition was violated."""
-
-
-class ParseError(CollapseLabError, ValueError):
-    """A file could not be parsed; the message carries the line number."""
 
 
 class ConfigError(CollapseLabError, ValueError):

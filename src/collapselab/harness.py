@@ -7,10 +7,10 @@ decays over epochs (frozen to a constant when the schedule is disabled). In
 ce mode a step is a plain cross-entropy update on the raw batch; the other
 loss columns log zero.
 
-After every epoch the full training set is pushed through ``model.encode``
-(no augmentation, no graph) for a collapse report, and a balanced test
-split is scored overall and per class-size group. Groups follow the head
-count n_max: Many > 0.2*n_max, Few <= 0.04*n_max, Medium between.
+After every epoch ``collapse_report`` encodes the training set (no
+augmentation, no graph) for a collapse report, and a balanced test split
+is scored overall and per class-size group. Groups follow the head count
+n_max: Many > 0.2*n_max, Few <= 0.04*n_max, Medium between.
 
 A non-finite loss or gradient, or a degenerate input (a vector to normalize
 whose norm is not finite, or zero outside the alignment loss, which scores a
@@ -28,8 +28,8 @@ config file parses it, and write the final epochs.csv row of each run to
 their table as that run ends, so a later error loses no finished row; each
 run's out_dir is cleared, so a sweep writes no run artifacts. They keep
 going past a diverged run or a value that the config or its data rejects
-(ConfigError, such as a beta that starves the tail), marking the row failed;
-any other package error propagates as it does from ``run_train``.
+(ConfigError, such as a beta that starves the tail or a bad data table),
+marking the row failed; any other package error propagates as from run_train.
 
 Run artifacts, written when cfg.out_dir is set (fixed layout,
 deterministic bytes for a fixed config):
@@ -236,6 +236,13 @@ def evaluate(params: NetworkParams, test: Dataset, train_counts: np.ndarray) -> 
     )
 
 
+def collapse_report(params: NetworkParams, split: Dataset, num_classes: int) -> tuple[np.ndarray, NCReport]:
+    """``encode``'s features of ``split`` and their collapse report: the one
+    computation of ``run_train``'s epoch end and of ``metrics --run``."""
+    feats = encode(params, split.x)
+    return feats, nc_report(feats, split.y, params.classifier_w.data, params.classifier_b.data, num_classes)
+
+
 def _allnc_step(
     cfg: TrainConfig,
     params: NetworkParams,
@@ -326,10 +333,7 @@ def run_train(cfg: TrainConfig) -> RunResult:
                     for c in LOSS_COLUMNS:
                         sums[c] += stats[c]
                     n_batches += 1
-                feats = encode(params, train.x)
-                report = nc_report(
-                    feats, train.y, params.classifier_w.data, params.classifier_b.data, cfg.num_classes
-                )
+                feats, report = collapse_report(params, train, cfg.num_classes)
             except (TrainingDivergedError, DegenerateInputError):
                 params.set_theta(completed)
                 diverged = True
@@ -404,9 +408,9 @@ def sweep(cfg: TrainConfig, param: str, values: list[str], out: str | Path) -> l
     An unknown key, out_dir, a value text the config parser rejects, or an
     ``out`` that cannot be opened raises before any training. Each row is
     written and flushed as its run ends. A diverged run, or a value that the
-    config or its data rejects (ConfigError), produces a row marked failed
-    and the sweep continues; every other package error propagates, leaving
-    the rows already written.
+    config or its data rejects (ConfigError, an unreadable table included),
+    produces a row marked failed and the sweep continues; every other
+    package error propagates, leaving the rows already written.
     """
     if param == "out_dir":
         raise ConfigError("sweep: out_dir cannot be swept, since a sweep writes no run artifacts")

@@ -256,9 +256,9 @@ def save_params(params: NetworkParams, out_dir: str | Path) -> Path:
 
 def load_params(snapshot_dir: str | Path) -> NetworkParams:
     """Rebuild a NetworkParams from a snapshot directory. A manifest that is
-    not one ``save_params`` could write, or an array file that is not a
-    float64 .npy array of its entry's shape, raises ContractError or
-    ShapeError naming the file."""
+    not one ``save_params`` could write (widths that are not JSON integers
+    among them), or an array file that is not a float64 .npy array of its
+    entry's shape, raises ContractError naming the file."""
     snap = Path(snapshot_dir)
     manifest_path = snap / "manifest.json"
     if not manifest_path.exists():
@@ -267,21 +267,21 @@ def load_params(snapshot_dir: str | Path) -> NetworkParams:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         version = manifest.get("format_version")
         if version == SNAPSHOT_VERSION:
-            arch_raw = manifest["arch"]
-            arch = ArchSpec(
-                **{f.name: int(arch_raw[f.name]) for f in fields(ArchSpec) if f.name != "hidden_dims"},
-                hidden_dims=tuple(int(d) for d in arch_raw["hidden_dims"]),
-            )
+            widths = {f.name: manifest["arch"][f.name] for f in fields(ArchSpec)}
+            hidden = widths.pop("hidden_dims")
+            if type(hidden) is not list or any(type(w) is not int for w in (*widths.values(), *hidden)):
+                raise TypeError(f"widths must be integers, hidden_dims a list of them: {manifest['arch']}")
+            arch = ArchSpec(**widths, hidden_dims=tuple(hidden))
             entries = {entry["name"]: (entry["file"], entry["shape"]) for entry in manifest["params"]}
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         # ValueError covers bad JSON, non-UTF-8 bytes, and widths ArchSpec rejects
         raise ContractError(f"load_params: {manifest_path}: malformed manifest: {exc!r}") from exc
     if version != SNAPSHOT_VERSION:
-        raise ContractError(f"load_params: unsupported snapshot version {version}")
+        raise ContractError(f"load_params: {manifest_path}: unsupported snapshot version {version}")
     params = init_params(arch, seed=0)
     by_name = dict(params.named_parameters())
     if set(entries) != set(by_name):
-        raise ContractError("load_params: manifest parameter names do not match the architecture")
+        raise ContractError(f"load_params: {manifest_path}: parameter names do not match the architecture")
     arrays = []
     for name, node in by_name.items():
         file, shape = entries[name]
@@ -296,7 +296,7 @@ def load_params(snapshot_dir: str | Path) -> NetworkParams:
         if arr.dtype != np.float64:
             raise ContractError(f"load_params: {path}: dtype {arr.dtype}, expected float64")
         if list(arr.shape) != shape or arr.shape != node.shape:
-            raise ShapeError(f"load_params: {path}: shape mismatch for {name}")
+            raise ContractError(f"load_params: {path}: shape mismatch for {name}")
         arrays.append(arr.ravel())
     params.set_theta(np.concatenate(arrays))
     return params

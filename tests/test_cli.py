@@ -15,7 +15,7 @@ import pytest
 
 import collapselab.harness as harness
 from collapselab.cli import _build_parser, main
-from collapselab.config import parse_config_file, parse_overrides
+from collapselab.config import parse_config_file, parse_overrides, resolved_text, with_overrides
 from collapselab.data import Dataset, save_csv
 from collapselab.harness import EPOCH_CSV_HEADER, build_datasets
 from test_model import SNAPSHOT_DAMAGE
@@ -292,6 +292,32 @@ class TestSweep:
         assert code == 0
         lines = out.read_text().splitlines()
         assert [line.split(",")[:4] for line in lines[1:]] == [["seed", "0", "ok", "1"], ["seed", "-1", "failed", "nan"]]
+
+    def test_every_rejected_table_writes_a_failed_row(self, tmp_path, monkeypatch, capsys):
+        # whichever check rejects a table (label range, a ragged row, a missing file), its row fails
+        monkeypatch.chdir(tmp_path)
+        cfg = with_overrides(parse_config_file(ROOT / "configs" / "tiny.config"), t_max=1)
+        train, test = build_datasets(cfg)
+        save_csv(train, "train.csv")
+        save_csv(test, "test.csv")
+        save_csv(Dataset(x=train.x, y=np.where(train.y == 2, 7, train.y)), "badlabel.csv")
+        lines = Path("train.csv").read_text().splitlines(keepends=True)
+        lines[2] = lines[2].split(",", 1)[1]  # the second data row loses a cell
+        Path("ragged.csv").write_text("".join(lines))
+        csv_cfg = with_overrides(cfg, dataset="csv", train_csv="train.csv", test_csv="test.csv")
+        Path("c.cfg").write_text(resolved_text(csv_cfg))
+        values = "train.csv,badlabel.csv,ragged.csv,missing.csv,train.csv"
+        code = main(["sweep", "--config", "c.cfg", "--param", "train_csv", "--values", values, "--out", "t.csv"])
+        assert code == 0 and capsys.readouterr().err == ""
+        rows = Path("t.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1:3] for row in rows] == [
+            ["train.csv", "ok"],
+            ["badlabel.csv", "failed"],
+            ["ragged.csv", "failed"],
+            ["missing.csv", "failed"],
+            ["train.csv", "ok"],
+        ]
+        assert rows[0] == rows[4]
 
     def test_bad_values_exit_two(self, tiny_config, tmp_path, capsys):
         code = main(["sweep", "--config", str(tiny_config), "--param", "gamma", "--values", "2.0,oops"])

@@ -198,7 +198,7 @@ def test_parse_config_file(tmp_path):
     path.write_text("seed = 42\nmode = ce\n")
     cfg = parse_config_file(path)
     assert cfg.seed == 42 and cfg.mode == "ce"
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(ConfigError, match="cannot open"):
         parse_config_file(tmp_path / "missing.cfg")
 
 

@@ -14,7 +14,7 @@ from collapselab.data import (
     save_csv,
     write_csv,
 )
-from collapselab.errors import ConfigError, ContractError, ParseError, ShapeError
+from collapselab.errors import ConfigError, ContractError, ShapeError
 
 
 class TestLongTailCounts:
@@ -210,55 +210,65 @@ class TestCsv:
         # a typo in the first data row is not taken for a header and dropped
         path = tmp_path / "d.csv"
         path.write_text(f"{first}\n3.0,4.0,1\n5.0,6.0,1\n")
-        with pytest.raises(ParseError, match="line 1: non-numeric value"):
+        with pytest.raises(ConfigError, match="line 1: non-numeric value"):
+            load_csv(path)
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\nf0,label\n\n1.0,0\n   \n2.0,1\n\n")
+        table = load_csv(path)
+        np.testing.assert_array_equal(table.x, [[1.0], [2.0]])
+        np.testing.assert_array_equal(table.y, [0, 1])
+        path.write_text("1.0,0\n\n2.0\n")
+        with pytest.raises(ConfigError, match="line 3: expected 2 columns, got 1"):
             load_csv(path)
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0,0\n3.0,4.0\n")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ConfigError, match="line 2"):
             load_csv(path)
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0,0\n3.0,oops,1\n")
-        with pytest.raises(ParseError, match="line 2.*oops"):
+        with pytest.raises(ConfigError, match="line 2.*oops"):
             load_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")
-        with pytest.raises(ParseError, match="no data"):
+        with pytest.raises(ConfigError, match="no data"):
             load_csv(path)
 
     def test_unreadable_file_names_the_path(self, tmp_path):
-        with pytest.raises(ParseError, match="missing.csv: cannot open"):
+        with pytest.raises(ConfigError, match="missing.csv: cannot open"):
             load_csv(tmp_path / "missing.csv")
         # 300 random bytes are not UTF-8 text; the decode error does not escape
         path = tmp_path / "bin.csv"
         path.write_bytes(np.random.default_rng(0).bytes(300))
-        with pytest.raises(ParseError, match="bin.csv: not UTF-8 text"):
+        with pytest.raises(ConfigError, match="bin.csv: not UTF-8 text"):
             load_csv(path)
 
     def test_non_integer_label_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0,0.5\n")
-        with pytest.raises(ParseError, match="non-integer label"):
+        with pytest.raises(ConfigError, match="non-integer label"):
             load_csv(path)
         # beyond int64: rejected before the cast, which would warn and wrap
         for label in ("inf", "-inf", "1e30", "-1e30"):
             path.write_text(f"1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,{label}\n")
-            with pytest.raises(ParseError, match="data row 3 is out of the int64 range"):
+            with pytest.raises(ConfigError, match="data row 3 is out of the int64 range"):
                 load_csv(path)
 
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,label\n1.0,0\n2.0,-1\n3.0,-2\n")
-        with pytest.raises(ParseError, match="negative label -1 in data row 2"):
+        with pytest.raises(ConfigError, match="negative label -1 in data row 2"):
             load_csv(path)
 
     def test_needs_two_columns(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0\n")
-        with pytest.raises(ParseError, match="label column"):
+        with pytest.raises(ConfigError, match="label column"):
             load_csv(path)

@@ -338,6 +338,35 @@ def arch_width_not_a_number(snap: Path) -> None:
     _edit_manifest(snap, lambda raw: raw["arch"].update(feature_dim="six"))
 
 
+def arch_width_fractional(snap: Path) -> None:
+    _edit_manifest(snap, lambda raw: raw["arch"].update(proj_dim=raw["arch"]["proj_dim"] + 0.9))
+
+
+def arch_width_a_string(snap: Path) -> None:
+    _edit_manifest(snap, lambda raw: raw["arch"].update(proj_dim=str(raw["arch"]["proj_dim"])))
+
+
+def arch_width_a_boolean(snap: Path) -> None:
+    _edit_manifest(snap, lambda raw: raw["arch"].update(proj1_hidden=bool(raw["arch"]["proj1_hidden"])))
+
+
+def arch_width_a_float(snap: Path) -> None:
+    _edit_manifest(snap, lambda raw: raw["arch"].update(num_classes=float(raw["arch"]["num_classes"])))
+
+
+def hidden_dims_a_string(snap: Path) -> None:
+    # one character per layer: "8" would read as a single width-8 layer
+    _edit_manifest(snap, lambda raw: raw["arch"].update(hidden_dims="".join(map(str, raw["arch"]["hidden_dims"]))))
+
+
+def hidden_dims_floats(snap: Path) -> None:
+    _edit_manifest(snap, lambda raw: raw["arch"].update(hidden_dims=[float(d) for d in raw["arch"]["hidden_dims"]]))
+
+
+def params_entry_renamed(snap: Path) -> None:
+    _edit_manifest(snap, lambda raw: raw["params"][0].update(name=raw["params"][0]["name"] + "_renamed"))
+
+
 def params_list_deleted(snap: Path) -> None:
     _edit_manifest(snap, lambda raw: raw.pop("params"))
 
@@ -350,6 +379,11 @@ def array_truncated(snap: Path) -> None:
 def array_float32(snap: Path) -> None:
     path = snap / "classifier_w.npy"
     np.save(path, np.load(path).astype(np.float32))
+
+
+def array_wrong_shape(snap: Path) -> None:
+    path = snap / "classifier_w.npy"
+    np.save(path, np.load(path).T)
 
 
 def array_in_npz_archive(snap: Path) -> None:
@@ -365,9 +399,17 @@ SNAPSHOT_DAMAGE = [
     (manifest_not_json, "manifest.json"),
     (arch_width_deleted, "manifest.json"),
     (arch_width_not_a_number, "manifest.json"),
+    (arch_width_fractional, "manifest.json"),
+    (arch_width_a_string, "manifest.json"),
+    (arch_width_a_boolean, "manifest.json"),
+    (arch_width_a_float, "manifest.json"),
+    (hidden_dims_a_string, "manifest.json"),
+    (hidden_dims_floats, "manifest.json"),
+    (params_entry_renamed, "manifest.json"),
     (params_list_deleted, "manifest.json"),
     (array_truncated, "classifier_w.npy"),
     (array_float32, "classifier_w.npy"),
+    (array_wrong_shape, "classifier_w.npy"),
     (array_in_npz_archive, "classifier_w.npy"),
 ]
 

@@ -120,3 +120,50 @@ def test_bench_pair_summary_says_whether_each_metric_kept_its_bound():
     summary = _bench_pair().summarize(runs, bounds)
     assert summary["setup_s"]["bound"] == 0.25 and summary["setup_s"]["within_bound"] is False
     assert summary["run_s"]["bound"] == 0.25 and summary["run_s"]["within_bound"] is True
+
+
+def _git(repo: Path, *args: str) -> None:
+    identity = ["-c", "user.name=bench", "-c", "user.email=bench@example.com", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", *identity, *args], cwd=repo, check=True, capture_output=True)
+
+
+def test_bench_pair_runs_each_side_from_one_fresh_sibling_tree(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    (repo / ".gitignore").write_text("scratch/\n")
+    (repo / "gone.py").write_text("")
+    (repo / "side.py").write_text("parent\n")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "side.py").write_text("change\n")
+    _git(repo, "commit", "-q", "-a", "-m", "change")
+    # the working tree deletes a tracked file, adds a module, and holds an ignored file
+    (repo / "gone.py").unlink()
+    (repo / "new.py").write_text("")
+    (repo / "scratch").mkdir()
+    (repo / "scratch" / "out.txt").write_text("")
+
+    bench_pair = _bench_pair()
+    monkeypatch.setattr(bench_pair, "ROOT", repo)
+    trees: dict[str, set] = {"parent\n": set(), "change\n": set()}
+    files: dict[str, set] = {"parent\n": set(), "change\n": set()}
+
+    def run_once(tree, workload, seed, seconds):
+        side = (tree / "side.py").read_text()
+        trees[side].add(tree)
+        files[side].add(tuple(sorted(p.relative_to(tree).as_posix() for p in tree.rglob("*") if p.is_file())))
+        return {"metrics": {"run_s": 1.0}, "passes": 1, "machine": {}}
+
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    assert bench_pair.main(["--parent", "HEAD~1", "--out", str(tmp_path / "pair.json")]) == 0
+    (parent,), (change,) = trees["parent\n"], trees["change\n"]
+    assert parent != change and parent.parent == change.parent
+    assert repo not in (parent, change) and ROOT not in (parent, change)
+    assert files["parent\n"] == {(".gitignore", "BENCHMARK.json", "gone.py", "side.py")}
+    assert files["change\n"] == {(".gitignore", "BENCHMARK.json", "new.py", "side.py")}
+    assert not parent.exists() and not change.exists()
+    assert not (repo / ".git" / "worktrees").exists()
+    record = json.loads((tmp_path / "pair.json").read_text())
+    assert [len(w["runs"]) for w in record["workloads"].values()] == [20, 20]
