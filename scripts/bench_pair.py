@@ -21,12 +21,15 @@ so that a drift of the host's speed falls on both sides alike.
 The file records, per workload, each run's end-to-end metrics, its pass
 count (the ``passes`` of ``run.py``'s context line), its wall time and the
 CPU time of its process (the ``RUSAGE_CHILDREN`` delta, so a spinning BLAS
-thread shows as CPU time above the wall time); then, per metric, the paired
-ratios change/parent, their median, the pairs the change won, the
-quartile distance of the parent's runs, the metric's ``bound`` from
-``BENCHMARK.json``'s ``end_to_end`` list, and ``within_bound``: whether
-the change's median is at most the parent's median times (1 + bound). It
-also records the machine block of
+thread shows as CPU time above the wall time), and each side's median pass
+count; then, per metric, the paired ratios change/parent, their median, the
+pairs the change won, the quartile distance of the parent's runs, the
+metric's ``bound`` from ``BENCHMARK.json``'s ``end_to_end`` list,
+``within_bound``: whether the change's median is at most the parent's
+median times (1 + bound), and ``gain_shown``: whether ten or more pairs
+show a gain, the change winning at least nine in ten of them (a tie wins
+for neither side) and its median lying below the parent's by more than the
+parent's quartile distance. It also records the machine block of
 ``run.py``, both commit shas, and whether the working tree had changes.
 """
 
@@ -129,20 +132,27 @@ def summarize(runs: list[dict], bounds: dict[str, float]) -> dict:
         change = [c for _, c in pairs]
         ratios = [c / p if p else float("nan") for p, c in pairs]
         parent_median, change_median = statistics.median(parent), statistics.median(change)
+        wins, spread = sum(c < p for p, c in pairs), _quartile_distance(parent)
         out[name] = {
             "parent": parent,
             "change": change,
             "ratios": ratios,
             "median_ratio": statistics.median(ratios),
-            "change_wins": sum(c < p for p, c in pairs),
+            "change_wins": wins,
             "pairs": len(pairs),
             "parent_median": parent_median,
             "change_median": change_median,
-            "parent_quartile_distance": _quartile_distance(parent),
+            "parent_quartile_distance": spread,
             "bound": bounds[name],
             "within_bound": change_median <= parent_median * (1 + bounds[name]),
+            "gain_shown": len(pairs) >= PAIRS and 10 * wins >= 9 * len(pairs) and parent_median - change_median > spread,
         }
     return out
+
+
+def median_passes(runs: list[dict]) -> dict[str, float]:
+    """Each side's median pass count over one workload's runs."""
+    return {side: statistics.median(run["passes"] for run in runs if run["side"] == side) for side in SIDES}
 
 
 def main(argv=None) -> int:
@@ -180,7 +190,11 @@ def main(argv=None) -> int:
                     record.setdefault("machine", run.pop("machine"))
                     runs.append({"side": side, "pair": pair, **run})
                     print(f"{workload} pair {pair} {side}: {json.dumps(run['metrics'])}", file=sys.stderr)
-            record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, bounds)}
+            record["workloads"][workload] = {
+                "runs": runs,
+                "median_passes": median_passes(runs),
+                "summary": summarize(runs, bounds),
+            }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -4,10 +4,11 @@ The value carrier is a C-contiguous float64 ndarray. Every operation builds a
 fresh Node in a define-by-run graph: the graph is rebuilt on each forward pass
 and parameters persist as leaf nodes between passes. Arrays held by nodes are
 treated as immutable once created; optimizers replace a parameter's array
-rather than mutating it in place. Leaves coerce their values; op outputs are
-not coerced again, as ops compute such arrays from such arrays (numpy's
-scalar for a 0-d result only goes through np.asarray). Work that only the
-gradient needs runs in the backward closure, not on every forward.
+rather than mutating it in place, and backward closures capture the arrays
+of their build, so an older graph keeps its values. Leaves coerce their
+values; op outputs are not, as ops compute such arrays from such arrays
+(numpy's scalar for a 0-d result only goes through np.asarray). Work only
+the gradient needs waits for the backward closure.
 
 Gradient semantics worth knowing before reading the ops:
 
@@ -23,22 +24,14 @@ Gradient semantics worth knowing before reading the ops:
   cosine 0: it divides the row by 1 in place of its zero norm. A zero
   operand row gets the gradient ``-t / count`` toward its unit target ``t``;
   a zero target row sends its operand none.
-* ``linear``, ``softmax_cross_entropy_rows``, ``cosine_alignment`` and
-  ``gram_mse`` are fused ops: each is one node that reproduces a chain of
-  simpler ops to the last bit, forward and backward, on the gradient of
-  every input that has no other consumer:
-  - ``linear``: transpose, matmul and add; it documents the batch shapes
-    where BLAS rounds its backward differently;
-  - ``softmax_cross_entropy_rows``: log-softmax, dot with a one-hot row and
-    negation; it subtracts the row maximum before exponentiating, so large
-    logits cannot overflow;
-  - ``cosine_alignment``: four ``l2_normalize_rows`` rows each dotted (an
-    einsum over the last axis) with one of two constant targets normalized
-    in numpy, then add, ``mean_all`` and negation;
-  - ``gram_mse``: transpose, matmul, ``sub`` of a constant target, square
-    and ``mean_all``.
-  An input that also feeds other nodes receives the same contributions, but
-  ``backward`` may sum them in another order than it would for the chain.
+* ``linear``, ``softmax_cross_entropy_rows``, ``cosine_alignment``,
+  ``gram_mse``, ``weighted_mean`` and ``mix`` (the losses' scalar glue) are
+  fused ops: each is one node that reproduces the chain of simpler ops its
+  docstring names to the last bit, forward and backward, on the gradient of
+  every input that has no other consumer. An input that also feeds other
+  nodes receives the same contributions, but ``backward`` may sum them in
+  another order than it would for the chain. ``linear`` documents the batch
+  shapes where BLAS rounds its backward differently.
 * ``sub`` is bit for bit adding the negated operand. ``l2_normalize_rows``
   computes its norms with the arithmetic of ``np.linalg.norm``. Sums and
   maxima call ``np.add.reduce`` and ``np.maximum.reduce``, which is
@@ -182,18 +175,18 @@ def scale(x: Node, s: float) -> Node:
 
 def mul(a: Node, b: Node) -> Node:
     """Elementwise product; shapes must match exactly."""
-    if a.data.shape != b.data.shape:
+    av, bv = a.data, b.data
+    if av.shape != bv.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    return _op(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
+    return _op(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
 
 
 def square(x: Node) -> Node:
-    return _op(x.data * x.data, (x,), (lambda g: 2.0 * x.data * g,))
+    xd = x.data
+    return _op(xd * xd, (x,), (lambda g: 2.0 * xd * g,))
 
 
 def relu(x: Node) -> Node:
-    # The mask is built from the captured input array, not the node, so a
-    # graph built before sgd_step replaces the array keeps its own input.
     # Strict inequality: the subgradient at exactly 0 is 0.
     xd = x.data
     return _op(np.maximum(xd, 0.0), (x,), (lambda g: g * (xd > 0.0),))
@@ -205,11 +198,12 @@ def relu(x: Node) -> Node:
 
 def matmul(a: Node, b: Node) -> Node:
     """2-d matrix product (m, k) @ (k, n)."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    av, bv = a.data, b.data
+    if av.ndim != 2 or bv.ndim != 2:
         raise ShapeError(f"matmul: need 2-d operands, got {a.shape} and {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
-    return _op(a.data @ b.data, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+    return _op(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
 def linear(x: Node, w: Node, b: Node) -> Node:
@@ -226,14 +220,15 @@ def linear(x: Node, w: Node, b: Node) -> Node:
     for one-row batches and for batches of a few rows into a 64- or 128-wide
     layer.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1:
         raise ShapeError(f"linear: need 2-d x and w and 1-d b, got {x.shape}, {w.shape} and {b.shape}")
-    if x.data.shape[1] != w.data.shape[1] or w.data.shape[0] != b.data.shape[0]:
+    if xd.shape[1] != wd.shape[1] or wd.shape[0] != bd.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
     return _op(
-        x.data @ np.ascontiguousarray(w.data.T) + b.data,
+        xd @ np.ascontiguousarray(wd.T) + bd,
         (x, w, b),
-        (lambda g: g @ w.data, lambda g: g.T @ x.data, lambda g: np.add.reduce(g, axis=0)),
+        (lambda g: g @ wd, lambda g: g.T @ xd, lambda g: np.add.reduce(g, axis=0)),
     )
 
 
@@ -241,17 +236,6 @@ def transpose(x: Node) -> Node:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose: need a 2-d operand, got {x.shape}")
     return _op(np.ascontiguousarray(x.data.T), (x,), (lambda g: np.ascontiguousarray(g.T),))
-
-
-def dot(a: Node, b: Node) -> Node:
-    """Inner product of two 1-d vectors; returns a scalar node."""
-    if a.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeError(f"dot: need equal-length vectors, got {a.shape} and {b.shape}")
-    return _op(
-        a.data @ b.data,
-        (a, b),
-        (lambda g: float(g) * b.data, lambda g: float(g) * a.data),
-    )
 
 
 def gram_mse(v: Node, target: Array) -> Node:
@@ -263,15 +247,16 @@ def gram_mse(v: Node, target: Array) -> Node:
     and the backward keeps the chain's operand layout, g @ (copy of v.T).T
     plus the transpose of v.T @ g, in the order backward sums them.
     """
-    if v.data.ndim != 2 or target.shape != (v.data.shape[0], v.data.shape[0]):
+    vd = v.data
+    if vd.ndim != 2 or target.shape != (vd.shape[0], vd.shape[0]):
         raise ShapeError(f"gram_mse: need (K, d) rows and a (K, K) target, got {v.shape} and {target.shape}")
-    vt = np.ascontiguousarray(v.data.T)
-    diff = v.data @ vt - target
+    vt = np.ascontiguousarray(vd.T)
+    diff = vd @ vt - target
     count = diff.size
 
     def back(g: Array) -> Array:
         g_gram = 2.0 * diff * (float(g) / count)
-        return g_gram @ vt.T + np.ascontiguousarray((v.data.T @ g_gram).T)
+        return g_gram @ vt.T + np.ascontiguousarray((vd.T @ g_gram).T)
 
     return _op(np.add.reduce(diff * diff, axis=None) / count, (v,), (back,))
 
@@ -301,6 +286,33 @@ def mean_rows(x: Node) -> Node:
         (x,),
         (lambda g: np.broadcast_to(g / n, x.data.shape).copy(),),
     )
+
+
+def weighted_mean(x: Node, w: Array) -> Node:
+    """sum_i w_i * x_i / N of an (N,) node and a constant (N,) array, as one
+    scalar node; bit for bit the dot with a constant of w, scaled by 1/N."""
+    if x.data.ndim != 1 or w.shape != x.data.shape or not w.size:
+        raise ShapeError(f"weighted_mean: need equal non-empty (N,) shapes, got {x.shape} and {w.shape}")
+    s = 1.0 / w.shape[0]
+    return _op((x.data @ w) * s, (x,), (lambda g: float(g * s) * w,))
+
+
+def mix(s: float, a: Sequence[Node], t: float, b: Sequence[Node]) -> Node:
+    """s * (a[0] + a[1] + ...) + t * (b[0] + ...) of 0-d nodes, a and b non-empty, as
+    one node; bit for bit the chain of add and scale (each sum adds left to right,
+    and s = 1.0 multiplies exactly): ``add(add(p, q), scale(add(u, v), t))`` is
+    ``mix(1.0, (p, q), t, (u, v))``."""
+    parents = (*a, *b)
+    for n in parents:
+        if n.data.ndim:
+            raise ShapeError(f"mix: need 0-d operands, got {n.shape}")
+    sa, sb = a[0].data, b[0].data
+    for n in a[1:]:
+        sa = sa + n.data
+    for n in b[1:]:
+        sb = sb + n.data
+    s, t = float(s), float(t)
+    return _op(sa * s + sb * t, parents, (lambda g: g * s,) * len(a) + (lambda g: g * t,) * len(b))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ The pieces:
   inverse-frequency-weighted variant (weights normalized to mean 1, so
   balanced data reduces it to plain CE). A classification branch takes both
   means from one ``cross_entropy_rows`` node.
+* ``_memo`` builds the label constants (one-hot rows, class selectors) once
+  per label array, read-only, keyed by the labels' dtype, shape and bytes:
+  both branches of a step and every evaluation of a gradient check share them.
 * ``hycon``: the two-view alignment loss, defined once for one sample of
   (p,) vectors or the batch mean over (N, p) stacks. For each sample, the
   predictor output of one view and the in-batch class mean of the other
@@ -26,9 +29,9 @@ The pieces:
   to unit norm. Gram, target subtraction, square and mean are one
   ``autodiff.gram_mse`` node, bit for bit the unfused chain, against the
   cached read-only ``etf.rho_matrix``.
-* ``branch_loss`` / ``total_loss``: the scheduled combination. eta decays
-  from 1 to 0 over training, handing each classification branch from plain
-  CE to re-weighted CE plus classifier Gram matching.
+* ``branch_loss`` / ``total_loss``: the scheduled combination, one
+  ``autodiff.mix`` node each. eta decays from 1 to 0 over training, handing
+  each classification branch from plain CE to re-weighted CE plus Gram matching.
 * ``allnc_loss``: the whole two-view objective of one training step, built
   from the pieces above, with every term a step logs returned by name.
 """
@@ -44,23 +47,56 @@ from .etf import rho_matrix
 from .model import ForwardOut
 
 # ---------------------------------------------------------------------------
-# cross-entropy family
+# label constants
+
+_MEMO: dict = {}
+_MEMO_SIZE = 16  # a step needs one entry, a gradient check one or two
 
 
-def _onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+def _memo(build, labels: np.ndarray, *extra):
+    """``build(labels, *extra)``, kept until ``_MEMO_SIZE`` newer entries push it out."""
     y = np.asarray(labels)
+    key = (build, extra, y.dtype.str, y.shape, y.tobytes())
+    if key not in _MEMO:
+        if len(_MEMO) >= _MEMO_SIZE:
+            del _MEMO[next(iter(_MEMO))]
+        _MEMO[key] = build(y, *extra)
+    return _MEMO[key]
+
+
+def _onehot(y: np.ndarray, num_classes: int) -> np.ndarray:
     if y.ndim != 1:
         raise ShapeError(f"labels must be 1-d, got shape {y.shape}")
     if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= num_classes):
         raise ContractError(f"labels outside [0, {num_classes})")
-    return np.eye(num_classes)[y]
+    hot = np.eye(num_classes)[y]
+    hot.flags.writeable = False
+    return hot
+
+
+def _selectors(y: np.ndarray) -> tuple[np.ndarray, Node, Node]:
+    """(present, pool, lookup) for batched class means: lookup is an (N, P)
+    constant, each sample's row of the identity, picking its own class mean
+    back out; pool is its transpose with row k divided by the k-th present
+    class's count. One bincount gives what np.unique would, without its sort."""
+    counts = np.bincount(y)
+    present = counts.nonzero()[0]
+    lookup = np.eye(present.shape[0])[present.searchsorted(y)]
+    pool = np.ascontiguousarray(lookup.T) / counts[present][:, None]
+    for arr in (present, pool, lookup):
+        arr.flags.writeable = False
+    return present, ad.constant(pool), ad.constant(lookup)
+
+
+# ---------------------------------------------------------------------------
+# cross-entropy family
 
 
 def cross_entropy_rows(logits: Node, labels: np.ndarray) -> Node:
     """Per-sample cross-entropy of an (N, C) logits node; returns (N,)."""
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy_rows: logits must be (N, C), got {logits.shape}")
-    hot = _onehot(labels, logits.data.shape[1])
+    hot = _memo(_onehot, labels, logits.data.shape[1])
     if hot.shape[0] != logits.data.shape[0]:
         raise ShapeError("cross_entropy_rows: labels and logits disagree on N")
     return ad.softmax_cross_entropy_rows(logits, hot)
@@ -81,8 +117,7 @@ def _reweighted_mean(rows: Node, num_classes: int, labels: np.ndarray, class_wei
     w = np.asarray(class_weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != num_classes:
         raise ShapeError(f"mean_reweighted_ce: weights shape {w.shape} vs {num_classes} classes")
-    per_sample = ad.constant(w[np.asarray(labels)])
-    return ad.scale(ad.dot(rows, per_sample), 1.0 / rows.data.shape[0])
+    return ad.weighted_mean(rows, w[np.asarray(labels)])
 
 
 def inverse_frequency_weights(counts: np.ndarray) -> np.ndarray:
@@ -112,23 +147,6 @@ def hycon(h1: Node, h2: Node, z1: Node, z2: Node, u1: Node, u2: Node) -> Node:
     return ad.cosine_alignment(h1, u2, z2.data, h2, u1, z1.data)
 
 
-def _class_selectors(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant matrices for batched class means.
-
-    Returns (present, pool, lookup): lookup is (N, P), each sample's row of
-    the identity, picking its own class mean back out, and pool is lookup's
-    transpose with row k divided by the k-th present class's count, so it
-    averages that class's samples. Labels are class indices, so one bincount
-    gives what np.unique would, without its sort.
-    """
-    y = np.asarray(labels)
-    counts = np.bincount(y)
-    present = counts.nonzero()[0]
-    inverse = present.searchsorted(y)
-    lookup = np.eye(present.shape[0])[inverse]
-    return present, np.ascontiguousarray(lookup.T) / counts[present][:, None], lookup
-
-
 def class_mean_matrix(x: Node, labels: np.ndarray) -> tuple[Node, np.ndarray]:
     """Rows of in-batch class means of an (N, d) node, for present classes.
 
@@ -140,8 +158,8 @@ def class_mean_matrix(x: Node, labels: np.ndarray) -> tuple[Node, np.ndarray]:
     y = np.asarray(labels)
     if y.shape != (x.data.shape[0],):
         raise ShapeError("class_mean_matrix: labels and rows disagree on N")
-    present, pool, _ = _class_selectors(y)
-    return ad.matmul(ad.constant(pool), x), present
+    present, pool, _ = _memo(_selectors, y)
+    return ad.matmul(pool, x), present
 
 
 def hycon_batch(
@@ -152,7 +170,6 @@ def hycon_batch(
     labels: np.ndarray,
     target_z1: Node | None = None,
     target_z2: Node | None = None,
-    selectors: tuple[Node, Node] | None = None,
 ) -> Node:
     """``hycon`` over (N, p) stacks with u the in-batch class means.
 
@@ -161,9 +178,7 @@ def hycon_batch(
     gradient. Targets default to the projections themselves; ``hycon`` reads
     a target only as a constant of its data, so no gradient reaches it.
     Passing explicit targets pins them, which is how the finite-difference
-    checks keep the target still while they perturb z. ``selectors`` may
-    pass in the (pool, lookup) constants of ``_class_selectors(labels)``, so
-    that a caller who also needs class means builds them once.
+    checks keep the target still while they perturb z.
     """
     for name, node in (("h1", h1), ("h2", h2), ("z1", z1), ("z2", z2)):
         if node.data.ndim != 2:
@@ -174,12 +189,9 @@ def hycon_batch(
     if y.shape != (h1.data.shape[0],):
         raise ShapeError("hycon_batch: labels and rows disagree on N")
 
-    if selectors is None:
-        _, pool, lookup = _class_selectors(y)
-        selectors = ad.constant(pool), ad.constant(lookup)
-    pool_c, lookup_c = selectors
-    u1 = ad.matmul(lookup_c, ad.matmul(pool_c, z1))
-    u2 = ad.matmul(lookup_c, ad.matmul(pool_c, z2))
+    _, pool, lookup = _memo(_selectors, y)
+    u1 = ad.matmul(lookup, ad.matmul(pool, z1))
+    u2 = ad.matmul(lookup, ad.matmul(pool, z2))
     if target_z1 is None:
         target_z1 = z1
     if target_z2 is None:
@@ -261,7 +273,7 @@ def _branch(
     rows = cross_entropy_rows(logits, labels)
     ce = ad.mean_all(rows)
     re = _reweighted_mean(rows, logits.data.shape[1], labels, class_weights)
-    return ce, re, ad.add(ad.scale(ce, eta_value), ad.scale(ad.add(re, p2p_w), 1.0 - eta_value))
+    return ce, re, ad.mix(eta_value, (ce,), 1.0 - eta_value, (re, p2p_w))
 
 
 def branch_loss(
@@ -287,7 +299,7 @@ def total_loss(branch1: Node, branch2: Node, hycon_value: Node, p2p_mu: Node, al
     """branch1 + branch2 + alpha * (hycon + p2p over class means)."""
     if alpha < 0:
         raise ContractError(f"total_loss: alpha must be >= 0, got {alpha}")
-    return ad.add(ad.add(branch1, branch2), ad.scale(ad.add(hycon_value, p2p_mu), float(alpha)))
+    return ad.mix(1.0, (branch1, branch2), alpha, (hycon_value, p2p_mu))
 
 
 def allnc_loss(
@@ -310,9 +322,9 @@ def allnc_loss(
     it, matching two independent copies). p2p_mu averages ``p2p`` over the
     two views' in-batch class means, centered by the batch's global feature
     mean: that is the center the diagnostics subtract, and an unweighted
-    mean of class means drifts off it in imbalanced batches. The class
-    selectors of ``labels`` are built once, for hycon and both views' class
-    means. Both views share ``labels``, so with fewer than two present
+    mean of class means drifts off it in imbalanced batches. hycon and both
+    views' class means read the one memoized set of class selectors of
+    ``labels``. Both views share ``labels``, so with fewer than two present
     classes neither has a Gram target and p2p_mu is zero. A disabled term is
     the constant zero.
 
@@ -324,16 +336,11 @@ def allnc_loss(
     p2p_w = zero if disable_p2p_w else p2p(classifier, center_and_normalize=False)
     ce1, re1, branch1 = _branch(view1.logits, labels, eta_value, class_weights, p2p_w)
     ce2, re2, branch2 = _branch(view2.logits, labels, eta_value, class_weights, p2p_w)
-    present, pool, lookup = _class_selectors(labels)
-    pool_c = ad.constant(pool)
-    hycon_term = zero
-    if not disable_hycon:
-        hycon_term = hycon_batch(
-            view1.h, view2.h, view1.z, view2.z, labels, selectors=(pool_c, ad.constant(lookup))
-        )
+    hycon_term = zero if disable_hycon else hycon_batch(view1.h, view2.h, view1.z, view2.z, labels)
+    present, pool, _ = _memo(_selectors, labels)
     p2p_mu = zero
     if not disable_p2p_mu and present.shape[0] >= 2:
-        mu1, mu2 = ad.matmul(pool_c, view1.features), ad.matmul(pool_c, view2.features)
+        mu1, mu2 = ad.matmul(pool, view1.features), ad.matmul(pool, view2.features)
         p2p1 = p2p(mu1, True, num_classes=num_classes, center=ad.mean_rows(view1.features))
         p2p2 = p2p(mu2, True, num_classes=num_classes, center=ad.mean_rows(view2.features))
         p2p_mu = ad.scale(ad.add(p2p1, p2p2), 0.5)

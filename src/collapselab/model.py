@@ -256,8 +256,8 @@ def save_params(params: NetworkParams, out_dir: str | Path) -> Path:
 
 def load_params(snapshot_dir: str | Path) -> NetworkParams:
     """Rebuild a NetworkParams from a snapshot directory. A manifest that is
-    not one ``save_params`` could write (widths that are not JSON integers
-    among them), or an array file that is not a float64 .npy array of its
+    not one ``save_params`` could write (a version or widths that are not
+    JSON integers among them), or an array file that is not a float64 .npy array of its
     entry's shape, raises ContractError naming the file."""
     snap = Path(snapshot_dir)
     manifest_path = snap / "manifest.json"
@@ -266,7 +266,8 @@ def load_params(snapshot_dir: str | Path) -> NetworkParams:
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         version = manifest.get("format_version")
-        if version == SNAPSHOT_VERSION:
+        supported = type(version) is int and version == SNAPSHOT_VERSION
+        if supported:
             widths = {f.name: manifest["arch"][f.name] for f in fields(ArchSpec)}
             hidden = widths.pop("hidden_dims")
             if type(hidden) is not list or any(type(w) is not int for w in (*widths.values(), *hidden)):
@@ -276,7 +277,7 @@ def load_params(snapshot_dir: str | Path) -> NetworkParams:
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         # ValueError covers bad JSON, non-UTF-8 bytes, and widths ArchSpec rejects
         raise ContractError(f"load_params: {manifest_path}: malformed manifest: {exc!r}") from exc
-    if version != SNAPSHOT_VERSION:
+    if not supported:
         raise ContractError(f"load_params: {manifest_path}: unsupported snapshot version {version}")
     params = init_params(arch, seed=0)
     by_name = dict(params.named_parameters())

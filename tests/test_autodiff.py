@@ -9,25 +9,10 @@ from hypothesis import given, strategies as st
 
 import collapselab.autodiff as ad
 from collapselab.errors import ContractError, DegenerateInputError, EvaluationError, ShapeError
+from refops import dot, neg, rowwise_dot
 
 # one label per row of the (4, 6) operands below
 ONEHOT_4x6 = np.eye(6)[[0, 3, 5, 3]]
-
-
-# Reference ops that only tests need, built on the public Node: the unfused
-# chains below compare the fused ops against them.
-def _neg(x):
-    return ad.Node(-x.data, (x,), (lambda g: -g,), x.requires_grad)
-
-
-def _rowwise_dot(a, b):
-    """Inner products along the last axis of two equal (d,) or (N, d) nodes."""
-    return ad.Node(
-        np.einsum("...i,...i->...", a.data, b.data),
-        (a, b),
-        (lambda g: g[..., None] * b.data, lambda g: g[..., None] * a.data),
-        a.requires_grad or b.requires_grad,
-    )
 
 
 def test_constant_has_no_grad_path(rng):
@@ -89,7 +74,6 @@ OP_CASES = {
     "matmul": [lambda: ad.matmul(_p(_C, _N), _p(_N, _D))],
     "linear": [lambda: ad.linear(_p(_N, _D), _p(_C, _D), _p(_C))],
     "transpose": [lambda: ad.transpose(_p(_N, _D))],
-    "dot": [lambda: ad.dot(_p(_N), _p(_N))],
     "gram_mse": [lambda: ad.gram_mse(_p(_C, _D), np.eye(_C))],
     "sum_all": [lambda: ad.sum_all(_p(_N, _D)), lambda: ad.sum_all(_scalar())],
     "mean_all": [lambda: ad.mean_all(_p(_N, _D))],
@@ -100,6 +84,13 @@ OP_CASES = {
         lambda: ad.cosine_alignment(_p(_D), _p(_D), _p(_D).data, _p(_D), _p(_D), _p(_D).data),
     ],
     "softmax_cross_entropy_rows": [lambda: ad.softmax_cross_entropy_rows(_p(_N, _C), np.eye(_C)[np.arange(_N) % _C])],
+    "weighted_mean": [lambda: ad.weighted_mean(_p(_N), np.linspace(0.5, 2.0, _N))],
+    # 0-d operands: loss terms on the gradient path, a constant, and a 0-d
+    # leaf, whose gradient numpy would hand back as a scalar
+    "mix": [
+        lambda: ad.mix(0.3, (_scalar(),), 0.7, (_scalar(), _scalar())),
+        lambda: ad.mix(1.0, (_scalar(), ad.constant(2.0)), 2.0, (ad.param(1.5), _scalar())),
+    ],
 }
 
 
@@ -154,8 +145,8 @@ def test_backward_rejects_vector_root(rng):
         lambda x: ad.sum_all(ad.square(ad.softmax_cross_entropy_rows(x, ONEHOT_4x6))),
         lambda x: ad.sum_all(ad.matmul(x, ad.transpose(x))),
         lambda x: ad.sum_all(ad.square(ad.matmul(x, ad.transpose(x)))),
-        lambda x: ad.sum_all(ad.square(_rowwise_dot(x, ad.square(x)))),
-        lambda x: _rowwise_dot(ad.mean_rows(x), ad.mean_rows(ad.square(x))),
+        lambda x: ad.sum_all(ad.square(rowwise_dot(x, ad.square(x)))),
+        lambda x: rowwise_dot(ad.mean_rows(x), ad.mean_rows(ad.square(x))),
         lambda x: ad.sum_all(ad.l2_normalize_rows(ad.mean_rows(ad.square(x)))),
     ],
     ids=[
@@ -175,7 +166,8 @@ def test_two_arg_ops_match_finite_differences(rng):
     v = ad.param(rng.standard_normal(5))
     w = ad.param(rng.standard_normal(5))
     assert ad.grad_check(lambda: ad.sum_all(ad.matmul(a, b)), [a, b]) < 1e-6
-    assert ad.grad_check(lambda: ad.dot(v, w), [v, w]) < 1e-6
+    assert ad.grad_check(lambda: ad.weighted_mean(v, w.data), [v]) < 1e-6
+    assert ad.grad_check(lambda: ad.mix(0.3, (ad.mean_all(v),), 0.7, (ad.mean_all(w), dot(v, w))), [v, w]) < 1e-6
     assert ad.grad_check(lambda: ad.sum_all(ad.mul(v, w)), [v, w]) < 1e-6
 
 
@@ -353,14 +345,14 @@ GRAM_SHAPES = ((10, 16), (7, 16), (3, 6), (2, 6), (3, 4), (4, 6))
 def _alignment_chain(a1, b1, t1, a2, b2, t2):
     u1 = ad.l2_normalize_rows(ad.constant(t1))
     u2 = ad.l2_normalize_rows(ad.constant(t2))
-    toward_1 = ad.add(_rowwise_dot(ad.l2_normalize_rows(a1), u1), _rowwise_dot(ad.l2_normalize_rows(b1), u1))
-    toward_2 = ad.add(_rowwise_dot(ad.l2_normalize_rows(a2), u2), _rowwise_dot(ad.l2_normalize_rows(b2), u2))
-    return _neg(ad.mean_all(ad.add(toward_1, toward_2)))
+    toward_1 = ad.add(rowwise_dot(ad.l2_normalize_rows(a1), u1), rowwise_dot(ad.l2_normalize_rows(b1), u1))
+    toward_2 = ad.add(rowwise_dot(ad.l2_normalize_rows(a2), u2), rowwise_dot(ad.l2_normalize_rows(b2), u2))
+    return neg(ad.mean_all(ad.add(toward_1, toward_2)))
 
 
 def _gram_chain(v, target):
     gram = ad.matmul(v, ad.transpose(v))
-    return ad.mean_all(ad.square(ad.add(gram, _neg(ad.constant(target)))))
+    return ad.mean_all(ad.square(ad.add(gram, neg(ad.constant(target)))))
 
 
 def test_cosine_alignment_is_bitwise_its_chain(rng):
@@ -388,12 +380,54 @@ def test_gram_mse_is_bitwise_its_chain(rng):
         assert np.array_equal(_grads_under(fused, g, (v,))[0], _grads_under(chain, g, (v,))[0]), (k, d)
 
 
+def test_weighted_mean_is_bitwise_its_chain(rng):
+    # the batch sizes the shipped configs and the gradient suite train
+    for n in (64, 26, 16, 9, 4, 3, 1):
+        x = ad.param(rng.standard_normal(n))
+        w = rng.standard_normal(n)
+        g = np.asarray(rng.standard_normal())
+        fused, chain = ad.weighted_mean(x, w), ad.scale(dot(x, ad.constant(w)), 1.0 / n)
+        assert fused.shape == () and np.array_equal(fused.data, chain.data), n
+        assert np.array_equal(_grads_under(fused, g, (x,))[0], _grads_under(chain, g, (x,))[0]), n
+
+
+@pytest.mark.parametrize("s", [0.0, 0.37, 1.0])
+def test_mix_is_bitwise_its_chain(rng, s):
+    # both shapes the losses build: s*a + t*(b + c) and (a + b) + t*(c + d)
+    p = [ad.param(rng.standard_normal(3)) for _ in range(4)]
+    terms = [ad.mean_all(ad.square(x)) for x in p]
+    g = np.asarray(rng.standard_normal())
+    t = 1.0 - s
+    cases = [
+        (ad.mix(s, terms[:1], t, terms[1:3]), ad.add(ad.scale(terms[0], s), ad.scale(ad.add(terms[1], terms[2]), t))),
+        (ad.mix(1.0, terms[:2], t, terms[2:]), ad.add(ad.add(terms[0], terms[1]), ad.scale(ad.add(terms[2], terms[3]), t))),
+    ]
+    for (fused, chain), wrt in zip(cases, (p[:3], p)):
+        assert fused.shape == () and np.array_equal(fused.data, chain.data)
+        for a, c in zip(_grads_under(fused, g, wrt), _grads_under(chain, g, wrt)):
+            assert np.array_equal(a, c)
+
+
+def test_fused_scalar_ops_shape_checks():
+    one, row = ad.constant(1.0), ad.constant(np.ones(4))
+    with pytest.raises(ShapeError):
+        ad.mix(0.5, (one,), 0.5, (one, row))
+    with pytest.raises(ShapeError):
+        ad.mix(0.5, (row,), 0.5, (one,))
+    with pytest.raises(ShapeError):
+        ad.weighted_mean(row, np.ones(3))
+    with pytest.raises(ShapeError):
+        ad.weighted_mean(one, np.ones(()))
+    with pytest.raises(ShapeError):
+        ad.weighted_mean(ad.constant(np.ones(0)), np.ones(0))
+
+
 @pytest.mark.parametrize("b_shape", [(4, 6), (6,)], ids=["equal", "row_broadcast"])
 def test_sub_is_bitwise_add_neg(rng, b_shape):
     a = ad.param(rng.standard_normal((4, 6)))
     b = ad.param(rng.standard_normal(b_shape))
     g = rng.standard_normal((4, 6))
-    fused, chain = ad.sub(a, b), ad.add(a, _neg(b))
+    fused, chain = ad.sub(a, b), ad.add(a, neg(b))
     assert np.array_equal(fused.data, chain.data)
     for x, y in zip(_grads_under(fused, g, (a, b)), _grads_under(chain, g, (a, b))):
         assert np.array_equal(x, y)

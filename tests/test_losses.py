@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import collapselab.autodiff as ad
+import collapselab.losses as L
 from collapselab.errors import ContractError, DegenerateInputError, ShapeError
 from collapselab.etf import make_etf
 from collapselab.losses import (
     allnc_loss,
     branch_loss,
     class_mean_matrix,
+    cross_entropy_rows,
     eta,
     hycon,
     hycon_batch,
@@ -22,6 +24,7 @@ from collapselab.losses import (
 )
 from collapselab.config import TrainConfig
 from collapselab.model import ArchSpec, forward, init_params
+from refops import dot
 
 
 def _one_row(logits: np.ndarray) -> ad.Node:
@@ -66,6 +69,50 @@ class TestCrossEntropy:
             mean_cross_entropy(ad.constant(np.zeros((2, 3))), np.array([0, 3]))
         with pytest.raises(ShapeError):
             mean_cross_entropy(ad.constant(np.zeros(3)), np.array([0]))
+
+
+class TestLabelConstants:
+    """The memo that builds each label array's one-hot rows and class
+    selectors once."""
+
+    def test_built_once_and_read_only(self):
+        y = np.array([2, 0, 2, 1])
+        hot = L._memo(L._onehot, y, 3)
+        assert L._memo(L._onehot, y.copy(), 3) is hot
+        present, pool, lookup = L._memo(L._selectors, y)
+        assert all(a is b for a, b in zip(L._memo(L._selectors, list(y)), (present, pool, lookup)))
+        assert not pool.requires_grad and not lookup.requires_grad
+        for arr in (hot, present, pool.data, lookup.data):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_class_count_is_part_of_the_key(self):
+        y = np.array([0, 1])
+        assert L._memo(L._onehot, y, 2).shape == (2, 2)
+        assert L._memo(L._onehot, y, 3).shape == (2, 3)
+
+    def test_equal_bytes_of_another_dtype_are_other_labels(self):
+        a, b = np.array([1, 0], dtype=np.int32), np.array([1], dtype=np.int64)
+        assert a.tobytes() == b.tobytes()
+        assert np.array_equal(L._memo(L._onehot, a, 2), [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(L._memo(L._onehot, b, 2), [[0.0, 1.0]])
+        assert L._memo(L._selectors, a)[1].shape == (2, 2)
+        assert L._memo(L._selectors, b)[1].shape == (1, 1)
+
+    def test_bounded(self):
+        first = np.array([0, 1, 2])
+        hot = L._memo(L._onehot, first, 3)
+        for k in range(2 * L._MEMO_SIZE):
+            L._memo(L._onehot, np.array([k % 3, 0, 1, k]), 4 + k)
+            assert len(L._MEMO) <= L._MEMO_SIZE
+        again = L._memo(L._onehot, first, 3)
+        assert again is not hot and np.array_equal(again, hot)
+
+    def test_rejected_labels_are_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(ContractError):
+                mean_cross_entropy(ad.constant(np.zeros((2, 3))), np.array([0, 3]))
 
 
 class TestInverseFrequencyWeights:
@@ -347,6 +394,32 @@ class TestBranchAndTotal:
         with pytest.raises(ShapeError):
             branch_loss(logits, y, 0.3, w, cls, p2p_w=ad.constant(np.ones(4)))
 
+    def test_fused_branches_and_total_are_bitwise_their_chains(self, rng):
+        # two branches share one p2p_w node, as in a training step
+        arch = ArchSpec(input_dim=5, num_classes=3, hidden_dims=(6,), feature_dim=4, proj_dim=4, predictor_hidden=4)
+        params = init_params(arch, seed=5)
+        y = np.array([0, 1, 2, 0, 1])
+        w = inverse_frequency_weights(np.bincount(y, minlength=3) + 1)
+        v1, v2 = (forward(params, np.abs(rng.standard_normal((5, 5))) + 0.3) for _ in range(2))
+        p2p_w = p2p(params.classifier_w, center_and_normalize=False)
+        hy = hycon_batch(v1.h, v2.h, v1.z, v2.z, y)
+        pm = p2p(class_mean_matrix(v1.features, y)[0], True, num_classes=3, center=ad.mean_rows(v1.features))
+
+        def chain_branch(v):
+            rows = cross_entropy_rows(v.logits, y)
+            re = ad.scale(dot(rows, ad.constant(w[y])), 1.0 / 5)
+            assert re.item() == mean_reweighted_ce(v.logits, y, w).item()
+            return ad.add(ad.scale(ad.mean_all(rows), 0.6), ad.scale(ad.add(re, p2p_w), 1.0 - 0.6))
+
+        b1, b2 = (branch_loss(v.logits, y, 0.6, w, params.classifier_w, p2p_w=p2p_w) for v in (v1, v2))
+        c1, c2 = chain_branch(v1), chain_branch(v2)
+        fused = total_loss(b1, b2, hy, pm, 0.7)
+        chain = ad.add(ad.add(c1, c2), ad.scale(ad.add(hy, pm), 0.7))
+        assert (b1.item(), b2.item(), fused.item()) == (c1.item(), c2.item(), chain.item())
+        got, ref = ad.backward(fused), ad.backward(chain)
+        for name, p in params.named_parameters():
+            assert np.array_equal(got[p], ref[p]), name
+
     def test_total_additivity_and_alpha(self, rng):
         parts = [ad.constant(float(v)) for v in rng.standard_normal(4)]
         b1, b2, hy, pm = parts
@@ -471,7 +544,7 @@ class TestStepGraphSize:
         terms = allnc_loss(
             forward(params, x1), forward(params, x2), y, 0.5, w, params.classifier_w, cfg.num_classes, cfg.alpha
         )
-        assert (_reachable(terms["total"], False), _reachable(terms["total"], True)) == (80, 74)
+        assert (_reachable(terms["total"], False), _reachable(terms["total"], True)) == (67, 63)
 
     def test_ce_step(self, rng):
         _, params, x1, _, y = self._step_inputs(rng)

@@ -270,6 +270,19 @@ class TestSgd:
         assert params.theta is not old and np.array_equal(old, kept)
         assert not np.array_equal(params.theta, old)
 
+    def test_graph_built_before_a_step_back_propagates_its_own_values(self, rng):
+        # every backward closure reads the arrays of its build, not the
+        # parameter's array after sgd_step replaced it
+        params = init_params(ArchSpec(input_dim=32, num_classes=10), seed=0)
+        x, y = rng.standard_normal((8, 32)), np.arange(8)
+        first, second = (mean_cross_entropy(forward(params, x).logits, y) for _ in range(2))
+        grads = ad.backward(first)
+        sgd_step(params, grads, np.zeros_like(params.theta), lr=0.5, momentum=0.9, weight_decay=0.0)
+        again = ad.backward(second)
+        assert again.keys() == grads.keys()
+        for name, p in params.named_parameters():
+            assert p not in grads or np.array_equal(again[p], grads[p]), name
+
 
 class TestTheta:
     def test_theta_is_read_only(self):
@@ -354,6 +367,14 @@ def arch_width_a_float(snap: Path) -> None:
     _edit_manifest(snap, lambda raw: raw["arch"].update(num_classes=float(raw["arch"]["num_classes"])))
 
 
+def version_a_boolean(snap: Path) -> None:
+    _edit_manifest(snap, lambda raw: raw.update(format_version=True))
+
+
+def version_a_float(snap: Path) -> None:
+    _edit_manifest(snap, lambda raw: raw.update(format_version=float(raw["format_version"])))
+
+
 def hidden_dims_a_string(snap: Path) -> None:
     # one character per layer: "8" would read as a single width-8 layer
     _edit_manifest(snap, lambda raw: raw["arch"].update(hidden_dims="".join(map(str, raw["arch"]["hidden_dims"]))))
@@ -403,6 +424,8 @@ SNAPSHOT_DAMAGE = [
     (arch_width_a_string, "manifest.json"),
     (arch_width_a_boolean, "manifest.json"),
     (arch_width_a_float, "manifest.json"),
+    (version_a_boolean, "manifest.json"),
+    (version_a_float, "manifest.json"),
     (hidden_dims_a_string, "manifest.json"),
     (hidden_dims_floats, "manifest.json"),
     (params_entry_renamed, "manifest.json"),

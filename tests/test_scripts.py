@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from collapselab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +122,37 @@ def test_bench_pair_summary_says_whether_each_metric_kept_its_bound():
     summary = _bench_pair().summarize(runs, bounds)
     assert summary["setup_s"]["bound"] == 0.25 and summary["setup_s"]["within_bound"] is False
     assert summary["run_s"]["bound"] == 0.25 and summary["run_s"]["within_bound"] is True
+
+
+def _ten_pairs(parent: list[float], change: list[float]) -> list[dict]:
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        runs.append({"side": "parent", "pair": pair, "passes": 5 + pair % 2, "metrics": {"run_s": p}})
+        runs.append({"side": "change", "pair": pair, "passes": 7, "metrics": {"run_s": c}})
+    return runs
+
+
+def test_bench_pair_summary_says_whether_a_gain_is_shown():
+    parent = [10.0, 10.2, 9.8, 10.4, 9.6, 10.0, 10.1, 9.9, 10.3, 9.7]  # quartile distance 0.35
+    summarize = _bench_pair().summarize
+    shown = summarize(_ten_pairs(parent, [p - 1.0 for p in parent]), BOUNDS)["run_s"]
+    assert shown["change_wins"] == 10 and shown["parent_quartile_distance"] == pytest.approx(0.35)
+    assert shown["gain_shown"] is True
+    # nine wins in ten still show it; a tie wins for neither side
+    nine = [p - 1.0 for p in parent[:9]] + [parent[9]]
+    assert summarize(_ten_pairs(parent, nine), BOUNDS)["run_s"]["gain_shown"] is True
+    eight = nine[:8] + [parent[8] + 0.5, parent[9]]
+    assert summarize(_ten_pairs(parent, eight), BOUNDS)["run_s"]["gain_shown"] is False
+    # ten wins, but the medians lie closer than the parent's own spread
+    close = summarize(_ten_pairs(parent, [p - 0.3 for p in parent]), BOUNDS)["run_s"]
+    assert close["change_wins"] == 10 and close["gain_shown"] is False
+    # fewer than ten pairs never show a gain
+    assert summarize(_ten_pairs(parent[:5], [p - 5.0 for p in parent[:5]]), BOUNDS)["run_s"]["gain_shown"] is False
+
+
+def test_bench_pair_median_passes_per_side():
+    runs = _ten_pairs([10.0] * 10, [8.0] * 10)
+    assert _bench_pair().median_passes(runs) == {"parent": 5.5, "change": 7}
 
 
 def _git(repo: Path, *args: str) -> None:
