@@ -18,12 +18,13 @@ Gradient semantics worth knowing before reading the ops:
   because the traversal never visits them.
 * ``relu`` uses the subgradient 0 at exactly 0 (the mask is ``x > 0``). Its
   forward is ``np.maximum(x, 0)``, so a NaN input stays NaN.
-* ``l2_normalize_rows`` raises DegenerateInputError on a row whose norm is
-  zero or not finite (a NaN or infinite entry, or squares that overflow);
-  ``cosine_alignment`` raises on a non-finite norm and gives a zero row
-  cosine 0: it divides the row by 1 in place of its zero norm. A zero
-  operand row gets the gradient ``-t / count`` toward its unit target ``t``;
-  a zero target row sends its operand none.
+* ``unit_rows`` (every direction: ``l2_normalize_rows``' forward) raises
+  DegenerateInputError on a row whose norm is zero or not finite (a NaN or
+  infinite entry, or squares that overflow); ``cosine_alignment`` raises
+  on a non-finite norm and gives a zero row cosine 0: it divides the row by
+  1 in place of its zero norm. A zero operand row gets the gradient
+  ``-t / count`` toward its unit target ``t``; a zero target row sends its
+  operand none.
 * ``linear``, ``softmax_cross_entropy_rows``, ``cosine_alignment``,
   ``gram_mse``, ``weighted_mean`` and ``mix`` (the losses' scalar glue) are
   fused ops: each is one node that reproduces the chain of simpler ops its
@@ -32,11 +33,12 @@ Gradient semantics worth knowing before reading the ops:
   nodes receives the same contributions, but ``backward`` may sum them in
   another order than it would for the chain. ``linear`` documents the batch
   shapes where BLAS rounds its backward differently.
-* ``sub`` is bit for bit adding the negated operand. ``l2_normalize_rows``
-  computes its norms with the arithmetic of ``np.linalg.norm``. Sums and
-  maxima call ``np.add.reduce`` and ``np.maximum.reduce``, which is
-  ``ndarray.sum`` and ``max`` without their dispatch; a mean is such a sum
-  divided by the count.
+* ``sub`` is bit for bit adding the negated operand. ``unit_rows`` computes
+  its norms with the arithmetic of ``np.linalg.norm``. ``affine`` (every
+  dense layer: ``linear``'s forward) multiplies by a contiguous copy of
+  w.T. Sums and maxima call ``np.add.reduce`` and ``np.maximum.reduce``,
+  which is ``ndarray.sum`` and ``max`` without their dispatch; a mean is
+  such a sum divided by the count.
 * ``backward`` walks the graph once in reverse topological order and
   accumulates into each node; the schedule is deterministic given the graph.
 
@@ -206,19 +208,27 @@ def matmul(a: Node, b: Node) -> Node:
     return _op(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
+def affine(x: Array, w: Array, b: Array, out: Array | None = None) -> Array:
+    """``linear``'s forward on arrays, which every dense layer computes: x times
+    a contiguous copy of w.T, into ``out`` when it is given, then b in place."""
+    y = np.matmul(x, np.ascontiguousarray(w.T), out=out)
+    y += b
+    return y
+
+
 def linear(x: Node, w: Node, b: Node) -> Node:
     """Affine map x @ w.T + b of (N, in) rows by an (out, in) weight and an
     (out,) bias, as one node; the fused form of transpose, matmul and add.
 
-    The forward multiplies by a contiguous copy of w.T, as that chain does:
-    on the strided view numpy rounds some of the network's shapes
-    differently. The backward multiplies g by w and g.T by x directly, in
-    place of the chain's g @ (copy of w.T).T, which OpenBLAS multithreads on
-    the 128-wide layer and which then stalls for milliseconds whenever
-    another process holds a core. On every batch shape the shipped configs
-    train, this matches the chain bit for bit; BLAS rounds g @ w differently
-    for one-row batches and for batches of a few rows into a 64- or 128-wide
-    layer.
+    The forward is ``affine``, which multiplies by a contiguous copy of w.T,
+    as that chain does: on the strided view numpy rounds some of the
+    network's shapes differently. The backward multiplies g by w and g.T by
+    x directly, in place of the chain's g @ (copy of w.T).T, which OpenBLAS
+    multithreads on the 128-wide layer and which then stalls for
+    milliseconds whenever another process holds a core. On every batch shape
+    the shipped configs train, this matches the chain bit for bit; BLAS
+    rounds g @ w differently for one-row batches and for batches of a few
+    rows into a 64- or 128-wide layer.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1:
@@ -226,7 +236,7 @@ def linear(x: Node, w: Node, b: Node) -> Node:
     if xd.shape[1] != wd.shape[1] or wd.shape[0] != bd.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
     return _op(
-        xd @ np.ascontiguousarray(wd.T) + bd,
+        affine(xd, wd, bd),
         (x, w, b),
         (lambda g: g @ wd, lambda g: g.T @ xd, lambda g: np.add.reduce(g, axis=0)),
     )
@@ -337,16 +347,21 @@ def _unit_rows_back(y: Array, norms: Array, g: Array) -> Array:
     return (g - y * radial[..., None]) / norms
 
 
-def l2_normalize_rows(x: Node) -> Node:
-    """Unit normalization along the last axis of a (d,) vector or each row of
-    an (N, d) matrix. The gradient projects out the radial part. A row whose
-    norm is zero or not finite raises DegenerateInputError."""
-    _check_rows(x.data, "l2_normalize_rows")
-    norms = _row_norms(x.data)
+def unit_rows(x: Array, what: str) -> tuple[Array, Array]:
+    """(x / norms, norms) along the last axis of a (d,) vector or of each row
+    of an (N, d) matrix, the norms kept as an axis; a zero or non-finite norm
+    raises DegenerateInputError naming ``what``, the row and its norm."""
+    norms = _row_norms(x)
     if not (0.0 < norms.min(initial=np.inf) and norms.max(initial=0.0) < np.inf):  # a NaN norm fails both
         bad = int(np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))[0])
-        raise DegenerateInputError(f"l2_normalize_rows: row {bad} has norm {norms.flat[bad]}")
-    y = x.data / norms
+        raise DegenerateInputError(f"{what}: row {bad} has norm {norms.flat[bad]}")
+    return x / norms, norms
+
+
+def l2_normalize_rows(x: Node) -> Node:
+    """``unit_rows`` as a node; the gradient projects out the radial part."""
+    _check_rows(x.data, "l2_normalize_rows")
+    y, norms = unit_rows(x.data, "l2_normalize_rows")
     return _op(y, (x,), (lambda g: _unit_rows_back(y, norms, g),))
 
 

@@ -35,6 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .autodiff import unit_rows
 from .errors import ConfigError, ContractError, ShapeError
 from .etf import make_etf
 
@@ -67,7 +68,7 @@ def class_means(
     else:
         rng = np.random.default_rng(np.random.SeedSequence([placement_seed, 5]))
         raw = rng.standard_normal((num_classes, input_dim))
-        means = raw / np.linalg.norm(raw, axis=1, keepdims=True) * radius
+        means = unit_rows(raw, "class_means")[0] * radius
     diff = means[:, None, :] - means[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
     np.fill_diagonal(dist, np.inf)

@@ -15,7 +15,8 @@ import functools
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, ShapeError
+from .autodiff import unit_rows
+from .errors import ContractError, ShapeError
 
 
 @functools.cache
@@ -67,15 +68,11 @@ def etf_deviation(vectors: np.ndarray) -> float:
     """Max |Gram - target| after unit-normalizing the rows.
 
     Takes a (C, dim) matrix with one vector per row; 0 exactly on a perfect
-    frame.
+    frame. A row whose norm is zero or not finite raises DegenerateInputError
+    (see ``autodiff.unit_rows``).
     """
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2:
         raise ShapeError(f"etf_deviation: need a 2-d matrix, got shape {v.shape}")
-    c = v.shape[0]
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateInputError(f"etf_deviation: zero row at index {int(zero[0])}")
-    unit = v / norms
-    return float(np.max(np.abs(unit @ unit.T - rho_matrix(c))))
+    unit = unit_rows(v, "etf_deviation")[0]
+    return float(np.max(np.abs(unit @ unit.T - rho_matrix(v.shape[0]))))

@@ -218,12 +218,11 @@ def build_datasets(cfg: TrainConfig) -> tuple[Dataset, Dataset]:
 def evaluate(params: NetworkParams, test: Dataset, train_counts: np.ndarray) -> GroupAccuracy:
     """Score a balanced split: overall and per-group accuracy.
 
-    The logits are the classifier applied to ``encode``'s features, computed
-    as ``ad.linear`` computes them, so the predictions are bit for bit those
-    of ``forward``'s logits; no graph is built and no head runs.
+    The logits are ``ad.affine``, the forward of ``ad.linear``, of
+    ``encode``'s features, so the predictions are bit for bit those of
+    ``forward``'s logits; no graph is built and no head runs.
     """
-    logits = encode(params, test.x) @ np.ascontiguousarray(params.classifier_w.data.T)
-    logits += params.classifier_b.data
+    logits = ad.affine(encode(params, test.x), params.classifier_w.data, params.classifier_b.data)
     predicted = np.argmax(logits, axis=1)
     correct = predicted == test.y
     sample_groups = class_groups(train_counts)[test.y]

@@ -50,7 +50,7 @@ from .model import ForwardOut
 # label constants
 
 _MEMO: dict = {}
-_MEMO_SIZE = 16  # a step needs one entry, a gradient check one or two
+_MEMO_SIZE = 16  # an allnc step stores two entries, one-hot rows and selectors
 
 
 def _memo(build, labels: np.ndarray, *extra):
@@ -320,7 +320,7 @@ def allnc_loss(
     Each branch is ``branch_loss`` on its view's logits, and one p2p_w node
     over the raw classifier rows feeds both (gradient accumulation doubles
     it, matching two independent copies). p2p_mu averages ``p2p`` over the
-    two views' in-batch class means, centered by the batch's global feature
+    two views' ``class_mean_matrix``, centered by the batch's global feature
     mean: that is the center the diagnostics subtract, and an unweighted
     mean of class means drifts off it in imbalanced batches. hycon and both
     views' class means read the one memoized set of class selectors of
@@ -337,13 +337,13 @@ def allnc_loss(
     ce1, re1, branch1 = _branch(view1.logits, labels, eta_value, class_weights, p2p_w)
     ce2, re2, branch2 = _branch(view2.logits, labels, eta_value, class_weights, p2p_w)
     hycon_term = zero if disable_hycon else hycon_batch(view1.h, view2.h, view1.z, view2.z, labels)
-    present, pool, _ = _memo(_selectors, labels)
     p2p_mu = zero
-    if not disable_p2p_mu and present.shape[0] >= 2:
-        mu1, mu2 = ad.matmul(pool, view1.features), ad.matmul(pool, view2.features)
-        p2p1 = p2p(mu1, True, num_classes=num_classes, center=ad.mean_rows(view1.features))
-        p2p2 = p2p(mu2, True, num_classes=num_classes, center=ad.mean_rows(view2.features))
-        p2p_mu = ad.scale(ad.add(p2p1, p2p2), 0.5)
+    if not disable_p2p_mu:
+        (mu1, present), (mu2, _) = (class_mean_matrix(v.features, labels) for v in (view1, view2))
+        if present.shape[0] >= 2:
+            p2p1 = p2p(mu1, True, num_classes=num_classes, center=ad.mean_rows(view1.features))
+            p2p2 = p2p(mu2, True, num_classes=num_classes, center=ad.mean_rows(view2.features))
+            p2p_mu = ad.scale(ad.add(p2p1, p2p2), 0.5)
     return {
         "ce": ad.scale(ad.add(ce1, ce2), 0.5),
         "re": ad.scale(ad.add(re1, re2), 0.5),

@@ -178,28 +178,22 @@ def forward(params: NetworkParams, x: Array) -> ForwardOut:
 
 def encode(params: NetworkParams, x: Array) -> np.ndarray:
     """``forward(params, x).features.data`` without the graph or the heads.
-    Each layer multiplies into an array, then adds its bias and applies relu
-    in place, computing what ``ad.linear`` and ``ad.relu`` compute, so the
-    result is bit for bit the same. Hidden layers write into ``params``'
-    scratch array for their position (the first rows of it, grown when a
-    larger split comes), so consecutive layers never share memory; the last
-    layer makes a new array, which the caller may keep across later calls.
-    Neither ``x`` nor a parameter is written."""
+    Each layer is ``ad.affine``, the forward of ``ad.linear``, then relu in
+    place, so the result is bit for bit the same. Hidden layers write into
+    ``params``' scratch array for their position (the first rows of it,
+    grown when a larger split comes), so consecutive layers never share
+    memory; the last layer makes a new array, which the caller may keep
+    across later calls. Neither ``x`` nor a parameter is written."""
     a = ad.as_tensor(x)
     if a.ndim != 2 or a.shape[1] != params.arch.input_dim:
         raise ShapeError(f"encode: input shape {a.shape} vs input_dim {params.arch.input_dim}")
     n = a.shape[0]
     last = len(params.encoder) - 1
     for i, (w, b) in enumerate(params.encoder):
-        wt = np.ascontiguousarray(w.data.T)
-        if i < last:
-            buf = params._scratch.get(i)
-            if buf is None or buf.shape[0] < n:
-                buf = params._scratch[i] = np.empty((n, wt.shape[1]))
-            a = np.matmul(a, wt, out=buf[:n])
-        else:
-            a = a @ wt
-        a += b.data
+        buf = params._scratch.get(i)
+        if i < last and (buf is None or buf.shape[0] < n):
+            buf = params._scratch[i] = np.empty((n, w.data.shape[0]))
+        a = ad.affine(a, w.data, b.data, out=buf[:n] if i < last else None)
         np.maximum(a, 0.0, out=a)
     return a
 

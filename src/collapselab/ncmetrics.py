@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .autodiff import affine, unit_rows
 from .errors import ContractError, DegenerateInputError, ShapeError
 
 
@@ -97,17 +98,12 @@ def centered_pairwise_cosines(vectors: np.ndarray, center: np.ndarray) -> np.nda
     Returns a symmetric (K, K) matrix with unit diagonal. A row that equals
     the center has no direction, and a row whose norm is not finite (it
     overflowed, or holds inf or NaN) has none that can be computed; either
-    raises with the offending row index.
+    raises with the offending row index, from ``unit_rows``.
     """
     v = np.asarray(vectors, dtype=np.float64) - np.asarray(center, dtype=np.float64)
     if v.ndim != 2:
         raise ShapeError(f"centered_pairwise_cosines: need (K, d) rows, got {v.shape}")
-    norms = np.linalg.norm(v, axis=1)
-    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
-    if bad.size:
-        k = int(bad[0])
-        raise DegenerateInputError(f"centered_pairwise_cosines: centered row {k} has norm {norms[k]}")
-    unit = v / norms[:, None]
+    unit = unit_rows(v, "centered_pairwise_cosines")[0]
     cos = unit @ unit.T
     np.fill_diagonal(cos, 1.0)
     return cos
@@ -173,20 +169,17 @@ def ncc_agreement(
 ) -> float:
     """Fraction of samples where argmax logits == nearest class mean.
 
-    Ties on either side resolve to the lowest class index, matching argmax
-    and argmin.
+    The logits are ``affine``'s (a missing bias adds zeros). Ties on either
+    side resolve to the lowest class index, matching argmax and argmin.
     """
     x = np.asarray(features, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"ncc_agreement: features {x.shape} vs weights {w.shape}")
-    logits = x @ w.T
-    if bias is not None:
-        b = np.asarray(bias, dtype=np.float64)
-        if b.shape != (w.shape[0],):
-            raise ShapeError(f"ncc_agreement: bias shape {b.shape} vs {w.shape[0]} classes")
-        logits += b
-    classifier_pick = np.argmax(logits, axis=1)
+    b = np.zeros(w.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"ncc_agreement: bias shape {b.shape} vs {w.shape[0]} classes")
+    classifier_pick = np.argmax(affine(x, w, b), axis=1)
     # d2 = |x|^2 - 2 x.mu + |mu|^2, in the same order of operations, in place
     d2 = 2.0 * x @ stats.mu.T
     np.subtract(np.sum(x * x, axis=1)[:, None], d2, out=d2)

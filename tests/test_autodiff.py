@@ -119,7 +119,9 @@ def test_op_cases_cover_every_public_op():
         for name, value in vars(ad).items()
         if callable(value) and not name.startswith("_") and getattr(value, "__module__", None) == ad.__name__
     }
-    assert public - {"Node", "as_tensor", "backward", "grad_check"} == set(OP_CASES)
+    # affine and unit_rows are the array forwards of linear and l2_normalize_rows
+    array_helpers = {"affine", "unit_rows"}
+    assert public - {"Node", "as_tensor", "backward", "grad_check", *array_helpers} == set(OP_CASES)
 
 
 def test_quadratic_exact_gradient(rng):
@@ -312,6 +314,24 @@ def test_linear_is_bitwise_transpose_matmul_add(rng):
         wrt = (x, w, b) if x_grad else (w, b)
         for a, c in zip(_grads_under(fused, g, wrt), _grads_under(chain, g, wrt)):
             assert np.array_equal(a, c), (n, fi, fo)
+
+
+def test_unit_rows_is_bitwise_division_by_linalg_norm(rng):
+    for shape in ((_N, _D), (_C, _D), (_D,)):
+        x = rng.standard_normal(shape) * 3.0
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+        units, got = ad.unit_rows(x, "rows")
+        assert np.array_equal(got, norms) and np.array_equal(units, x / norms), shape
+
+
+def test_affine_is_bitwise_linear_forward(rng):
+    for n, fi, fo, _ in LINEAR_CASES:
+        x, w, b = rng.standard_normal((n, fi)), rng.standard_normal((fo, fi)), rng.standard_normal(fo)
+        want = ad.linear(ad.constant(x), ad.param(w), ad.param(b)).data
+        assert np.array_equal(ad.affine(x, w, b), want), (n, fi, fo)
+        out = np.full((n + 3, fo), np.nan)
+        assert ad.affine(x, w, b, out=out[:n]).base is out
+        assert np.array_equal(out[:n], want) and np.isnan(out[n:]).all(), (n, fi, fo)
 
 
 @pytest.mark.parametrize("offset", [0.0, 500.0], ids=["plain", "shifted"])

@@ -80,6 +80,15 @@ def test_deviation_zero_column_rejected():
         etf_deviation(v)
 
 
+@pytest.mark.parametrize("bad, norm", [(1e200, "inf"), (np.inf, "inf"), (np.nan, "nan")])
+def test_deviation_rejects_a_row_whose_norm_is_not_finite(bad, norm):
+    v = make_etf(6, 4, seed=0)
+    v[2] = bad
+    # the squares of 1e200 overflow, which numpy warns about
+    with np.errstate(over="ignore"), pytest.raises(DegenerateInputError, match=f"row 2 has norm {norm}"):
+        etf_deviation(v)
+
+
 def test_frame_fields_consistent():
     # one row per class, contiguous, as every vector set of the package
     frame = make_etf(8, 4, seed=5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import collapselab.autodiff as ad
-from collapselab.config import parse_config_file, with_overrides
+from collapselab.config import parse_config_file, parse_config_text, with_overrides
 from collapselab.errors import ConfigError, ContractError, ShapeError, TrainingDivergedError
 from collapselab.harness import build_datasets, run_train
 from collapselab.losses import hycon_batch, mean_cross_entropy
@@ -111,6 +111,17 @@ class TestForward:
         encoded = [encode(params, x) for x in splits]
         for x, got in zip(splits, encoded):
             assert np.array_equal(got, forward(params, x).features.data), x.shape
+
+    def test_encode_is_bitwise_forward_features_without_hidden_layers(self):
+        # an empty ``hidden_dims =`` leaves one encoder layer, which is also the last
+        text = (ROOT / "configs" / "tiny.config").read_text().replace("hidden_dims = 16", "hidden_dims =")
+        cfg = parse_config_text(text)
+        assert cfg.arch.hidden_dims == ()
+        train, test = build_datasets(cfg)
+        params = init_params(cfg.arch, seed=1)
+        assert len(params.encoder) == 1
+        for x in (train.x, test.x, train.x[:1]):
+            assert np.array_equal(encode(params, x), forward(params, x).features.data), x.shape
 
     def test_encode_is_bitwise_forward_features_on_odd_inputs(self, rng):
         with_nan = rng.standard_normal((4, 6))
