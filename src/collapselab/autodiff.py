@@ -44,7 +44,8 @@ Gradient semantics worth knowing before reading the ops:
 
 Broadcasting is deliberately restricted to the one pattern the networks here
 need: adding or subtracting a length-d vector row-wise against an (N, d)
-matrix. Everything else requires exact shape agreement. ``l2_normalize_rows``
+matrix. Everything else requires exact shape agreement; any other operand
+shape raises ContractError, which the losses rely on. ``l2_normalize_rows``
 and ``cosine_alignment`` work along the last axis, so one op serves a single
 (d,) vector and each row of an (N, d) matrix.
 """
@@ -56,7 +57,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, EvaluationError, ShapeError
+from .errors import ContractError, DegenerateInputError, EvaluationError
 
 Array = np.ndarray
 
@@ -152,7 +153,7 @@ def _row_broadcast(a: Array, b: Array, op: str) -> bool:
         return False
     if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
         return True
-    raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
+    raise ContractError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
 
 def add(a: Node, b: Node) -> Node:
@@ -179,7 +180,7 @@ def mul(a: Node, b: Node) -> Node:
     """Elementwise product; shapes must match exactly."""
     av, bv = a.data, b.data
     if av.shape != bv.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+        raise ContractError(f"mul: incompatible shapes {a.shape} and {b.shape}")
     return _op(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
 
 
@@ -202,16 +203,17 @@ def matmul(a: Node, b: Node) -> Node:
     """2-d matrix product (m, k) @ (k, n)."""
     av, bv = a.data, b.data
     if av.ndim != 2 or bv.ndim != 2:
-        raise ShapeError(f"matmul: need 2-d operands, got {a.shape} and {b.shape}")
+        raise ContractError(f"matmul: need 2-d operands, got {a.shape} and {b.shape}")
     if av.shape[1] != bv.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
+        raise ContractError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
     return _op(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
 def affine(x: Array, w: Array, b: Array, out: Array | None = None) -> Array:
     """``linear``'s forward on arrays, which every dense layer computes: x times
     a contiguous copy of w.T, into ``out`` when it is given, then b in place."""
-    y = np.matmul(x, np.ascontiguousarray(w.T), out=out)
+    wt = np.ascontiguousarray(w.T)
+    y = x @ wt if out is None else np.matmul(x, wt, out=out)  # @ skips matmul's keyword parsing
     y += b
     return y
 
@@ -232,9 +234,9 @@ def linear(x: Node, w: Node, b: Node) -> Node:
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1:
-        raise ShapeError(f"linear: need 2-d x and w and 1-d b, got {x.shape}, {w.shape} and {b.shape}")
+        raise ContractError(f"linear: need 2-d x and w and 1-d b, got {x.shape}, {w.shape} and {b.shape}")
     if xd.shape[1] != wd.shape[1] or wd.shape[0] != bd.shape[0]:
-        raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+        raise ContractError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
     return _op(
         affine(xd, wd, bd),
         (x, w, b),
@@ -244,7 +246,7 @@ def linear(x: Node, w: Node, b: Node) -> Node:
 
 def transpose(x: Node) -> Node:
     if x.data.ndim != 2:
-        raise ShapeError(f"transpose: need a 2-d operand, got {x.shape}")
+        raise ContractError(f"transpose: need a 2-d operand, got {x.shape}")
     return _op(np.ascontiguousarray(x.data.T), (x,), (lambda g: np.ascontiguousarray(g.T),))
 
 
@@ -259,7 +261,7 @@ def gram_mse(v: Node, target: Array) -> Node:
     """
     vd = v.data
     if vd.ndim != 2 or target.shape != (vd.shape[0], vd.shape[0]):
-        raise ShapeError(f"gram_mse: need (K, d) rows and a (K, K) target, got {v.shape} and {target.shape}")
+        raise ContractError(f"gram_mse: need (K, d) rows and a (K, K) target, got {v.shape} and {target.shape}")
     vt = np.ascontiguousarray(vd.T)
     diff = vd @ vt - target
     count = diff.size
@@ -289,7 +291,7 @@ def mean_all(x: Node) -> Node:
 def mean_rows(x: Node) -> Node:
     """Column means of an (N, d) matrix; returns a (d,) node."""
     if x.data.ndim != 2 or x.data.shape[0] == 0:
-        raise ShapeError(f"mean_rows: need a non-empty 2-d operand, got {x.shape}")
+        raise ContractError(f"mean_rows: need a non-empty 2-d operand, got {x.shape}")
     n = x.data.shape[0]
     return _op(
         np.add.reduce(x.data, axis=0) / n,
@@ -302,7 +304,7 @@ def weighted_mean(x: Node, w: Array) -> Node:
     """sum_i w_i * x_i / N of an (N,) node and a constant (N,) array, as one
     scalar node; bit for bit the dot with a constant of w, scaled by 1/N."""
     if x.data.ndim != 1 or w.shape != x.data.shape or not w.size:
-        raise ShapeError(f"weighted_mean: need equal non-empty (N,) shapes, got {x.shape} and {w.shape}")
+        raise ContractError(f"weighted_mean: need equal non-empty (N,) shapes, got {x.shape} and {w.shape}")
     s = 1.0 / w.shape[0]
     return _op((x.data @ w) * s, (x,), (lambda g: float(g * s) * w,))
 
@@ -315,7 +317,7 @@ def mix(s: float, a: Sequence[Node], t: float, b: Sequence[Node]) -> Node:
     parents = (*a, *b)
     for n in parents:
         if n.data.ndim:
-            raise ShapeError(f"mix: need 0-d operands, got {n.shape}")
+            raise ContractError(f"mix: need 0-d operands, got {n.shape}")
     sa, sb = a[0].data, b[0].data
     for n in a[1:]:
         sa = sa + n.data
@@ -338,7 +340,7 @@ def _row_norms(x: Array) -> Array:
 
 def _check_rows(x: Array, op: str) -> None:
     if x.ndim not in (1, 2):
-        raise ShapeError(f"{op}: need a 1-d or 2-d operand, got {x.shape}")
+        raise ContractError(f"{op}: need a 1-d or 2-d operand, got {x.shape}")
 
 
 def _unit_rows_back(y: Array, norms: Array, g: Array) -> Array:
@@ -378,7 +380,7 @@ def cosine_alignment(a1: Node, b1: Node, t1: Array, a2: Node, b2: Node, t2: Arra
     """
     for operand in (b1.data, a2.data, b2.data, t1, t2):
         if operand.shape != a1.data.shape:
-            raise ShapeError(f"cosine_alignment: shapes differ, {operand.shape} vs {a1.shape}")
+            raise ContractError(f"cosine_alignment: shapes differ, {operand.shape} vs {a1.shape}")
     _check_rows(a1.data, "cosine_alignment")
     count = a1.data.shape[0] if a1.data.ndim == 2 else 1
     if count == 0:
@@ -418,7 +420,7 @@ def softmax_cross_entropy_rows(x: Node, onehot: Array) -> Node:
     one-hot, scaled per row, with the rounding of the unfused chain.
     """
     if x.data.ndim != 2 or onehot.shape != x.data.shape:
-        raise ShapeError(f"softmax_cross_entropy_rows: need equal (N, C) shapes, got {x.shape}, {onehot.shape}")
+        raise ContractError(f"softmax_cross_entropy_rows: need equal (N, C) shapes, got {x.shape}, {onehot.shape}")
     shifted = x.data - np.maximum.reduce(x.data, axis=1, keepdims=True)
     logp = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 

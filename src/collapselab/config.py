@@ -117,8 +117,8 @@ class TrainConfig:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.beta < 1:
             raise ConfigError(f"beta must be >= 1, got {self.beta}")
-        if min(self.input_dim, self.n_max, self.n_test_per_class, self.batch_size, self.t_max) < 1:
-            raise ConfigError("input_dim, n_max, n_test_per_class, batch_size, t_max must be >= 1")
+        if min(self.n_max, self.n_test_per_class, self.batch_size, self.t_max) < 1:
+            raise ConfigError("n_max, n_test_per_class, batch_size, t_max must be >= 1")
         for key in ("seed", "placement_seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")

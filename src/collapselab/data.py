@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .autodiff import unit_rows
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 from .etf import make_etf
 
 _BATCH_STREAM = 4  # namespace tag so shuffles never collide with other streams
@@ -88,7 +88,7 @@ class Dataset:
         self.x = np.ascontiguousarray(self.x, dtype=np.float64)
         self.y = np.ascontiguousarray(self.y, dtype=np.int64)
         if self.x.ndim != 2 or self.y.ndim != 1 or self.x.shape[0] != self.y.shape[0]:
-            raise ShapeError(f"Dataset: x {self.x.shape} and y {self.y.shape} do not align")
+            raise ContractError(f"Dataset: x {self.x.shape} and y {self.y.shape} do not align")
 
     @property
     def n(self) -> int:
@@ -111,7 +111,7 @@ def gen_gaussian_mixture(means: np.ndarray, counts: np.ndarray, noise_std: float
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (means.shape[0],):
-        raise ShapeError(f"gen_gaussian_mixture: counts shape {counts.shape} vs {means.shape[0]} classes")
+        raise ContractError(f"gen_gaussian_mixture: counts shape {counts.shape} vs {means.shape[0]} classes")
     if np.any(counts < 1):
         raise ContractError("gen_gaussian_mixture: every class needs at least one sample")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))

@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from .autodiff import unit_rows
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 
 @functools.cache
@@ -52,7 +52,7 @@ def make_etf(dim: int, num_classes: int, seed: int = 0) -> np.ndarray:
     if c < 2:
         raise ContractError(f"make_etf: need at least 2 classes, got {c}")
     if q < c:
-        raise ShapeError(f"make_etf: ambient dim {q} cannot hold {c} orthonormal columns")
+        raise ContractError(f"make_etf: ambient dim {q} cannot hold {c} orthonormal columns")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     gauss = rng.standard_normal((q, c))
     basis, r = np.linalg.qr(gauss)
@@ -73,6 +73,6 @@ def etf_deviation(vectors: np.ndarray) -> float:
     """
     v = np.asarray(vectors, dtype=np.float64)
     if v.ndim != 2:
-        raise ShapeError(f"etf_deviation: need a 2-d matrix, got shape {v.shape}")
+        raise ContractError(f"etf_deviation: need a 2-d matrix, got shape {v.shape}")
     unit = unit_rows(v, "etf_deviation")[0]
     return float(np.max(np.abs(unit @ unit.T - rho_matrix(v.shape[0]))))

@@ -13,6 +13,8 @@ The pieces:
 * ``_memo`` builds the label constants (one-hot rows, class selectors) once
   per label array, read-only, keyed by the labels' dtype, shape and bytes:
   both branches of a step and every evaluation of a gradient check share them.
+  It rejects labels that are not 1-d; a label count or operand shape that
+  does not fit is rejected by the autodiff op that meets it.
 * ``hycon``: the two-view alignment loss, defined once for one sample of
   (p,) vectors or the batch mean over (N, p) stacks. For each sample, the
   predictor output of one view and the in-batch class mean of the other
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .etf import rho_matrix
 from .model import ForwardOut
 
@@ -54,10 +56,12 @@ _MEMO_SIZE = 16  # an allnc step stores two entries, one-hot rows and selectors
 
 
 def _memo(build, labels: np.ndarray, *extra):
-    """``build(labels, *extra)``, kept until ``_MEMO_SIZE`` newer entries push it out."""
+    """``build(labels, *extra)`` of 1-d labels, kept until ``_MEMO_SIZE`` newer entries push it out."""
     y = np.asarray(labels)
     key = (build, extra, y.dtype.str, y.shape, y.tobytes())
     if key not in _MEMO:
+        if y.ndim != 1:
+            raise ContractError(f"labels must be 1-d, got shape {y.shape}")
         if len(_MEMO) >= _MEMO_SIZE:
             del _MEMO[next(iter(_MEMO))]
         _MEMO[key] = build(y, *extra)
@@ -65,8 +69,6 @@ def _memo(build, labels: np.ndarray, *extra):
 
 
 def _onehot(y: np.ndarray, num_classes: int) -> np.ndarray:
-    if y.ndim != 1:
-        raise ShapeError(f"labels must be 1-d, got shape {y.shape}")
     if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= num_classes):
         raise ContractError(f"labels outside [0, {num_classes})")
     hot = np.eye(num_classes)[y]
@@ -95,11 +97,8 @@ def _selectors(y: np.ndarray) -> tuple[np.ndarray, Node, Node]:
 def cross_entropy_rows(logits: Node, labels: np.ndarray) -> Node:
     """Per-sample cross-entropy of an (N, C) logits node; returns (N,)."""
     if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy_rows: logits must be (N, C), got {logits.shape}")
-    hot = _memo(_onehot, labels, logits.data.shape[1])
-    if hot.shape[0] != logits.data.shape[0]:
-        raise ShapeError("cross_entropy_rows: labels and logits disagree on N")
-    return ad.softmax_cross_entropy_rows(logits, hot)
+        raise ContractError(f"cross_entropy_rows: logits must be (N, C), got {logits.shape}")
+    return ad.softmax_cross_entropy_rows(logits, _memo(_onehot, labels, logits.data.shape[1]))
 
 
 def mean_cross_entropy(logits: Node, labels: np.ndarray) -> Node:
@@ -116,7 +115,7 @@ def _reweighted_mean(rows: Node, num_classes: int, labels: np.ndarray, class_wei
     """Batch mean of class_weights[y_i] * rows_i."""
     w = np.asarray(class_weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != num_classes:
-        raise ShapeError(f"mean_reweighted_ce: weights shape {w.shape} vs {num_classes} classes")
+        raise ContractError(f"mean_reweighted_ce: weights shape {w.shape} vs {num_classes} classes")
     return ad.weighted_mean(rows, w[np.asarray(labels)])
 
 
@@ -124,7 +123,7 @@ def inverse_frequency_weights(counts: np.ndarray) -> np.ndarray:
     """Per-class weights proportional to 1/count, normalized to mean 1."""
     n = np.asarray(counts, dtype=np.float64)
     if n.ndim != 1 or n.shape[0] < 1:
-        raise ShapeError(f"inverse_frequency_weights: need a 1-d count vector, got {n.shape}")
+        raise ContractError(f"inverse_frequency_weights: need a 1-d count vector, got {n.shape}")
     if np.any(n < 1):
         raise ContractError("inverse_frequency_weights: every class needs at least one sample")
     raw = 1.0 / n
@@ -153,12 +152,7 @@ def class_mean_matrix(x: Node, labels: np.ndarray) -> tuple[Node, np.ndarray]:
     Returns the (P, d) mean node (gradient spreads 1/n_c to each member) and
     the sorted array of the P class indices present in ``labels``.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"class_mean_matrix: need (N, d) input, got {x.shape}")
-    y = np.asarray(labels)
-    if y.shape != (x.data.shape[0],):
-        raise ShapeError("class_mean_matrix: labels and rows disagree on N")
-    present, pool, _ = _memo(_selectors, y)
+    present, pool, _ = _memo(_selectors, labels)
     return ad.matmul(pool, x), present
 
 
@@ -180,16 +174,7 @@ def hycon_batch(
     Passing explicit targets pins them, which is how the finite-difference
     checks keep the target still while they perturb z.
     """
-    for name, node in (("h1", h1), ("h2", h2), ("z1", z1), ("z2", z2)):
-        if node.data.ndim != 2:
-            raise ShapeError(f"hycon_batch: {name} must be (N, p), got {node.shape}")
-        if node.data.shape != h1.data.shape:
-            raise ShapeError(f"hycon_batch: {name} shape {node.shape} differs from {h1.shape}")
-    y = np.asarray(labels)
-    if y.shape != (h1.data.shape[0],):
-        raise ShapeError("hycon_batch: labels and rows disagree on N")
-
-    _, pool, lookup = _memo(_selectors, y)
+    _, pool, lookup = _memo(_selectors, labels)
     u1 = ad.matmul(lookup, ad.matmul(pool, z1))
     u2 = ad.matmul(lookup, ad.matmul(pool, z2))
     if target_z1 is None:
@@ -226,11 +211,9 @@ def p2p(
     over the present rows.
     """
     if vectors.data.ndim != 2:
-        raise ShapeError(f"p2p: need (K, d) input, got {vectors.shape}")
+        raise ContractError(f"p2p: need (K, d) input, got {vectors.shape}")
     k, d = vectors.data.shape
     c = k if num_classes is None else int(num_classes)
-    if c < 2:
-        raise ContractError(f"p2p: target needs at least 2 classes, got {c}")
     if k < 2 or k > c:
         raise ContractError(f"p2p: got {k} rows for a {c}-class target")
     v = vectors
@@ -238,7 +221,7 @@ def p2p(
         if center is None:
             center = ad.mean_rows(v)
         elif center.data.shape != (d,):
-            raise ShapeError(f"p2p: center shape {center.shape} vs row width {d}")
+            raise ContractError(f"p2p: center shape {center.shape} vs row width {d}")
         v = ad.l2_normalize_rows(ad.sub(v, center))
     # With k < c the slice keeps ones on the diagonal and -1/(C-1) off it,
     # which is exactly the Gram a subset of the full frame should have.

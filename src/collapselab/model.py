@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Node
-from .errors import ConfigError, ContractError, ShapeError, TrainingDivergedError
+from .errors import ConfigError, ContractError, TrainingDivergedError
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class NetworkParams:
         mark it read-only and make each parameter node's array a view of its slice."""
         named = self.named_parameters()
         if theta.dtype != np.float64 or theta.shape != (sum(p.data.size for _, p in named),):
-            raise ShapeError(f"set_theta: not a float64 vector of every parameter: {theta.dtype} {theta.shape}")
+            raise ContractError(f"set_theta: not a float64 vector of every parameter: {theta.dtype} {theta.shape}")
         theta.flags.writeable = False
         start = 0
         for _, p in named:
@@ -157,7 +157,7 @@ def forward(params: NetworkParams, x: Array) -> ForwardOut:
     returns features, projection, prediction, and logits nodes."""
     node = ad.constant(x)
     if node.data.ndim != 2 or node.shape[1] != params.arch.input_dim:
-        raise ShapeError(f"forward: input shape {node.shape} vs input_dim {params.arch.input_dim}")
+        raise ContractError(f"forward: input shape {node.shape} vs input_dim {params.arch.input_dim}")
 
     feats = node
     for w, b in params.encoder:
@@ -186,7 +186,7 @@ def encode(params: NetworkParams, x: Array) -> np.ndarray:
     across later calls. Neither ``x`` nor a parameter is written."""
     a = ad.as_tensor(x)
     if a.ndim != 2 or a.shape[1] != params.arch.input_dim:
-        raise ShapeError(f"encode: input shape {a.shape} vs input_dim {params.arch.input_dim}")
+        raise ContractError(f"encode: input shape {a.shape} vs input_dim {params.arch.input_dim}")
     n = a.shape[0]
     last = len(params.encoder) - 1
     for i, (w, b) in enumerate(params.encoder):

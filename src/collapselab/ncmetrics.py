@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import affine, unit_rows
-from .errors import ContractError, DegenerateInputError, ShapeError
+from .errors import ContractError, DegenerateInputError
 
 
 @dataclass
@@ -59,9 +59,9 @@ def class_stats(features: np.ndarray, labels: np.ndarray, num_classes: int) -> C
     y = np.asarray(labels)
     c = int(num_classes)
     if x.ndim != 2:
-        raise ShapeError(f"class_stats: features must be (N, d), got {x.shape}")
+        raise ContractError(f"class_stats: features must be (N, d), got {x.shape}")
     if y.shape != (x.shape[0],):
-        raise ShapeError(f"class_stats: labels shape {y.shape} does not match {x.shape[0]} samples")
+        raise ContractError(f"class_stats: labels shape {y.shape} does not match {x.shape[0]} samples")
     if x.shape[0] == 0:
         raise ContractError("class_stats: need at least one sample")
     if c < 1:
@@ -87,7 +87,7 @@ def nc1_within_class(features: np.ndarray, labels: np.ndarray, stats: ClassStats
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if x.shape[0] != y.shape[0]:
-        raise ShapeError("nc1_within_class: features and labels disagree on N")
+        raise ContractError("nc1_within_class: features and labels disagree on N")
     deviations = x - stats.mu[y]
     return float(np.mean(np.sum(deviations * deviations, axis=1)))
 
@@ -102,7 +102,7 @@ def centered_pairwise_cosines(vectors: np.ndarray, center: np.ndarray) -> np.nda
     """
     v = np.asarray(vectors, dtype=np.float64) - np.asarray(center, dtype=np.float64)
     if v.ndim != 2:
-        raise ShapeError(f"centered_pairwise_cosines: need (K, d) rows, got {v.shape}")
+        raise ContractError(f"centered_pairwise_cosines: need (K, d) rows, got {v.shape}")
     unit = unit_rows(v, "centered_pairwise_cosines")[0]
     cos = unit @ unit.T
     np.fill_diagonal(cos, 1.0)
@@ -126,7 +126,7 @@ def std_of_pairwise_cosines(cos: np.ndarray) -> float:
     """
     m = np.asarray(cos, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"std_of_pairwise_cosines: need a square matrix, got {m.shape}")
+        raise ContractError(f"std_of_pairwise_cosines: need a square matrix, got {m.shape}")
     pairs = m[_upper_pairs(m.shape[0])]
     if pairs.size == 0:
         return 0.0
@@ -151,7 +151,7 @@ def self_duality_delta(weights: np.ndarray, stats: ClassStats) -> float:
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != stats.mu.shape:
-        raise ShapeError(f"self_duality_delta: weights {w.shape} vs means {stats.mu.shape}")
+        raise ContractError(f"self_duality_delta: weights {w.shape} vs means {stats.mu.shape}")
     centered = stats.mu - stats.mu_g
     wn = np.linalg.norm(w)
     mn = np.linalg.norm(centered)
@@ -175,10 +175,10 @@ def ncc_agreement(
     x = np.asarray(features, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"ncc_agreement: features {x.shape} vs weights {w.shape}")
+        raise ContractError(f"ncc_agreement: features {x.shape} vs weights {w.shape}")
     b = np.zeros(w.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
     if b.shape != (w.shape[0],):
-        raise ShapeError(f"ncc_agreement: bias shape {b.shape} vs {w.shape[0]} classes")
+        raise ContractError(f"ncc_agreement: bias shape {b.shape} vs {w.shape[0]} classes")
     classifier_pick = np.argmax(affine(x, w, b), axis=1)
     # d2 = |x|^2 - 2 x.mu + |mu|^2, in the same order of operations, in place
     d2 = 2.0 * x @ stats.mu.T
@@ -222,7 +222,7 @@ def nc_report(
     c = int(num_classes)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape[0] != c:
-        raise ShapeError(f"nc_report: weights have {w.shape[0]} rows for {c} classes")
+        raise ContractError(f"nc_report: weights have {w.shape[0]} rows for {c} classes")
     stats = class_stats(features, labels, c)
     cos_w = centered_pairwise_cosines(w, w.mean(axis=0))
     cos_mu = centered_pairwise_cosines(stats.mu, stats.mu_g)

@@ -5,7 +5,7 @@ each one's gradient against finite differences."""
 import numpy as np
 
 import collapselab.autodiff as ad
-from collapselab.errors import ShapeError
+from collapselab.errors import ContractError
 
 
 def neg(x):
@@ -26,7 +26,7 @@ def rowwise_dot(a, b):
 def dot(a, b):
     """Inner product of two equal 1-d vectors; a 0-d node."""
     if a.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeError(f"dot: need equal-length vectors, got {a.shape} and {b.shape}")
+        raise ContractError(f"dot: need equal-length vectors, got {a.shape} and {b.shape}")
     av, bv = a.data, b.data
     return ad.Node(
         av @ bv,

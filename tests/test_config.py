@@ -154,6 +154,7 @@ def test_hidden_dims_parsing():
         "feature_dim = 0",
         "hidden_dims = 0,64",
         "proj1_hidden = -1",
+        "input_dim = 0",
     ],
 )
 def test_validation_rejects(line):

@@ -14,7 +14,7 @@ from collapselab.data import (
     save_csv,
     write_csv,
 )
-from collapselab.errors import ConfigError, ContractError, ShapeError
+from collapselab.errors import ConfigError, ContractError
 
 
 class TestLongTailCounts:
@@ -107,7 +107,7 @@ class TestMixture:
     def test_zero_count_rejected(self):
         with pytest.raises(ContractError):
             gen_gaussian_mixture(self.MEANS, np.array([5, 0, 3]), 1.0, seed=0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             gen_gaussian_mixture(self.MEANS, np.array([5, 3]), 1.0, seed=0)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from collapselab.errors import ContractError, DegenerateInputError, ShapeError
+from collapselab.errors import ContractError, DegenerateInputError
 from collapselab.etf import etf_deviation, make_etf, rho_matrix
 
 
@@ -46,7 +46,7 @@ def test_rho_matrix_needs_two_classes():
 
 
 def test_make_etf_needs_room():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         make_etf(3, 4)
 
 

@@ -16,7 +16,6 @@ from collapselab.errors import (
     ContractError,
     DegenerateInputError,
     EvaluationError,
-    ShapeError,
     TrainingDivergedError,
 )
 from collapselab.harness import (
@@ -259,7 +258,7 @@ class TestRunTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("mode,loss", [("allnc", "allnc_loss"), ("ce", "mean_cross_entropy")])
-    @pytest.mark.parametrize("error", [ShapeError, ContractError, EvaluationError])
+    @pytest.mark.parametrize("error", [ConfigError, ContractError, EvaluationError])
     def test_other_package_errors_propagate(self, monkeypatch, mode, loss, error):
         def raise_error(*args, **kwargs):
             raise error("raised inside the step")
@@ -495,7 +494,7 @@ class TestSweep:
         rows = sweep(TINY, "gamma", ["2"], tmp_path / "t.csv")
         assert [_sweep_cells(r)["status"] for r in rows] == ["failed"]
 
-    @pytest.mark.parametrize("error", [ContractError, DegenerateInputError, ShapeError, EvaluationError])
+    @pytest.mark.parametrize("error", [ContractError, DegenerateInputError, TrainingDivergedError, EvaluationError])
     def test_other_package_errors_propagate(self, monkeypatch, tmp_path, error):
         def raise_error(*args, **kwargs):
             raise error("raised inside the run")

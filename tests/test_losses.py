@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import collapselab.autodiff as ad
 import collapselab.losses as L
-from collapselab.errors import ContractError, DegenerateInputError, ShapeError
+from collapselab.errors import ContractError, DegenerateInputError
 from collapselab.etf import make_etf
 from collapselab.losses import (
     allnc_loss,
@@ -67,7 +67,7 @@ class TestCrossEntropy:
     def test_label_validation(self):
         with pytest.raises(ContractError):
             mean_cross_entropy(ad.constant(np.zeros((2, 3))), np.array([0, 3]))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             mean_cross_entropy(ad.constant(np.zeros(3)), np.array([0]))
 
 
@@ -250,7 +250,7 @@ class TestHycon:
     def test_shape_mismatch_rejected(self):
         a = ad.constant(np.ones((2, 3)))
         b = ad.constant(np.ones((2, 4)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             hycon_batch(a, a, a, b, np.array([0, 1]))
 
 
@@ -270,6 +270,16 @@ class TestClassMeanMatrix:
         grads = ad.backward(ad.sum_all(means))
         np.testing.assert_allclose(grads[x][0], 1.0 / 3.0)
         np.testing.assert_allclose(grads[x][3], 1.0)
+
+    @pytest.mark.parametrize(
+        "build", [lambda x, y: class_mean_matrix(x, y), lambda x, y: hycon_batch(x, x, x, x, y)], ids=["means", "hycon"]
+    )
+    def test_bad_labels_rejected(self, build):
+        x = ad.constant(np.ones((4, 3)))
+        with pytest.raises(ContractError, match="labels must be 1-d"):
+            build(x, np.zeros((4, 1), dtype=int))
+        with pytest.raises(ContractError, match="matmul: inner dims differ"):
+            build(x, np.array([0, 1, 0]))
 
 
 class TestP2P:
@@ -311,11 +321,11 @@ class TestP2P:
             p2p(ad.constant(np.ones((5, 3))), False, num_classes=4)
         with pytest.raises(ContractError):
             p2p(ad.constant(np.ones((1, 3))), False, num_classes=1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             p2p(ad.constant(np.ones(3)), False)
 
     def test_center_shape_validated(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             p2p(ad.constant(np.ones((3, 4))), True, center=ad.constant(np.ones(3)))
 
     def test_row_at_the_center_rejected(self):
@@ -391,7 +401,7 @@ class TestBranchAndTotal:
     def test_non_scalar_p2p_node_rejected(self, rng):
         # a branch loss is a scalar: a (K,) p2p_w must not broadcast into it
         logits, y, w, cls = self._setup(rng)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             branch_loss(logits, y, 0.3, w, cls, p2p_w=ad.constant(np.ones(4)))
 
     def test_fused_branches_and_total_are_bitwise_their_chains(self, rng):

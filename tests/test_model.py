@@ -8,7 +8,7 @@ import pytest
 
 import collapselab.autodiff as ad
 from collapselab.config import parse_config_file, parse_config_text, with_overrides
-from collapselab.errors import ConfigError, ContractError, ShapeError, TrainingDivergedError
+from collapselab.errors import ConfigError, ContractError, TrainingDivergedError
 from collapselab.harness import build_datasets, run_train
 from collapselab.losses import hycon_batch, mean_cross_entropy
 from collapselab.model import (
@@ -96,9 +96,9 @@ class TestForward:
     def test_input_validation(self):
         params = init_params(SMALL, seed=3)
         for run in (forward, encode):
-            with pytest.raises(ShapeError, match="input shape"):
+            with pytest.raises(ContractError, match="input shape"):
                 run(params, np.ones((7, 5)))
-            with pytest.raises(ShapeError, match="input shape"):
+            with pytest.raises(ContractError, match="input shape"):
                 run(params, np.ones(6))
 
     @pytest.mark.parametrize("config", ["default", "tiny"])
@@ -319,7 +319,7 @@ class TestTheta:
     def test_set_theta_rejects_another_layout(self, make):
         params = init_params(SMALL, seed=5)
         theta = params.theta
-        with pytest.raises(ShapeError, match="set_theta"):
+        with pytest.raises(ContractError, match="set_theta"):
             params.set_theta(make(theta.size))
         assert params.theta is theta
         _assert_views_theta(params)

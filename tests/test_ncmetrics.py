@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from collapselab.errors import ContractError, DegenerateInputError, ShapeError
+from collapselab.errors import ContractError, DegenerateInputError
 from collapselab.etf import make_etf
 from collapselab.harness import write_report
 from collapselab.ncmetrics import (
@@ -69,7 +69,7 @@ class TestClassStats:
         x = np.ones((2, 2))
         with pytest.raises(ContractError):
             class_stats(x, np.array([0, 5]), 3)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             class_stats(x, np.array([0]), 3)
         with pytest.raises(ContractError):
             class_stats(np.ones((0, 2)), np.array([], dtype=int), 3)
@@ -280,7 +280,7 @@ class TestReport:
 
     def test_weights_row_count_checked(self, rng):
         x, y = _cloud(rng, [5, 5])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             nc_report(x, y, np.ones((3, x.shape[1])), None, 2)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import collapselab.autodiff as ad
-from collapselab.errors import ShapeError
+from collapselab.errors import ContractError
 from refops import dot, neg, rowwise_dot
 
 
@@ -25,5 +25,5 @@ def test_dot_matches_finite_differences(rng):
     w = ad.param(rng.standard_normal(5))
     assert ad.grad_check(lambda: dot(v, w), [v, w]) < 1e-6
     assert ad.grad_check(lambda: dot(v, v), [v]) < 1e-6
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractError):
         dot(v, ad.param(np.ones(4)))
