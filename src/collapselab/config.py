@@ -13,10 +13,12 @@ surrounding spaces.
 per-key rules; ``with_overrides`` applies them.
 
 TrainConfig is the one range check of the data and training values: the
-data generators and the optimizer take them as plain values and do not check
-them again, so a bad value fails at parse time, not partway into a run. The
-error names the file, and also the line of the one key whose default would
-make the config valid, when there is exactly one such key. The synthetic
+data generators, the optimizer, the schedule (``losses.eta``), the loss mixing
+(``losses.branch_loss``, ``total_loss``) and the batcher (``data.batches``)
+take them as plain values and do not check them again, so a bad value fails
+at parse time, not partway into a run. The error names the file, and also
+the line of the one key whose default would make the config valid, when
+there is exactly one such key. The synthetic
 mixture's limits (mean_radius > 0, and etf placement needing
 input_dim >= num_classes) apply only when dataset = synthetic. Checks on what
 the code computes from these values stay where it is computed (a beta that

@@ -160,10 +160,6 @@ def batches(
     The permutation is a pure function of (seed, epoch): the same pair
     replays the identical batch sequence, different epochs reshuffle.
     """
-    if batch_size < 1:
-        raise ContractError(f"batches: batch_size must be >= 1, got {batch_size}")
-    if dataset.n == 0:
-        raise ContractError("batches: empty dataset")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _BATCH_STREAM, int(epoch)]))
     order = rng.permutation(dataset.n)
     for start in range(0, dataset.n, batch_size):

@@ -161,8 +161,6 @@ class RunResult:
 def class_groups(train_counts: np.ndarray) -> np.ndarray:
     """0 = Many, 1 = Medium, 2 = Few per class, by share of the head count."""
     counts = np.asarray(train_counts, dtype=np.float64)
-    if counts.ndim != 1 or counts.size == 0:
-        raise ContractError("class_groups: need a non-empty 1-d count vector")
     n_max = counts.max()
     groups = np.full(counts.shape, 1, dtype=np.int64)
     groups[counts > MANY_FRACTION * n_max] = 0

@@ -13,8 +13,8 @@ The pieces:
 * ``_memo`` builds the label constants (one-hot rows, class selectors) once
   per label array, read-only, keyed by the labels' dtype, shape and bytes:
   both branches of a step and every evaluation of a gradient check share them.
-  It rejects labels that are not 1-d; a label count or operand shape that
-  does not fit is rejected by the autodiff op that meets it.
+  It owns the label contract, 1-d non-negative integers; a label count or
+  operand shape that does not fit is rejected by the autodiff op that meets it.
 * ``hycon``: the two-view alignment loss, defined once for one sample of
   (p,) vectors or the batch mean over (N, p) stacks. For each sample, the
   predictor output of one view and the in-batch class mean of the other
@@ -56,12 +56,12 @@ _MEMO_SIZE = 16  # an allnc step stores two entries, one-hot rows and selectors
 
 
 def _memo(build, labels: np.ndarray, *extra):
-    """``build(labels, *extra)`` of 1-d labels, kept until ``_MEMO_SIZE`` newer entries push it out."""
+    """``build(labels, *extra)`` of checked labels, kept until ``_MEMO_SIZE`` newer entries push it out."""
     y = np.asarray(labels)
     key = (build, extra, y.dtype.str, y.shape, y.tobytes())
     if key not in _MEMO:
-        if y.ndim != 1:
-            raise ContractError(f"labels must be 1-d, got shape {y.shape}")
+        if y.ndim != 1 or y.dtype.kind not in "iu" or (y.size and np.minimum.reduce(y) < 0):
+            raise ContractError(f"labels must be 1-d non-negative integers, got {y.dtype} of shape {y.shape}")
         if len(_MEMO) >= _MEMO_SIZE:
             del _MEMO[next(iter(_MEMO))]
         _MEMO[key] = build(y, *extra)
@@ -69,7 +69,7 @@ def _memo(build, labels: np.ndarray, *extra):
 
 
 def _onehot(y: np.ndarray, num_classes: int) -> np.ndarray:
-    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= num_classes):
+    if y.size and np.maximum.reduce(y) >= num_classes:
         raise ContractError(f"labels outside [0, {num_classes})")
     hot = np.eye(num_classes)[y]
     hot.flags.writeable = False
@@ -234,12 +234,6 @@ def p2p(
 
 def eta(t: int, t_max: int, gamma: float) -> float:
     """Curriculum weight 1 - (t/t_max)^gamma: 1 at t=0, 0 at t=t_max."""
-    if t_max < 1:
-        raise ContractError(f"eta: t_max must be >= 1, got {t_max}")
-    if gamma <= 0:
-        raise ContractError(f"eta: gamma must be > 0, got {gamma}")
-    if not 0 <= t <= t_max:
-        raise ContractError(f"eta: t={t} outside [0, {t_max}]")
     return 1.0 - (t / t_max) ** float(gamma)
 
 
@@ -251,8 +245,6 @@ def _branch(
     Both means read one per-sample cross-entropy node, so the log-softmax is
     computed once and its backward runs once on the summed gradient.
     """
-    if not 0.0 <= eta_value <= 1.0:
-        raise ContractError(f"branch loss: eta {eta_value} outside [0, 1]")
     rows = cross_entropy_rows(logits, labels)
     ce = ad.mean_all(rows)
     re = _reweighted_mean(rows, logits.data.shape[1], labels, class_weights)
@@ -280,8 +272,6 @@ def branch_loss(
 
 def total_loss(branch1: Node, branch2: Node, hycon_value: Node, p2p_mu: Node, alpha: float) -> Node:
     """branch1 + branch2 + alpha * (hycon + p2p over class means)."""
-    if alpha < 0:
-        raise ContractError(f"total_loss: alpha must be >= 0, got {alpha}")
     return ad.mix(1.0, (branch1, branch2), alpha, (hycon_value, p2p_mu))
 
 

@@ -16,7 +16,8 @@ toward the collapsed geometry. Four families:
 
 Class means are centered by the global feature mean; classifier rows are
 centered by the mean classifier row. A batch must hold a sample of every
-class, so a report always covers all C classes.
+class, so a report always covers all C classes. ``class_stats`` checks the
+samples and ``nc_report`` the classifier's shape, once; the diagnostics trust both.
 
 ``nc_report`` gathers all four into an ``NCReport``, whose fields are the
 keys of a run's ``report.json``, in file order.
@@ -24,7 +25,6 @@ keys of a run's ``report.json``, in file order.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,11 +84,7 @@ def nc1_within_class(features: np.ndarray, labels: np.ndarray, stats: ClassStats
     Equals the mean squared distance of each sample to its class mean;
     invariant under orthogonal transforms of the feature space.
     """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    if x.shape[0] != y.shape[0]:
-        raise ContractError("nc1_within_class: features and labels disagree on N")
-    deviations = x - stats.mu[y]
+    deviations = features - stats.mu[labels]
     return float(np.mean(np.sum(deviations * deviations, axis=1)))
 
 
@@ -100,22 +96,10 @@ def centered_pairwise_cosines(vectors: np.ndarray, center: np.ndarray) -> np.nda
     overflowed, or holds inf or NaN) has none that can be computed; either
     raises with the offending row index, from ``unit_rows``.
     """
-    v = np.asarray(vectors, dtype=np.float64) - np.asarray(center, dtype=np.float64)
-    if v.ndim != 2:
-        raise ContractError(f"centered_pairwise_cosines: need (K, d) rows, got {v.shape}")
-    unit = unit_rows(v, "centered_pairwise_cosines")[0]
+    unit = unit_rows(vectors - center, "centered_pairwise_cosines")[0]
     cos = unit @ unit.T
     np.fill_diagonal(cos, 1.0)
     return cos
-
-
-@functools.cache
-def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly-upper-triangle indices of a (k, k) matrix; cached, so read-only."""
-    pairs = np.triu_indices(k, k=1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
 
 
 def std_of_pairwise_cosines(cos: np.ndarray) -> float:
@@ -124,10 +108,7 @@ def std_of_pairwise_cosines(cos: np.ndarray) -> float:
     The collapse signature: 0 when all pairs share one cosine (fewer than two
     pairs count as perfectly equiangular).
     """
-    m = np.asarray(cos, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractError(f"std_of_pairwise_cosines: need a square matrix, got {m.shape}")
-    pairs = m[_upper_pairs(m.shape[0])]
+    pairs = cos[np.triu_indices(cos.shape[0], k=1)]
     if pairs.size == 0:
         return 0.0
     return float(np.std(pairs))
@@ -149,16 +130,13 @@ def self_duality_delta(weights: np.ndarray, stats: ClassStats) -> float:
     invariant in both arguments; 0 iff the two stacks are positively
     proportional. A zero or non-finite norm of either stack raises.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != stats.mu.shape:
-        raise ContractError(f"self_duality_delta: weights {w.shape} vs means {stats.mu.shape}")
     centered = stats.mu - stats.mu_g
-    wn = np.linalg.norm(w)
+    wn = np.linalg.norm(weights)
     mn = np.linalg.norm(centered)
     for name, norm in (("classifier", wn), ("centered-mean", mn)):
         if norm == 0.0 or not np.isfinite(norm):
             raise DegenerateInputError(f"self_duality_delta: {name} matrix has Frobenius norm {norm}")
-    return float(np.linalg.norm(w / wn - centered / mn))
+    return float(np.linalg.norm(weights / wn - centered / mn))
 
 
 def ncc_agreement(
@@ -172,17 +150,13 @@ def ncc_agreement(
     The logits are ``affine``'s (a missing bias adds zeros). Ties on either
     side resolve to the lowest class index, matching argmax and argmin.
     """
-    x = np.asarray(features, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ContractError(f"ncc_agreement: features {x.shape} vs weights {w.shape}")
-    b = np.zeros(w.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
-    if b.shape != (w.shape[0],):
-        raise ContractError(f"ncc_agreement: bias shape {b.shape} vs {w.shape[0]} classes")
-    classifier_pick = np.argmax(affine(x, w, b), axis=1)
+    b = np.zeros(weights.shape[0]) if bias is None else bias
+    if b.shape != (weights.shape[0],):
+        raise ContractError(f"ncc_agreement: bias shape {b.shape} vs {weights.shape[0]} classes")
+    classifier_pick = np.argmax(affine(features, weights, b), axis=1)
     # d2 = |x|^2 - 2 x.mu + |mu|^2, in the same order of operations, in place
-    d2 = 2.0 * x @ stats.mu.T
-    np.subtract(np.sum(x * x, axis=1)[:, None], d2, out=d2)
+    d2 = 2.0 * features @ stats.mu.T
+    np.subtract(np.sum(features * features, axis=1)[:, None], d2, out=d2)
     d2 += np.sum(stats.mu * stats.mu, axis=1)[None, :]
     center_pick = np.argmin(d2, axis=1)
     return float(np.mean(classifier_pick == center_pick))
@@ -219,20 +193,18 @@ def nc_report(
     num_classes: int,
 ) -> NCReport:
     """Assemble the full diagnostic snapshot for a batch holding every class."""
-    c = int(num_classes)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape[0] != c:
-        raise ContractError(f"nc_report: weights have {w.shape[0]} rows for {c} classes")
-    stats = class_stats(features, labels, c)
-    cos_w = centered_pairwise_cosines(w, w.mean(axis=0))
+    stats = class_stats(features, labels, num_classes)
+    if weights.shape != stats.mu.shape:
+        raise ContractError(f"nc_report: weights {weights.shape} vs class means {stats.mu.shape}")
+    cos_w = centered_pairwise_cosines(weights, weights.mean(axis=0))
     cos_mu = centered_pairwise_cosines(stats.mu, stats.mu_g)
     return NCReport(
         nc1=nc1_within_class(features, labels, stats),
         std_cos_mu=std_of_pairwise_cosines(cos_mu),
         std_cos_w=std_of_pairwise_cosines(cos_w),
-        delta=self_duality_delta(w, stats),
-        ncc_agreement=ncc_agreement(features, w, bias, stats),
-        num_classes=c,
+        delta=self_duality_delta(weights, stats),
+        ncc_agreement=ncc_agreement(features, weights, bias, stats),
+        num_classes=num_classes,
         icpa_mu=icpa_degrees(cos_mu),
         icpa_w=icpa_degrees(cos_w),
     )

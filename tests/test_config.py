@@ -142,6 +142,7 @@ def test_hidden_dims_parsing():
         "fixed_eta = 1.5",
         "view_mask_prob = 1.0",
         "t_max = 0",
+        "batch_size = 0",
         "n_max = 0",
         "n_test_per_class = 0",
         "mean_placement = grid",

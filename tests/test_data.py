@@ -169,12 +169,6 @@ class TestBatches:
         out = list(batches(ds, 100, seed=0, epoch=0))
         assert len(out) == 1 and out[0][0].shape[0] == 11
 
-    def test_validation(self):
-        with pytest.raises(ContractError):
-            list(batches(self._tiny(), 0, seed=0, epoch=0))
-        with pytest.raises(ContractError):
-            list(batches(Dataset(x=np.zeros((0, 2)), y=np.zeros(0, dtype=int)), 2, seed=0, epoch=0))
-
 
 class TestCsv:
     def test_round_trip_exact(self, tmp_path, rng):

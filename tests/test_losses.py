@@ -276,8 +276,9 @@ class TestClassMeanMatrix:
     )
     def test_bad_labels_rejected(self, build):
         x = ad.constant(np.ones((4, 3)))
-        with pytest.raises(ContractError, match="labels must be 1-d"):
-            build(x, np.zeros((4, 1), dtype=int))
+        for labels in (np.zeros((4, 1), dtype=int), np.array([0, -1, 1, 0]), np.array([0.0, 1.0, 1.0, 0.0])):
+            with pytest.raises(ContractError, match="labels must be 1-d"):
+                build(x, labels)
         with pytest.raises(ContractError, match="matmul: inner dims differ"):
             build(x, np.array([0, 1, 0]))
 
@@ -343,16 +344,6 @@ class TestEta:
     def test_midpoint_quadratic(self):
         assert eta(50, 100, 2.0) == pytest.approx(0.75, abs=1e-15)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ContractError):
-            eta(101, 100, 2.0)
-        with pytest.raises(ContractError):
-            eta(-1, 100, 2.0)
-        with pytest.raises(ContractError):
-            eta(0, 0, 2.0)
-        with pytest.raises(ContractError):
-            eta(0, 10, 0.0)
-
     @given(st.integers(1, 1000), st.floats(0.1, 8.0))
     def test_monotone_nonincreasing(self, t_max, gamma):
         vals = [eta(t, t_max, gamma) for t in range(t_max + 1)]
@@ -392,11 +383,6 @@ class TestBranchAndTotal:
         a = branch_loss(logits, y, 0.3, w, cls, p2p_w=shared).item()
         b = branch_loss(logits, y, 0.3, w, cls).item()
         assert a == pytest.approx(b, abs=1e-12)
-
-    def test_bad_eta_rejected(self, rng):
-        logits, y, w, cls = self._setup(rng)
-        with pytest.raises(ContractError):
-            branch_loss(logits, y, 1.5, w, cls)
 
     def test_non_scalar_p2p_node_rejected(self, rng):
         # a branch loss is a scalar: a (K,) p2p_w must not broadcast into it
@@ -438,11 +424,6 @@ class TestBranchAndTotal:
         for alpha in (0.5, 1.0, 2.0):
             got = total_loss(b1, b2, hy, pm, alpha).item()
             assert got == pytest.approx(base + alpha * (hy.item() + pm.item()), abs=1e-12)
-
-    def test_negative_alpha_rejected(self):
-        z = ad.constant(0.0)
-        with pytest.raises(ContractError):
-            total_loss(z, z, z, z, -1.0)
 
     def test_alpha_zero_silences_alignment_gradients(self, rng):
         a = ad.param(rng.standard_normal(3))

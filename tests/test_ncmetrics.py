@@ -280,8 +280,9 @@ class TestReport:
 
     def test_weights_row_count_checked(self, rng):
         x, y = _cloud(rng, [5, 5])
-        with pytest.raises(ContractError):
-            nc_report(x, y, np.ones((3, x.shape[1])), None, 2)
+        for shape in ((3, x.shape[1]), (2, x.shape[1] + 1)):
+            with pytest.raises(ContractError, match="nc_report: weights"):
+                nc_report(x, y, np.ones(shape), None, 2)
 
 
 @given(st.integers(0, 10_000))
